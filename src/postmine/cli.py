@@ -75,6 +75,24 @@ _PATH_KEYS = ("posts", "institutions", "labels", "lexicon", "embeddings",
 _OPTIONAL_PATH_KEYS = ("censored", "verb_inventory", "triples")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_topics(settings: dict) -> None:
+    """Reject topics settings the stage would only trip over after the
+    whole corpus has been preprocessed."""
+    if "k_candidates" in settings:
+        ks = settings["k_candidates"]
+        if not (isinstance(ks, list) and ks and all(_is_int(k) and k >= 2 for k in ks)):
+            raise ConfigError(
+                f"topics.k_candidates must be a non-empty list of integers >= 2, got {ks!r}")
+    for key in ("iters", "min_df", "top_words"):
+        if key in settings and not (_is_int(settings[key]) and settings[key] >= 1):
+            raise ConfigError(
+                f"topics.{key} must be an integer >= 1, got {settings[key]!r}")
+
+
 def load_config(
     path: str | Path,
     seed_override: int | None = None,
@@ -120,10 +138,14 @@ def load_config(
     if not out_dir:
         raise ConfigError("config requires out_dir (or pass --out)")
 
+    topics_raw = raw.get("topics", {})
+    if not isinstance(topics_raw, dict):
+        raise ConfigError("topics settings must be a JSON object")
+    _check_topics(topics_raw)
     try:
         topics_settings = TopicsSettings(**{
-            **raw.get("topics", {}),
-            "k_candidates": tuple(raw.get("topics", {}).get(
+            **topics_raw,
+            "k_candidates": tuple(topics_raw.get(
                 "k_candidates", TopicsSettings.k_candidates)),
         })
         propagation_settings = PropagationSettings(**raw.get("propagation", {}))

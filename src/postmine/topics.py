@@ -8,6 +8,18 @@ alpha = 1/K.  Fits are deterministic functions of (matrix, K, seed,
 iters): the only randomness is the seeded Gamma initialization of the
 topic-word variational parameters.
 
+The E-step is batched over documents (the batch update of Hoffman,
+Blei & Bach, "Online Learning for Latent Dirichlet Allocation", 2010):
+the nonzeros of all non-empty rows are concatenated once per fit, each
+inner iteration updates every document's topic weights with one gather
+over the nonzeros and one segment sum per document, and the expected
+counts come from one bincount per topic.  A per-document convergence
+mask keeps the per-document stopping rule: a document stops after the
+iteration in which its mean absolute change fell below ``inner_tol``,
+or after ``inner_iters``, and its nonzeros leave the working arrays.
+The bound is likewise one log-sum-exp over all nonzeros plus the
+per-document Dirichlet terms summed over rows.
+
 The fit keeps the per-document variational parameters warm across
 sweeps, which makes the evidence lower bound non-decreasing from one
 sweep to the next (each update is an exact coordinate maximization).
@@ -77,6 +89,7 @@ class TopicModel:
     seed: int
     terms: tuple[str, ...] | None = None
     objective_trace: tuple[float, ...] = ()
+    converged: bool | None = None  # bound met tol before iters ran out; None if unknown
 
 
 def content_terms(doc: Sequence[Token]) -> list[str]:
@@ -137,9 +150,37 @@ def tfidf(docs: Sequence[Sequence[Token]], vocab: Vocabulary) -> WeightedMatrix:
 
 
 def _dirichlet_expectation(params: np.ndarray) -> np.ndarray:
-    if params.ndim == 1:
-        return digamma(params) - digamma(params.sum())
+    """E[log x] under Dirichlet(row) for every row of ``params``."""
     return digamma(params) - digamma(params.sum(axis=1))[:, None]
+
+
+@dataclass(frozen=True)
+class _Nonzeros:
+    """The nonzeros of the active (non-empty) rows, concatenated in
+    document order: a CSR layout with row lengths instead of a pointer
+    array."""
+
+    ids: np.ndarray       # term index of each nonzero
+    cts: np.ndarray       # weight of each nonzero
+    doc_of: np.ndarray    # active-document index of each nonzero
+    lengths: np.ndarray   # nonzeros per active document, all >= 1
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple[np.ndarray, np.ndarray]]) -> "_Nonzeros":
+        lengths = np.array([len(ids) for ids, _ in rows], dtype=np.intp)
+        if not rows:
+            empty = np.zeros(0, dtype=np.intp)
+            return cls(empty, np.zeros(0), empty, lengths)
+        return cls(
+            ids=np.concatenate([ids for ids, _ in rows]),
+            cts=np.concatenate([cts for _, cts in rows]),
+            doc_of=np.repeat(np.arange(len(rows)), lengths),
+            lengths=lengths,
+        )
+
+
+def _starts(lengths: np.ndarray) -> np.ndarray:
+    return np.cumsum(lengths) - lengths
 
 
 def fit_lda(
@@ -173,45 +214,38 @@ def fit_lda(
     skipped = n_docs - len(active)
     if skipped:
         logger.warning("fit_lda: skipping %d document(s) with no weighted terms", skipped)
+    nz = _Nonzeros.from_rows([matrix.rows[d] for d in active])
 
     rng = np.random.default_rng(seed)
     lam = rng.gamma(100.0, 0.01, (k, n_terms))
-    gamma = np.full((n_docs, k), alpha)
-    for d in active:
-        gamma[d] = alpha + matrix.rows[d][1].sum() / k
+    # gamma holds the active documents' rows only, in order
+    row_sums = np.array([matrix.rows[d][1].sum() for d in active])
+    gamma = np.repeat(alpha + row_sums[:, None] / k, k, axis=1)
 
     trace: list[float] = []
+    converged = False
     for _ in range(iters):
-        elog_beta = _dirichlet_expectation(lam)
-        exp_elog_beta = np.exp(elog_beta)
-        sstats = np.zeros((k, n_terms))
-        for d in active:
-            ids, cts = matrix.rows[d]
-            gamma_d = gamma[d]
-            exp_elog_theta_d = np.exp(_dirichlet_expectation(gamma_d))
-            beta_d = exp_elog_beta[:, ids]
-            for _inner in range(inner_iters):
-                phinorm = exp_elog_theta_d @ beta_d + 1e-100
-                last_gamma = gamma_d
-                gamma_d = alpha + exp_elog_theta_d * ((cts / phinorm) @ beta_d.T)
-                exp_elog_theta_d = np.exp(_dirichlet_expectation(gamma_d))
-                if np.mean(np.abs(gamma_d - last_gamma)) < inner_tol:
-                    break
-            gamma[d] = gamma_d
-            phinorm = exp_elog_theta_d @ beta_d + 1e-100
-            sstats[:, ids] += np.outer(exp_elog_theta_d, cts / phinorm) * beta_d
+        exp_elog_beta = np.exp(_dirichlet_expectation(lam).T[nz.ids])  # nnz x K
+        exp_elog_theta = _e_step(gamma, exp_elog_beta, nz, alpha, inner_iters, inner_tol)
+        theta = exp_elog_theta[nz.doc_of]
+        phinorm = np.einsum("jk,jk->j", theta, exp_elog_beta) + 1e-100
+        weights = theta * (nz.cts / phinorm)[:, None] * exp_elog_beta
+        sstats = np.array([
+            np.bincount(nz.ids, weights=weights[:, t], minlength=n_terms)
+            for t in range(k)
+        ])
         lam = eta + sstats
-        bound = _elbo(matrix, active, gamma, lam, alpha, eta)
+        bound = _elbo(nz, gamma, lam, alpha, eta)
         trace.append(bound)
         if len(trace) >= 2:
             prev = trace[-2]
             if abs(bound - prev) <= tol * abs(prev):
+                converged = True
                 break
 
     topic_word = lam / lam.sum(axis=1)[:, None]
     doc_topic = np.full((n_docs, k), 1.0 / k)
-    for d in active:
-        doc_topic[d] = gamma[d] / gamma[d].sum()
+    doc_topic[active] = gamma / gamma.sum(axis=1)[:, None]
     return TopicModel(
         k=k,
         topic_word=topic_word,
@@ -220,32 +254,69 @@ def fit_lda(
         seed=seed,
         terms=matrix.terms,
         objective_trace=tuple(trace),
+        converged=converged,
     )
 
 
+def _e_step(
+    gamma: np.ndarray,
+    exp_elog_beta: np.ndarray,
+    nz: _Nonzeros,
+    alpha: float,
+    inner_iters: int,
+    inner_tol: float,
+) -> np.ndarray:
+    """Run the per-document fixed point for gamma on every active
+    document at once, updating ``gamma`` in place; returns the final
+    exp(E[log theta]) rows.
+
+    A document stops after the iteration in which its mean absolute
+    change of gamma fell below inner_tol, or after inner_iters; the
+    nonzeros of stopped documents drop out of the working arrays."""
+    exp_elog_theta = np.exp(_dirichlet_expectation(gamma))
+    if not len(gamma):
+        return exp_elog_theta
+    live = np.arange(len(gamma))
+    beta, cts, local, lengths = exp_elog_beta, nz.cts, nz.doc_of, nz.lengths
+    starts = _starts(lengths)
+    for _inner in range(inner_iters):
+        theta = exp_elog_theta[live]
+        phinorm = np.einsum("jk,jk->j", theta[local], beta) + 1e-100
+        last = gamma[live]
+        fresh = alpha + theta * np.add.reduceat(beta * (cts / phinorm)[:, None], starts)
+        gamma[live] = fresh
+        exp_elog_theta[live] = np.exp(_dirichlet_expectation(fresh))
+        done = np.mean(np.abs(fresh - last), axis=1) < inner_tol
+        if done.all():
+            break
+        if done.any():
+            keep = ~done[local]
+            live, lengths = live[~done], lengths[~done]
+            beta, cts = beta[keep], cts[keep]
+            local = np.repeat(np.arange(len(live)), lengths)
+            starts = _starts(lengths)
+    return exp_elog_theta
+
+
 def _elbo(
-    matrix: WeightedMatrix,
-    active: list[int],
+    nz: _Nonzeros,
     gamma: np.ndarray,
     lam: np.ndarray,
     alpha: float,
     eta: float,
 ) -> float:
     """Evidence lower bound with the per-token assignments optimized out
-    (log-sum-exp over topics for every weighted term)."""
+    (log-sum-exp over topics for every weighted term); ``gamma`` holds
+    the active documents' rows."""
     k, n_terms = lam.shape
     elog_beta = _dirichlet_expectation(lam)
-    score = 0.0
-    for d in active:
-        ids, cts = matrix.rows[d]
-        gamma_d = gamma[d]
-        elog_theta_d = _dirichlet_expectation(gamma_d)
-        combined = elog_theta_d[:, None] + elog_beta[:, ids]
-        peak = combined.max(axis=0)
-        score += float(cts @ (peak + np.log(np.exp(combined - peak).sum(axis=0))))
-        score += float(np.sum((alpha - gamma_d) * elog_theta_d))
-        score += float(np.sum(gammaln(gamma_d)) - gammaln(gamma_d.sum()))
-        score += gammaln(alpha * k) - k * gammaln(alpha)
+    elog_theta = _dirichlet_expectation(gamma)
+    combined = elog_theta[nz.doc_of] + elog_beta.T[nz.ids]   # nnz x K
+    peak = combined.max(axis=1)
+    score = float(nz.cts @ (peak + np.log(np.exp(combined - peak[:, None]).sum(axis=1))))
+    score += float(np.sum((alpha - gamma) * elog_theta))
+    score += float(np.sum(gammaln(gamma)) - np.sum(gammaln(gamma.sum(axis=1))))
+    score += len(gamma) * (gammaln(alpha * k) - k * gammaln(alpha))
     score += float(np.sum((eta - lam) * elog_beta))
     score += float(np.sum(gammaln(lam)) - np.sum(gammaln(lam.sum(axis=1))))
     score += k * (gammaln(eta * n_terms) - n_terms * gammaln(eta))
@@ -318,7 +389,10 @@ def select_k(
         model = fit_lda(matrix, k, seed, iters=iters)
         score = coherence(model, docs, top_n=top_n)
         model = replace(model, coherence=score)
-        logger.info("select_k: k=%d coherence=%.6f", k, score)
+        logger.info(
+            "select_k: k=%d coherence=%.6f sweeps=%d bound=%.6f stop=%s",
+            k, score, len(model.objective_trace), model.objective_trace[-1],
+            "tol" if model.converged else "iters")
         if best is None or score > best.coherence:
             best = model
     assert best is not None
@@ -341,27 +415,40 @@ def save_model(model: TopicModel, path: str | Path) -> None:
             handle.write("\n")
 
 
+def _float_rows(path, lines: Sequence[str], width: int, first_line: int) -> np.ndarray:
+    out = np.empty((len(lines), width))
+    for i, line in enumerate(lines):
+        cells = line.split("\t")
+        if len(cells) != width:
+            raise DataError(f"model file {path} line {first_line + i}: "
+                            f"expected {width} values, got {len(cells)}")
+        try:
+            out[i] = [float(x) for x in cells]
+        except ValueError:
+            raise DataError(
+                f"model file {path} line {first_line + i}: non-numeric value") from None
+    return out
+
+
 def load_model(path: str | Path, terms: tuple[str, ...] | None = None) -> TopicModel:
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     if not lines:
         raise DataError(f"model file {path} is empty")
-    head = lines[0].split("\t")
-    if len(head) != 4:
+    try:  # a wrong field count fails the unpacking
+        k_s, n_terms_s, seed_s, coh_s = lines[0].split("\t")
+        k, n_terms, seed, coh = int(k_s), int(n_terms_s), int(seed_s), float(coh_s)
+    except ValueError:
+        raise DataError(f"model file {path}: bad header") from None
+    if k < 1 or n_terms < 1:
         raise DataError(f"model file {path}: bad header")
-    k, n_terms, seed = int(head[0]), int(head[1]), int(head[2])
-    coh = float(head[3])
     body = lines[1:]
     if len(body) < k:
         raise DataError(f"model file {path}: truncated topic rows")
-    topic_word = np.array([[float(x) for x in line.split("\t")] for line in body[:k]])
-    doc_topic = np.array([[float(x) for x in line.split("\t")] for line in body[k:]])
-    if topic_word.shape != (k, n_terms):
-        raise DataError(f"model file {path}: topic row shape mismatch")
     return TopicModel(
         k=k,
-        topic_word=topic_word,
-        doc_topic=doc_topic,
+        topic_word=_float_rows(path, body[:k], n_terms, first_line=2),
+        doc_topic=_float_rows(path, body[k:], k, first_line=2 + k),
         coherence=coh,
         seed=seed,
         terms=terms,

@@ -4,7 +4,9 @@ Nothing here may call into the code paths under test: the segmentation
 oracle enumerates every split instead of running Viterbi, the OLS
 oracle solves the normal equations instead of QR, the t-tail oracle
 integrates the density numerically instead of using the incomplete beta
-function, and the neighbor oracle is a pure-Python full scan.
+function, the neighbor oracle is a pure-Python full scan, and the LDA
+oracle runs the variational E-step and bound one document at a time
+instead of batched over all documents.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import digamma, gammaln
 
 
 def lm_score(lm, prev: str | None, word: str) -> float:
@@ -28,11 +31,12 @@ def lm_score(lm, prev: str | None, word: str) -> float:
     return math.log(1.0 / lm.total_unigrams) - len(word) * math.log(10.0)
 
 
-def _decode_mask(body: str, mask: int) -> tuple[str, ...]:
+def _decode_splits(body: str, splits: int) -> tuple[str, ...]:
+    # bit p - 1 of splits set means a word boundary before body[p]
     words = []
     start = 0
     for pos in range(1, len(body)):
-        if mask & (1 << pos):
+        if splits >> (pos - 1) & 1:
             words.append(body[start:pos])
             start = pos
     words.append(body[start:])
@@ -44,57 +48,39 @@ def exhaustive_segment(body: str, lm) -> list[str]:
     left to right; ties broken by the lexicographically smallest word
     sequence.
 
-    The DFS carries only (position, previous-word start, running score,
-    split mask); transition scores are precomputed per (prev span,
-    span) and words are decoded from the mask only when a leaf reaches
-    the best score."""
+    All segmentations are enumerated at once with numpy: walking
+    positions 1..len-1, every partial segmentation either continues its
+    current word or splits there, which doubles the arrays of (running
+    score, current word start, previous word start).  Transition scores
+    are precomputed per (previous span, span); words are decoded only
+    for the segmentations that reach the best score."""
     if not body:
         return []
     n = len(body)
-    # trans[start][end][pstart + 1] = score of body[start:end] after the
+    # trans[start, end, pstart + 1] = score of body[start:end] after the
     # word body[pstart:start] (pstart == -1 means sequence start).
-    trans: list[list[list[float] | None]] = [[None] * (n + 1) for _ in range(n)]
+    trans = np.full((n, n + 1, n + 1), np.nan)
     for start in range(n):
         for end in range(start + 1, n + 1):
             word = body[start:end]
-            column = [lm_score(lm, None, word) if start == 0 else math.nan]
+            if start == 0:
+                trans[start, end, 0] = lm_score(lm, None, word)
             for pstart in range(start):
-                column.append(lm_score(lm, body[pstart:start], word))
-            trans[start][end] = column
+                trans[start, end, pstart + 1] = lm_score(lm, body[pstart:start], word)
 
-    best_score = -math.inf
-    best_mask = -1
-    stack: list[tuple[int, int, float, int]] = [(0, -1, 0.0, 0)]
-    while stack:
-        pos, pstart, score, mask = stack.pop()
-        row = trans[pos]
-        for end in range(pos + 1, n):
-            stack.append((end, pos, score + row[end][pstart + 1], mask | (1 << end)))
-        total = score + row[n][pstart + 1]
-        if total > best_score:
-            best_score = total
-            best_mask = mask
-        elif total == best_score and best_mask >= 0:
-            if _decode_mask(body, mask) < _decode_mask(body, best_mask):
-                best_mask = mask
-    return list(_decode_mask(body, best_mask))
-
-
-def all_segmentations(body: str) -> list[tuple[str, ...]]:
-    if not body:
-        return [()]
-    out = []
-    n = len(body)
-    for mask in range(1 << (n - 1)):
-        words = []
-        start = 0
-        for i in range(n - 1):
-            if mask & (1 << i):
-                words.append(body[start:i + 1])
-                start = i + 1
-        words.append(body[start:])
-        out.append(tuple(words))
-    return out
+    # index i of these arrays encodes the splits chosen so far: bit p - 1
+    # is set when a word ends before position p
+    score = np.zeros(1)
+    start = np.zeros(1, dtype=np.intp)
+    pstart = np.full(1, -1, dtype=np.intp)
+    for pos in range(1, n):
+        split_score = score + trans[start, pos, pstart + 1]
+        score = np.concatenate([score, split_score])
+        pstart = np.concatenate([pstart, start])
+        start = np.concatenate([start, np.full_like(start, pos)])
+    total = score + trans[start, n, pstart + 1]
+    winners = np.flatnonzero(total == total.max())
+    return list(min(_decode_splits(body, int(i)) for i in winners))
 
 
 def normal_equations_ols(x: np.ndarray, y: np.ndarray):
@@ -147,3 +133,89 @@ def brute_force_neighbors(
                 scored.append((lemma, sim))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]
+
+
+def _dirichlet_expectation(params: np.ndarray) -> np.ndarray:
+    if params.ndim == 1:
+        return digamma(params) - digamma(params.sum())
+    return digamma(params) - digamma(params.sum(axis=1))[:, None]
+
+
+def per_document_lda(
+    matrix,
+    k: int,
+    seed: int,
+    iters: int = 200,
+    eta: float = 0.01,
+    tol: float = 1e-6,
+    inner_iters: int = 100,
+    inner_tol: float = 1e-10,
+):
+    """Batch variational-Bayes LDA with a per-document Python loop for
+    the E-step and the bound; returns (topic_word, doc_topic, bound
+    trace).  Same initialization, stopping rules and update order as
+    ``topics.fit_lda``, so the two agree up to rounding."""
+    n_docs = len(matrix.rows)
+    n_terms = matrix.n_terms
+    alpha = 1.0 / k
+    active = [d for d, (ids, _) in enumerate(matrix.rows) if len(ids) > 0]
+
+    rng = np.random.default_rng(seed)
+    lam = rng.gamma(100.0, 0.01, (k, n_terms))
+    gamma = np.full((n_docs, k), alpha)
+    for d in active:
+        gamma[d] = alpha + matrix.rows[d][1].sum() / k
+
+    trace: list[float] = []
+    for _ in range(iters):
+        elog_beta = _dirichlet_expectation(lam)
+        exp_elog_beta = np.exp(elog_beta)
+        sstats = np.zeros((k, n_terms))
+        for d in active:
+            ids, cts = matrix.rows[d]
+            gamma_d = gamma[d]
+            exp_elog_theta_d = np.exp(_dirichlet_expectation(gamma_d))
+            beta_d = exp_elog_beta[:, ids]
+            for _inner in range(inner_iters):
+                phinorm = exp_elog_theta_d @ beta_d + 1e-100
+                last_gamma = gamma_d
+                gamma_d = alpha + exp_elog_theta_d * ((cts / phinorm) @ beta_d.T)
+                exp_elog_theta_d = np.exp(_dirichlet_expectation(gamma_d))
+                if np.mean(np.abs(gamma_d - last_gamma)) < inner_tol:
+                    break
+            gamma[d] = gamma_d
+            phinorm = exp_elog_theta_d @ beta_d + 1e-100
+            sstats[:, ids] += np.outer(exp_elog_theta_d, cts / phinorm) * beta_d
+        lam = eta + sstats
+        bound = _per_document_elbo(matrix, active, gamma, lam, alpha, eta)
+        trace.append(bound)
+        if len(trace) >= 2:
+            prev = trace[-2]
+            if abs(bound - prev) <= tol * abs(prev):
+                break
+
+    topic_word = lam / lam.sum(axis=1)[:, None]
+    doc_topic = np.full((n_docs, k), 1.0 / k)
+    for d in active:
+        doc_topic[d] = gamma[d] / gamma[d].sum()
+    return topic_word, doc_topic, trace
+
+
+def _per_document_elbo(matrix, active, gamma, lam, alpha, eta) -> float:
+    k, n_terms = lam.shape
+    elog_beta = _dirichlet_expectation(lam)
+    score = 0.0
+    for d in active:
+        ids, cts = matrix.rows[d]
+        gamma_d = gamma[d]
+        elog_theta_d = _dirichlet_expectation(gamma_d)
+        combined = elog_theta_d[:, None] + elog_beta[:, ids]
+        peak = combined.max(axis=0)
+        score += float(cts @ (peak + np.log(np.exp(combined - peak).sum(axis=0))))
+        score += float(np.sum((alpha - gamma_d) * elog_theta_d))
+        score += float(np.sum(gammaln(gamma_d)) - gammaln(gamma_d.sum()))
+        score += gammaln(alpha * k) - k * gammaln(alpha)
+    score += float(np.sum((eta - lam) * elog_beta))
+    score += float(np.sum(gammaln(lam)) - np.sum(gammaln(lam.sum(axis=1))))
+    score += k * (gammaln(eta * n_terms) - n_terms * gammaln(eta))
+    return score

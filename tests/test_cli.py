@@ -67,6 +67,21 @@ class TestConfig:
         assert code == 1
         assert "gone.jsonl" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", [
+        {"iters": 0}, {"iters": "8"}, {"min_df": 0}, {"top_words": 0},
+        {"k_candidates": []}, {"k_candidates": [1]}, {"k_candidates": "abc"},
+        {"k_candidates": [2, 2.5]}, {"k_candidates": [True, 3]},
+    ], ids=repr)
+    def test_bad_topics_setting_exits_one(self, tmp_path, demo_bundle, capsys, setting):
+        topics = {**json.loads(demo_bundle["config"].read_text())["topics"], **setting}
+        config = write_config(tmp_path, demo_bundle, topics=topics)
+        (key,) = setting
+        with pytest.raises(ConfigError, match=f"topics.{key}"):
+            load_config(config)
+        assert main(["--config", str(config), "ingest"]) == 1
+        assert "config error: topics." + key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_usage_error_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1
 

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from conftest import words
+from oracles import per_document_lda
 from postmine.errors import DataError, EmptyVocabularyError
 from postmine.textprep import Token, TokenKind
 from postmine.topics import (
@@ -160,6 +162,27 @@ class TestFitLda:
         assert np.allclose(model.doc_topic[1], 0.5)
 
 
+def oracle_corpus(name):
+    if name == "empty-document":
+        docs, _ = planted_corpus(seed=29, n_docs=60)
+        return docs[:30] + [[]] + docs[30:]
+    docs, _ = planted_corpus(seed=31, n_docs=60, doc_len=1)  # single-term
+    return docs
+
+
+@pytest.mark.parametrize("name", ["empty-document", "single-term"])
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_batched_fit_matches_per_document_oracle(name, k):
+    docs = oracle_corpus(name)
+    matrix = tfidf(docs, build_vocab(docs, min_df=1))
+    model = fit_lda(matrix, k, seed=5, iters=40)
+    topic_word, doc_topic, trace = per_document_lda(matrix, k, seed=5, iters=40)
+    assert len(model.objective_trace) == len(trace)
+    assert np.allclose(model.objective_trace, trace, rtol=1e-9, atol=0.0)
+    assert np.allclose(model.topic_word, topic_word, rtol=1e-9, atol=0.0)
+    assert np.allclose(model.doc_topic, doc_topic, rtol=1e-9, atol=0.0)
+
+
 class TestCoherence:
     def test_perfect_cooccurrence_near_zero(self):
         docs = [words("a b c d")] * 3
@@ -209,6 +232,17 @@ class TestCoherence:
 
 
 class TestSelectK:
+    def test_logs_convergence_per_candidate(self, caplog):
+        docs, _ = planted_corpus(seed=13, n_docs=40)
+        matrix = tfidf(docs, build_vocab(docs, min_df=1))
+        with caplog.at_level(logging.INFO, logger="postmine.topics"):
+            select_k(matrix, docs, [2], seed=0, iters=1)
+            select_k(matrix, docs, [2], seed=0, iters=200)
+        capped, converged = [r.getMessage() for r in caplog.records]
+        assert capped.startswith("select_k: k=2 coherence=")
+        assert " sweeps=1 bound=" in capped and capped.endswith(" stop=iters")
+        assert converged.endswith(" stop=tol")
+
     def test_singleton_candidate(self):
         docs, _ = planted_corpus(seed=13, n_docs=40)
         vocab = build_vocab(docs, min_df=1)
@@ -271,3 +305,28 @@ def test_model_serialization_round_trip(tmp_path):
     assert again.seed == model.seed
     assert np.array_equal(again.topic_word, model.topic_word)
     assert np.array_equal(again.doc_topic, model.doc_topic)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("2\t3\t0\t0.5\n", "truncated"),
+    ("2\t3\t0\n0.5\t0.25\t0.25\n0.5\t0.25\t0.25\n", "bad header"),
+    ("two\t3\t0\t0.5\n0.5\t0.25\t0.25\n0.5\t0.25\t0.25\n", "bad header"),
+    ("2\t3\t0\t0.5\n0.5\t0.5\n0.5\t0.25\t0.25\n", "line 2: expected 3 values"),
+    ("2\t3\t0\t0.5\n0.5\t0.25\t0.25\n0.5\tx\t0.25\n", "line 3: non-numeric"),
+    ("2\t3\t0\t0.5\n0.5\t0.25\t0.25\n0.5\t0.25\t0.25\n1.0\n", "line 4: expected 2 values"),
+    ("2\t3\t0\t0.5\n0.5\t0.25\t0.25\n0.5\t0.25\t0.25\n0.5\t0.5\t0.0\n",
+     "line 4: expected 2 values"),
+    ("2\t3\t0\t0.5\n0.5\t0.25\t0.25\n0.5\t0.25\t0.25\n0.5\tnope\n", "line 4: non-numeric"),
+], ids=["truncated", "short-header", "non-numeric-header", "ragged-topic-row",
+        "non-numeric-topic-cell", "narrow-doc-row", "wide-doc-row", "non-numeric-doc-cell"])
+def test_load_model_rejects_malformed_file(tmp_path, text, match):
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    with pytest.raises(DataError, match=match):
+        load_model(path)
+
+
+def test_load_model_without_document_rows(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text("2\t3\t0\t0.5\n0.5\t0.25\t0.25\n0.5\t0.25\t0.25\n")
+    assert load_model(path).doc_topic.shape == (0, 2)
