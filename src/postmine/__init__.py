@@ -31,7 +31,7 @@ from .connotation import (
     load_lexicon,
     nearest_annotated,
     propagate,
-    score_event,
+    score_triples,
 )
 from .errors import (
     ConfigError,

@@ -1,9 +1,12 @@
 """Command-line pipeline: ingest -> topics / events -> sentiment -> regress.
 
-Subcommands compose only through files in the output directory, every
-run is a pure function of (input files, config, seed), and report
-bodies carry no timestamps, so reruns are byte-identical.  Exit codes:
-0 success, 1 usage or configuration error, 2 data error.
+Subcommands compose only through files in the output directory:
+``topics`` and ``events`` read the corpus that ``ingest`` wrote, and
+``sentiment`` scores the triples that ``events`` wrote (or the file the
+``triples`` config key names).  Every run is a pure function of (input
+files, config, seed), and report bodies carry no timestamps, so reruns
+are byte-identical.  Exit codes: 0 success, 1 usage or configuration
+error, 2 data error.
 """
 
 from __future__ import annotations
@@ -42,12 +45,6 @@ class TopicsSettings:
 
 
 @dataclass(frozen=True)
-class PropagationSettings:
-    k: int = 10
-    min_similarity: float = 0.0
-
-
-@dataclass(frozen=True)
 class RunConfig:
     posts: Path
     institutions: Path
@@ -63,7 +60,8 @@ class RunConfig:
     verb_inventory: Path | None = None
     triples: Path | None = None
     topics: TopicsSettings = field(default_factory=TopicsSettings)
-    propagation: PropagationSettings = field(default_factory=PropagationSettings)
+    propagation: connotation.PropagationConfig = field(
+        default_factory=connotation.PropagationConfig)
 
     @property
     def topics_seed(self) -> int:
@@ -148,9 +146,12 @@ def load_config(
             "k_candidates": tuple(topics_raw.get(
                 "k_candidates", TopicsSettings.k_candidates)),
         })
-        propagation_settings = PropagationSettings(**raw.get("propagation", {}))
     except TypeError as exc:
-        raise ConfigError(f"bad topics/propagation settings: {exc}") from None
+        raise ConfigError(f"bad topics settings: {exc}") from None
+    try:
+        propagation = connotation.PropagationConfig(**raw.get("propagation", {}))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad propagation settings: {exc}") from None
 
     return RunConfig(
         posts=paths["posts"],               # type: ignore[arg-type]
@@ -165,7 +166,7 @@ def load_config(
         verb_inventory=paths["verb_inventory"],
         triples=paths["triples"],
         topics=topics_settings,
-        propagation=propagation_settings,
+        propagation=propagation,
         seed=seed,
         out_dir=Path(out_dir),
     )
@@ -260,44 +261,19 @@ def cmd_sentiment(config: RunConfig) -> None:
     labeled, _ = corpus.attach_labels(full, labels)
     if not labeled:
         raise DataError("no label resolves to a corpus post")
+    path = config.triples or config.out_dir / TRIPLES_ARTIFACT
+    if not path.is_file():
+        raise DataError(f"triples artifact {path} not found; run 'events' first")
+    by_post: dict[str, list[events.EventTriple]] = {}
+    for triple in events.read_triples(path):
+        by_post.setdefault(triple.source_post, []).append(triple)
     lexicon = connotation.load_lexicon(config.lexicon)
     embeddings = connotation.load_embeddings(config.embeddings)
-    prop = connotation.PropagationConfig(
-        k=config.propagation.k, min_similarity=config.propagation.min_similarity)
 
-    labeled_ids = {lp.post.post_id for lp in labeled}
-    if config.triples is not None:
-        by_post: dict[str, list[events.EventTriple]] = {}
-        for triple in events.read_triples(config.triples):
-            by_post.setdefault(triple.source_post, []).append(triple)
-        triples_per_post = [by_post.get(lp.post.post_id, []) for lp in labeled]
-    else:
-        docs = _preprocessed(config, [lp.post for lp in labeled])
-        inventory = _load_inventory(config)
-        stopwords = textprep.bundled_stopwords()
-        triples_per_post = [
-            events.extract_triples(doc, inventory, stopwords=stopwords,
-                                   source_post=lp.post.post_id)
-            for lp, doc in zip(labeled, docs)
-        ]
-
-    frame_cache: dict[str, connotation.ConnotationFrame | None] = {}
-    scored: list[tuple[str, connotation.ConnotationFrame]] = []
-    covered: set[str] = set()
-    for lp, post_triples in zip(labeled, triples_per_post):
-        for triple in post_triples:
-            lemma = triple.verb_lemma
-            if lemma not in frame_cache:
-                try:
-                    frame_cache[lemma] = connotation.propagate(
-                        lemma, lexicon, embeddings, prop)
-                except connotation.UnscorableError:
-                    frame_cache[lemma] = None
-            frame = frame_cache[lemma]
-            if frame is not None:
-                scored.append((lp.post.post_id, frame))
-                covered.add(lp.post.post_id)
-    coverage = len(covered) / len(labeled_ids)
+    scored = connotation.score_triples(
+        (t for lp in labeled for t in by_post.get(lp.post.post_id, ())),
+        lexicon, embeddings, config.propagation)
+    coverage = len({post_id for post_id, _ in scored}) / len(labeled)
     rows = connotation.aggregate(scored, labels)
     connotation.write_aggregate_report(
         rows, _out_path(config, SENTIMENT_REPORT), coverage=coverage)

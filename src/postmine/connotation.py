@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -174,25 +175,17 @@ def load_embeddings(source: str | Path | TextIO) -> EmbeddingStore:
 
 @dataclass(frozen=True)
 class PropagationConfig:
-    """k bounds the neighborhood; min_similarity filters it.
-
-    ``restarts`` is a hook for stochastic propagation variants.  The
-    closed-form propagation implemented here has no free state to
-    initialize, so every restart coincides and a single deterministic
-    pass is performed regardless of the value.
-    """
+    """k bounds the neighborhood; min_similarity filters it."""
 
     k: int = 10
     min_similarity: float = 0.0
-    restarts: int = 1
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"neighbor count must be >= 1, got {self.k}")
-        if not 0.0 <= self.min_similarity <= 1.0:
-            raise ValueError(f"min_similarity must be in [0, 1], got {self.min_similarity}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+        sim = self.min_similarity
+        if not isinstance(sim, Real) or isinstance(sim, bool) or not 0.0 <= sim <= 1.0:
+            raise ValueError(f"min_similarity must be a number in [0, 1], got {sim!r}")
 
 
 def nearest_annotated(
@@ -250,17 +243,32 @@ def propagate(
     return ConnotationFrame(*values)
 
 
-def score_event(
-    triple: EventTriple,
+def score_triples(
+    triples: Iterable[EventTriple],
     lexicon: ConnotationLexicon,
     embeddings: EmbeddingStore,
     config: PropagationConfig,
-) -> tuple[EventTriple, ConnotationFrame]:
-    """Score one triple by its verb.  Passive triples use the same frame:
-    the extractor already swapped the roles."""
-    if not triple.verb_lemma:
-        raise ValueError("triple has an empty verb_lemma")
-    return triple, propagate(triple.verb_lemma, lexicon, embeddings, config)
+) -> list[tuple[str, ConnotationFrame]]:
+    """Score each triple by its verb, as (source_post, frame) records in
+    input order.
+
+    Each distinct lemma is propagated once.  Triples whose verb is
+    unscorable are dropped.  Passive triples use the same frame: the
+    extractor already swapped the roles.
+    """
+    frames: dict[str, ConnotationFrame | None] = {}
+    scored: list[tuple[str, ConnotationFrame]] = []
+    for triple in triples:
+        lemma = triple.verb_lemma
+        if lemma not in frames:
+            try:
+                frames[lemma] = propagate(lemma, lexicon, embeddings, config)
+            except UnscorableError:
+                frames[lemma] = None
+        frame = frames[lemma]
+        if frame is not None:
+            scored.append((triple.source_post, frame))
+    return scored
 
 
 @dataclass(frozen=True)

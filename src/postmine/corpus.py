@@ -158,6 +158,13 @@ def _parse_post(obj: object) -> Post:
     return Post(post_id, user_id, institution_id, timestamp, text)
 
 
+def _log_warnings(source: str, warnings: list[str]) -> None:
+    """Log a batch of warnings as one line: the count and the first three."""
+    if warnings:
+        logger.warning("%s: %d warning(s), first: %s",
+                       source, len(warnings), "; ".join(warnings[:3]))
+
+
 def ingest_posts(source: str | Path | TextIO) -> tuple[Corpus, list[str]]:
     """Read line-delimited post records.
 
@@ -179,8 +186,7 @@ def ingest_posts(source: str | Path | TextIO) -> tuple[Corpus, list[str]]:
             posts.append(_parse_post(json.loads(line)))
         except (ValueError, TypeError) as exc:
             warnings.append(f"line {lineno}: {exc}")
-    for message in warnings:
-        logger.warning("ingest_posts: %s", message)
+    _log_warnings("ingest_posts", warnings)
     if not posts:
         raise EmptyCorpusError("no valid post records in input")
     return Corpus(posts), warnings
@@ -276,11 +282,6 @@ def ingest_institutions(source: str | Path | TextIO) -> list[InstitutionRecord]:
     return records
 
 
-def total_reported_cases(records: Iterable[InstitutionRecord]) -> int:
-    """Sum-check utility over the official case counts."""
-    return sum(r.reported_cases for r in records)
-
-
 def ingest_labels(source: str | Path | TextIO) -> list[HarassmentLabel]:
     """Read the harassment label table (post_id,harassment_type,participant)."""
     if isinstance(source, (str, Path)):
@@ -333,8 +334,7 @@ def attach_labels(
     for post_id in by_post:
         if post_id not in resolved:
             warnings.append(f"label references unknown post_id {post_id!r}")
-    for message in warnings:
-        logger.warning("attach_labels: %s", message)
+    _log_warnings("attach_labels", warnings)
     return labeled, warnings
 
 

@@ -185,9 +185,6 @@ def extract_triples(
     inventory: VerbInventory,
     stopwords: frozenset[str] | None = None,
     source_post: str = "",
-    agent_window: int = AGENT_WINDOW,
-    affected_window: int = AFFECTED_WINDOW,
-    aux_window: int = AUX_WINDOW,
 ) -> list[EventTriple]:
     """Emit one triple per inventory verb in the token sequence.
 
@@ -214,22 +211,20 @@ def extract_triples(
                 continue
             passive = any(
                 tokens[sentence[p]].surface in PASSIVE_AUXILIARIES
-                for p in range(max(0, pos - aux_window), pos)
+                for p in range(max(0, pos - AUX_WINDOW), pos)
             )
             before = _nearest_candidate(
                 tokens, sentence, candidate_flags,
-                range(pos - 1, max(0, pos - agent_window) - 1, -1),
+                range(pos - 1, max(0, pos - AGENT_WINDOW) - 1, -1),
             )
             if passive:
                 affected = before
-                agent = _by_object(
-                    tokens, sentence, candidate_flags, pos, affected_window
-                )
+                agent = _by_object(tokens, sentence, candidate_flags, pos)
             else:
                 agent = before
                 affected = _nearest_candidate(
                     tokens, sentence, candidate_flags,
-                    range(pos + 1, min(len(sentence), pos + affected_window + 1)),
+                    range(pos + 1, min(len(sentence), pos + AFFECTED_WINDOW + 1)),
                 )
             triples.append(EventTriple(
                 verb_lemma=lemma,
@@ -259,13 +254,12 @@ def _by_object(
     sentence: list[int],
     flags: list[bool],
     verb_pos: int,
-    window: int,
 ) -> TokenSpan | None:
-    for p in range(verb_pos + 1, min(len(sentence), verb_pos + window + 1)):
+    for p in range(verb_pos + 1, min(len(sentence), verb_pos + AFFECTED_WINDOW + 1)):
         if tokens[sentence[p]].surface == "by":
             return _nearest_candidate(
                 tokens, sentence, flags,
-                range(p + 1, min(len(sentence), p + window + 1)),
+                range(p + 1, min(len(sentence), p + AFFECTED_WINDOW + 1)),
             )
     return None
 

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
+from postmine import textprep
 from postmine.cli import (
     CORPUS_ARTIFACT,
     INGEST_SUMMARY,
@@ -80,6 +82,20 @@ class TestConfig:
             load_config(config)
         assert main(["--config", str(config), "ingest"]) == 1
         assert "config error: topics." + key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("setting", [
+        {"k": 0}, {"k": 2.5}, {"k": True}, {"min_similarity": "x"},
+        {"min_similarity": 1.5}, {"restarts": 2},
+    ], ids=repr)
+    def test_bad_propagation_setting_exits_one(self, tmp_path, demo_bundle, capsys,
+                                               setting):
+        config = write_config(tmp_path, demo_bundle, propagation=setting)
+        (key,) = setting
+        assert main(["--config", str(config), "ingest"]) == 1
+        err = capsys.readouterr().err
+        assert "config error: bad propagation settings" in err
+        assert key in err
         assert not (tmp_path / "out").exists()
 
     def test_usage_error_exits_one(self, capsys):
@@ -186,8 +202,8 @@ class TestSentimentCommand:
             + "".join(f"p{i},physical,third_party\n" for i in range(3, 6)))
         config = write_config(tmp_path, demo_bundle, posts=str(posts),
                               labels=str(labels))
-        assert main(["--config", str(config), "ingest"]) == 0
-        assert main(["--config", str(config), "sentiment"]) == 0
+        for command in ("ingest", "events", "sentiment"):
+            assert main(["--config", str(config), command]) == 0
         lines = (tmp_path / "out" / SENTIMENT_REPORT).read_text().splitlines()
         rows = [line for line in lines[1:] if not line.startswith("#")]
         assert len(rows) == 2
@@ -204,17 +220,38 @@ class TestSentimentCommand:
 
     def test_imported_triples_path(self, tmp_path, demo_bundle):
         config = write_config(tmp_path, demo_bundle)
+        for command in ("ingest", "events", "sentiment"):
+            assert main(["--config", str(config), command]) == 0
+        default = (tmp_path / "out" / SENTIMENT_REPORT).read_bytes()
+        copy = tmp_path / "imported.tsv"
+        shutil.copyfile(tmp_path / "out" / TRIPLES_ARTIFACT, copy)
+        (tmp_path / "out" / TRIPLES_ARTIFACT).unlink()
+        imported = write_config(tmp_path, demo_bundle, name="imported.json",
+                                triples=str(copy))
+        assert main(["--config", str(imported), "sentiment"]) == 0
+        assert (tmp_path / "out" / SENTIMENT_REPORT).read_bytes() == default
+
+    def test_requires_triples_artifact(self, tmp_path, demo_bundle, capsys):
+        config = write_config(tmp_path, demo_bundle)
         assert main(["--config", str(config), "ingest"]) == 0
-        assert main(["--config", str(config), "events"]) == 0
-        triples = tmp_path / "out" / TRIPLES_ARTIFACT
-        config2 = write_config(tmp_path, demo_bundle, name="config2.json",
-                               triples=str(triples))
-        assert main(["--config", str(config2), "sentiment"]) == 0
-        direct = write_config(tmp_path, demo_bundle, name="config3.json")
-        out_a = (tmp_path / "out" / SENTIMENT_REPORT).read_bytes()
-        assert main(["--config", str(direct), "sentiment"]) == 0
-        out_b = (tmp_path / "out" / SENTIMENT_REPORT).read_bytes()
-        assert out_a == out_b  # imported triples match in-process extraction
+        assert main(["--config", str(config), "sentiment"]) == 2
+        err = capsys.readouterr().err
+        assert TRIPLES_ARTIFACT in err
+        assert "run 'events' first" in err
+        assert not (tmp_path / "out" / SENTIMENT_REPORT).exists()
+
+    def test_never_preprocesses(self, tmp_path, demo_bundle, monkeypatch):
+        config = write_config(tmp_path, demo_bundle)
+        for command in ("ingest", "events"):
+            assert main(["--config", str(config), command]) == 0
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sentiment must score the triples file")
+
+        monkeypatch.setattr(textprep, "preprocess", forbidden)
+        monkeypatch.setattr(textprep, "load_language_model", forbidden)
+        assert main(["--config", str(config), "sentiment"]) == 0
+        assert (tmp_path / "out" / SENTIMENT_REPORT).is_file()
 
 
 class TestRegressCommand:

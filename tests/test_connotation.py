@@ -16,7 +16,7 @@ from postmine.connotation import (
     load_lexicon,
     nearest_annotated,
     propagate,
-    score_event,
+    score_triples,
     write_aggregate_report,
 )
 from postmine.corpus import HarassmentLabel, HarassmentType, Participant
@@ -164,14 +164,6 @@ class TestPropagate:
         assert all(abs(v) <= bound + 1e-12 for v in out.as_tuple())
         assert all(-1.0 <= v <= 1.0 for v in out.as_tuple())
 
-    def test_restart_hook_is_deterministic(self):
-        lex, emb = small_world()
-        single = propagate("pester", lex, emb, PropagationConfig(k=3, restarts=1))
-        many = propagate("pester", lex, emb, PropagationConfig(k=3, restarts=5))
-        assert single == many
-        with pytest.raises(ValueError):
-            PropagationConfig(restarts=0)
-
     def test_monotone_in_neighbor_sentiment(self):
         def world(delta):
             lex = ConnotationLexicon({
@@ -190,7 +182,8 @@ class TestScoreEvent:
         lex, emb = small_world()
         triple = EventTriple("harass", TokenSpan("he", 0), TokenSpan("me", 2),
                              False, "p1")
-        _, out = score_event(triple, lex, emb, PropagationConfig())
+        [(post_id, out)] = score_triples([triple], lex, emb, PropagationConfig())
+        assert post_id == "p1"
         assert out.sentiment_verb < 0
         assert out.sentiment_affected < 0
         assert out.persp_affected_to_agent < 0
@@ -201,15 +194,36 @@ class TestScoreEvent:
         lex, emb = small_world()
         active = EventTriple("harass", TokenSpan("he"), TokenSpan("me"), False, "p1")
         passive = EventTriple("harass", TokenSpan("boss"), TokenSpan("i"), True, "p2")
-        assert score_event(active, lex, emb, PropagationConfig())[1] == \
-            score_event(passive, lex, emb, PropagationConfig())[1]
+        [(_, a), (_, b)] = score_triples([active, passive], lex, emb,
+                                         PropagationConfig())
+        assert a == b
 
     def test_purity(self):
         lex, emb = small_world()
-        triple = EventTriple("pester", None, None, False, "p1")
+        triples = [EventTriple("pester", None, None, False, "p1")]
         cfg = PropagationConfig(k=2)
-        assert score_event(triple, lex, emb, cfg)[1] == \
-            score_event(triple, lex, emb, cfg)[1]
+        assert score_triples(triples, lex, emb, cfg) == \
+            score_triples(triples, lex, emb, cfg)
+
+    def test_each_lemma_propagated_once_and_unscorable_dropped(self, monkeypatch):
+        lex, emb = small_world()
+        calls = []
+
+        def counting(word, *args):
+            calls.append(word)
+            return propagate(word, *args)
+
+        monkeypatch.setattr("postmine.connotation.propagate", counting)
+        triples = [EventTriple(lemma, None, None, False, post_id)
+                   for lemma, post_id in (("pester", "p1"), ("ghostverb", "p1"),
+                                          ("harass", "p2"), ("pester", "p3"),
+                                          ("ghostverb", "p4"), ("harass", "p1"))]
+        cfg = PropagationConfig(k=3)
+        scored = score_triples(triples, lex, emb, cfg)
+        assert calls == ["pester", "ghostverb", "harass"]
+        pester = propagate("pester", lex, emb, cfg)
+        assert scored == [("p1", pester), ("p2", HARASS_FRAME),
+                          ("p3", pester), ("p1", HARASS_FRAME)]
 
 
 class TestAggregate:

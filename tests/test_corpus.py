@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import logging
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from postmine.corpus import (
     ingest_posts,
     normalized_text,
     read_corpus,
-    total_reported_cases,
     write_corpus,
 )
 from postmine.errors import DataError, EmptyCorpusError
@@ -72,6 +72,16 @@ class TestIngestPosts:
         corpus, warnings = ingest_posts(src)
         assert len(corpus) == 1
         assert len(warnings) == 2
+
+    def test_warnings_logged_as_one_line(self, caplog):
+        src = io.StringIO(post_line() + "\n" + "garbage\n" * 5)
+        with caplog.at_level(logging.WARNING, logger="postmine.corpus"):
+            _, warnings = ingest_posts(src)
+        assert len(warnings) == 5
+        [record] = caplog.records
+        message = record.getMessage()
+        assert "ingest_posts: 5 warning(s)" in message
+        assert "; ".join(warnings[:3]) in message and warnings[3] not in message
 
     def test_empty_text_rejected(self):
         src = io.StringIO(post_line(text="   ") + "\n" + post_line(post_id="p2"))
@@ -186,7 +196,7 @@ class TestIngestInstitutions:
         src = io.StringIO(INSTITUTION_HEADER + "\n".join(rows) + "\n")
         records = ingest_institutions(src)
         assert len(records) == 200
-        assert total_reported_cases(records) == 2939
+        assert sum(r.reported_cases for r in records) == 2939
 
     def test_unknown_region_is_fatal_with_row(self):
         src = io.StringIO(INSTITUTION_HEADER
@@ -226,6 +236,16 @@ class TestLabels:
         labeled, warnings = attach_labels(self._corpus(), labels)
         assert labeled == []
         assert len(warnings) == 1 and "p9" in warnings[0]
+
+    def test_unresolved_labels_logged_as_one_line(self, caplog):
+        labels = [HarassmentLabel(f"x{i}", HarassmentType.VISUAL, Participant.PEER)
+                  for i in range(4)]
+        with caplog.at_level(logging.WARNING, logger="postmine.corpus"):
+            _, warnings = attach_labels(self._corpus(), labels)
+        assert len(warnings) == 4
+        [record] = caplog.records
+        assert record.getMessage().startswith("attach_labels: 4 warning(s)")
+        assert "'x2'" in record.getMessage() and "'x3'" not in record.getMessage()
 
     def test_conflicting_duplicate_labels_fatal(self):
         labels = [
