@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import connotation, corpus, events, stats, textprep, topics
+from . import connotation, corpus, events, textprep
 from .errors import ConfigError, DataError
 
 logger = logging.getLogger(__name__)
@@ -89,6 +89,9 @@ def _check_topics(settings: dict) -> None:
         if key in settings and not (_is_int(settings[key]) and settings[key] >= 1):
             raise ConfigError(
                 f"topics.{key} must be an integer >= 1, got {settings[key]!r}")
+    seed = settings.get("seed")
+    if seed is not None and not _is_int(seed):
+        raise ConfigError(f"topics.seed must be an integer or null, got {seed!r}")
 
 
 def load_config(
@@ -130,7 +133,7 @@ def load_config(
     seed = seed_override if seed_override is not None else raw.get("seed")
     if seed is None:
         raise ConfigError("config requires an explicit seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not _is_int(seed):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
     out_dir = out_override if out_override is not None else raw.get("out_dir")
     if not out_dir:
@@ -218,6 +221,10 @@ def cmd_ingest(config: RunConfig) -> None:
 
 
 def cmd_topics(config: RunConfig) -> None:
+    # topics and stats are imported only by the two stages that run them:
+    # they pull in scipy.special, which is most of a stage's start-up time.
+    from . import topics
+
     posts = _read_corpus_artifact(config).posts
     docs = _preprocessed(config, posts)
     vocab = topics.build_vocab(
@@ -282,6 +289,8 @@ def cmd_sentiment(config: RunConfig) -> None:
 
 
 def cmd_regress(config: RunConfig) -> None:
+    from . import stats
+
     full = _read_corpus_artifact(config)
     institutions = corpus.ingest_institutions(config.institutions)
     users_by_inst: dict[str, set[str]] = {}

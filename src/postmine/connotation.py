@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 from numbers import Real
 from pathlib import Path
@@ -137,14 +138,10 @@ class EmbeddingStore:
         except KeyError:
             raise NoEmbeddingError(f"no embedding for {word!r}") from None
 
-    def cosine(self, a: str, b: str) -> float:
-        value = float(self.unit_vector(a) @ self.unit_vector(b))
-        return max(-1.0, min(1.0, value))
-
 
 def load_embeddings(source: str | Path | TextIO) -> EmbeddingStore:
-    """Read text lines "word v1 v2 ... vD"; the first line fixes D and a
-    mismatched line is fatal with its line number."""
+    """Read text lines "word v1 v2 ... vD"; the first line fixes D, and a
+    mismatched line or a nan/inf component is fatal with its line number."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
             return load_embeddings(handle)
@@ -163,6 +160,8 @@ def load_embeddings(source: str | Path | TextIO) -> EmbeddingStore:
             vec = [float(x) for x in parts[1:]]
         except ValueError:
             raise DataError(f"embedding line {lineno}: non-numeric component") from None
+        if not all(map(math.isfinite, vec)):
+            raise DataError(f"embedding line {lineno}: non-finite component")
         if dimension is None:
             dimension = len(vec)
         elif len(vec) != dimension:

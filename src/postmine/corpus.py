@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -192,17 +193,16 @@ def ingest_posts(source: str | Path | TextIO) -> tuple[Corpus, list[str]]:
     return Corpus(posts), warnings
 
 
-def dedup(corpus: Corpus, collapse_across_users: bool = False) -> Corpus:
+def dedup(corpus: Corpus) -> Corpus:
     """Drop duplicate posts.
 
     Two posts are duplicates when they share a post_id, or when they
-    share (user_id, normalized text).  With collapse_across_users the
-    textual rule ignores the user, so identical reposts by different
-    users collapse too (off by default: a repost is a distinct user
-    action).  The survivor is the earliest timestamp; equal timestamps
-    are broken by lexicographic post_id.  Output order is canonical
-    (timestamp, post_id), which makes dedup idempotent and insensitive
-    to input order.
+    share (user_id, normalized text); identical reposts by different
+    users are kept, since a repost is a distinct user action.  The
+    survivor is the earliest timestamp; equal timestamps are broken by
+    lexicographic post_id.  Output order is canonical (timestamp,
+    post_id), which makes dedup idempotent and insensitive to input
+    order.
     """
     by_id: dict[str, Post] = {}
     for post in corpus.posts:
@@ -210,10 +210,9 @@ def dedup(corpus: Corpus, collapse_across_users: bool = False) -> Corpus:
         if kept is None or _id_rank(post) < _id_rank(kept):
             by_id[post.post_id] = post
     survivors = sorted(by_id.values(), key=lambda p: (p.timestamp, p.post_id))
-    by_key: dict[object, Post] = {}
+    by_key: dict[tuple[str, str], Post] = {}
     for post in survivors:
-        norm = normalized_text(post.text)
-        key: object = norm if collapse_across_users else (post.user_id, norm)
+        key = (post.user_id, normalized_text(post.text))
         if key not in by_key:
             by_key[key] = post
     result = sorted(by_key.values(), key=lambda p: (p.timestamp, p.post_id))
@@ -230,8 +229,9 @@ def ingest_institutions(source: str | Path | TextIO) -> list[InstitutionRecord]:
     """Read the institution metadata table.
 
     Rejects the whole file on the first bad row: unknown region,
-    nonpositive enrollment, negative counts or a duplicate
-    institution_id are all fatal, with the row number in the message.
+    nonpositive enrollment, a negative or non-finite mf_ratio, negative
+    counts or a duplicate institution_id are all fatal, with the row
+    number in the message.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
@@ -260,8 +260,8 @@ def ingest_institutions(source: str | Path | TextIO) -> list[InstitutionRecord]:
             raise DataError(f"row {rownum}: {exc}") from None
         if enrollment < 1:
             raise DataError(f"row {rownum}: enrollment must be >= 1, got {enrollment}")
-        if mf_ratio < 0:
-            raise DataError(f"row {rownum}: mf_ratio must be >= 0, got {mf_ratio}")
+        if not (mf_ratio >= 0 and math.isfinite(mf_ratio)):
+            raise DataError(f"row {rownum}: mf_ratio must be finite and >= 0, got {mf_ratio}")
         if reported < 0:
             raise DataError(f"row {rownum}: reported_cases must be >= 0, got {reported}")
         sector = (row["sector"] or "").strip().lower()

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +77,7 @@ class TestConfig:
         {"iters": 0}, {"iters": "8"}, {"min_df": 0}, {"top_words": 0},
         {"k_candidates": []}, {"k_candidates": [1]}, {"k_candidates": "abc"},
         {"k_candidates": [2, 2.5]}, {"k_candidates": [True, 3]},
+        {"seed": "x"}, {"seed": 1.5}, {"seed": True},
     ], ids=repr)
     def test_bad_topics_setting_exits_one(self, tmp_path, demo_bundle, capsys, setting):
         topics = {**json.loads(demo_bundle["config"].read_text())["topics"], **setting}
@@ -100,6 +105,26 @@ class TestConfig:
 
     def test_usage_error_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+from postmine import cli
+for command in ("ingest", "events", "sentiment", "report"):
+    assert cli.main(["--config", sys.argv[1], command]) == 0, command
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+
+def test_stages_without_topics_or_regress_never_load_scipy(tmp_path, demo_bundle):
+    config = write_config(tmp_path, demo_bundle)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(config)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestIngestCommand:

@@ -68,6 +68,11 @@ class TestLoadEmbeddings:
         with pytest.raises(DataError, match="duplicate"):
             load_embeddings(io.StringIO("a 1 0\na 0 1\n"))
 
+    @pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
+    def test_nonfinite_component_fatal_with_number(self, component):
+        with pytest.raises(DataError, match="line 2: non-finite"):
+            load_embeddings(io.StringIO(f"a 1 0\nbad {component} 0\n"))
+
 
 def small_world():
     lex = ConnotationLexicon({

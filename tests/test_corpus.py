@@ -115,15 +115,6 @@ class TestDedup:
         ])
         assert len(dedup(corpus)) == 2
 
-    def test_cross_user_collapse_flag(self):
-        corpus = Corpus([
-            Post("p1", "u1", "c1", 100, "same words"),
-            Post("p2", "u2", "c1", 200, "same words"),
-        ])
-        out = dedup(corpus, collapse_across_users=True)
-        assert len(out) == 1
-        assert out.posts[0].post_id == "p1"
-
     def test_equal_timestamp_tie_breaks_on_post_id(self):
         corpus = Corpus([
             Post("pB", "u1", "c1", 100, "same"),
@@ -208,6 +199,14 @@ class TestIngestInstitutions:
     def test_nonpositive_enrollment_is_fatal(self):
         src = io.StringIO(INSTITUTION_HEADER + "u1,0,0.9,private,west,12\n")
         with pytest.raises(DataError, match="enrollment"):
+            ingest_institutions(src)
+
+    @pytest.mark.parametrize("ratio", ["nan", "inf"])
+    def test_nonfinite_mf_ratio_is_fatal(self, ratio):
+        src = io.StringIO(INSTITUTION_HEADER
+                          + "u1,5000,0.9,private,west,12\n"
+                          + f"u2,5000,{ratio},private,west,12\n")
+        with pytest.raises(DataError, match="row 3: mf_ratio"):
             ingest_institutions(src)
 
     def test_duplicate_institution_is_fatal(self):
