@@ -7,12 +7,19 @@ The stages, applied in order by ``preprocess``:
    and substitutes the designated tags ``<url>``, ``<email>`` and
    ``<user>`` for links, addresses and mentions.  Everything is
    lowercased.  Hashtags survive as single word tokens with their ``#``.
+   Linear in the text: an e-mail local part counts only up to 64
+   characters and a censored word's leading mask run up to 64 too;
+   longer ones are split by the other rules.
 2. ``correct_spelling`` -- dictionary abbreviation expansion plus
    elongation squeezing ("reallyyy" -> "really"): a letter run of three
    or more repeats is shortened to two and then to one copy until the
-   candidate is a known word.
+   candidate is a known word.  Linear in the token and in the known
+   words that share its skeleton.
 3. ``segment`` -- Viterbi word segmentation of hashtag bodies under a
    unigram/bigram language model with stupid-backoff-style weighting.
+   O(n^2 log n) at worst in the body length n, and O(n^2) unless a
+   known bigram or a tie after rounding makes it sort the entries that
+   end at some position; memoised per body on the model.
 
 All operations are pure given an immutable dictionary and language
 model, so corpus-level preprocessing can fan out per document.
@@ -22,8 +29,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -94,14 +102,19 @@ def _build_token_re() -> re.Pattern[str]:
     emoticons = "|".join(
         re.escape(e) for e in sorted(bundled_emoticons(), key=len, reverse=True)
     )
+    # Two bounded repeats keep matching linear in the text length: a run
+    # that can never finish a match is rescanned from every start inside
+    # it.  An e-mail local part is at most 64 characters (RFC 5321
+    # 4.5.3.1.1), and a mask run before the letters of a censored word
+    # is at most 64 characters too; longer ones fall to the other rules.
     parts = [
         ("tag", tags),
         ("url", r"https?://[^\s<>]+|www\.[^\s<>]+"),
-        ("email", r"[a-z0-9][\w.+\-]*@[\w\-]+\.[\w.\-]*[a-z0-9]"),
+        ("email", r"[a-z0-9][\w.+\-]{0,63}@[\w\-]+\.[\w.\-]*[a-z0-9]"),
         ("mention", r"@\w+"),
         ("hashtag", r"\#\w+"),
         ("emoticon", f"{emoticons}|{_EMOJI_CLASS}"),
-        ("censored", rf"[a-z]+[{_MASK_CHARS}]+[a-z0-9]*|[{_MASK_CHARS}]+[a-z]+"),
+        ("censored", rf"[a-z]+[{_MASK_CHARS}]+[a-z0-9]*|[{_MASK_CHARS}]{{1,64}}[a-z]+"),
         ("acronym", r"(?:[a-z]\.){2,}"),
         ("number", r"[+\-]?\$?\d+(?:[.,:/\-]\d+)*%?"),
         ("word", r"\w+(?:['’\-]\w+)*"),
@@ -159,6 +172,16 @@ class CorrectionDictionary:
     abbreviations: Mapping[str, str]
     censored: frozenset[str] = frozenset()
     valid_words: frozenset[str] = frozenset()
+    # valid words grouped by skeleton, for elongation squeezing
+    by_skeleton: Mapping[str, tuple[str, ...]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        index: dict[str, list[str]] = {}
+        for word in self.valid_words:
+            index.setdefault(_skeleton(word), []).append(word)
+        object.__setattr__(
+            self, "by_skeleton", {k: tuple(v) for k, v in index.items()})
 
 
 def load_correction_dictionary(
@@ -208,26 +231,41 @@ def _read_lines(source: str | Path | TextIO) -> list[str]:
 
 
 _ELONGATION_RE = re.compile(r"([^\W\d_])\1{2,}")
+_RUN_RE = re.compile(r"(.)\1*", re.DOTALL)
 
 
-def _squeeze_elongation(surface: str, valid_words: frozenset[str]) -> str | None:
-    runs = list(_ELONGATION_RE.finditer(surface))
-    if not runs:
+def _skeleton(word: str) -> str:
+    """``word`` with every run of one repeated character cut to one copy."""
+    return _RUN_RE.sub(r"\1", word)
+
+
+def _squeeze_elongation(surface: str, dictionary: CorrectionDictionary) -> str | None:
+    """The first known word in the order that tries two repeats before
+    one for every elongated run (a letter repeated three or more times),
+    leftmost run varying slowest.
+
+    Every such candidate keeps the skeleton of ``surface``, so only the
+    valid words with that skeleton are checked, each against the run
+    lengths of ``surface``; cost is linear in the length of the
+    surface and of those words."""
+    elongated = {run.start() for run in _ELONGATION_RE.finditer(surface)}
+    if not elongated:
         return None
-    # Try two repeats before one for every run, leftmost run varying
-    # slowest, and accept the first known word.
-    for repeats in itertools.product((2, 1), repeat=len(runs)):
-        out = []
-        cursor = 0
-        for run, count in zip(runs, repeats):
-            out.append(surface[cursor:run.start()])
-            out.append(run.group(1) * count)
-            cursor = run.end()
-        out.append(surface[cursor:])
-        candidate = "".join(out)
-        if candidate in valid_words:
-            return candidate
-    return None
+    runs = [(run.start() in elongated, len(run.group())) for run in _RUN_RE.finditer(surface)]
+    best: tuple[list[bool], str] | None = None
+    for word in dictionary.by_skeleton.get(_skeleton(surface), ()):
+        # rank of ``word`` in the candidate order: one repeat after two
+        rank = []
+        for (is_elongated, length), run in zip(runs, _RUN_RE.finditer(word)):
+            count = len(run.group())
+            if is_elongated and count <= 2:
+                rank.append(count == 1)
+            elif is_elongated or count != length:
+                break
+        else:
+            if best is None or rank < best[0]:
+                best = (rank, word)
+    return None if best is None else best[1]
 
 
 def correct_spelling(token: Token, dictionary: CorrectionDictionary) -> list[Token]:
@@ -244,7 +282,7 @@ def correct_spelling(token: Token, dictionary: CorrectionDictionary) -> list[Tok
         return [Token(w, TokenKind.WORD) for w in expansion.split()]
     if surface in dictionary.valid_words:
         return [token]
-    squeezed = _squeeze_elongation(surface, dictionary.valid_words)
+    squeezed = _squeeze_elongation(surface, dictionary)
     if squeezed is not None:
         return [Token(squeezed, TokenKind.WORD)]
     return [token]
@@ -257,6 +295,22 @@ class LanguageModel:
     unigram_counts: Mapping[str, int]
     bigram_counts: Mapping[tuple[str, str], int]
     total_unigrams: int
+    # w2 -> every w1 with a known bigram (w1, w2)
+    predecessors: Mapping[str, tuple[str, ...]] = field(
+        init=False, repr=False, compare=False)
+    longest_word: int = field(init=False, repr=False, compare=False)
+    # hashtag body -> its segmentation; one memo per loaded model
+    segmentations: dict[str, tuple[str, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        predecessors: dict[str, list[str]] = {}
+        for (w1, w2), count in self.bigram_counts.items():
+            if count:
+                predecessors.setdefault(w2, []).append(w1)
+        object.__setattr__(
+            self, "predecessors", {w2: tuple(w1s) for w2, w1s in predecessors.items()})
+        object.__setattr__(self, "longest_word", max(map(len, self.unigram_counts), default=0))
 
     @classmethod
     def from_counts(
@@ -324,8 +378,12 @@ def transition_score(lm: LanguageModel, prev: str | None, word: str) -> float:
     if count is not None:
         smoothed = (count + 1) / (lm.total_unigrams + len(lm.unigram_counts))
         return math.log(BACKOFF_WEIGHT * smoothed)
+    return _oov_score(lm, len(word))
+
+
+def _oov_score(lm: LanguageModel, length: int) -> float:
     eps = 1.0 / lm.total_unigrams
-    return math.log(eps) - len(word) * math.log(10.0)
+    return math.log(eps) - length * math.log(10.0)
 
 
 def segment(body: str, lm: LanguageModel) -> list[str]:
@@ -334,37 +392,137 @@ def segment(body: str, lm: LanguageModel) -> list[str]:
     Maximizes the left-to-right sum of ``transition_score`` over all
     2^(len-1) segmentations; exact score ties go to the
     lexicographically smallest word sequence.  The output concatenates
-    back to the input body.
+    back to the input body.  Results are memoised per body on ``lm``.
     """
     if not body:
         return []
+    words = lm.segmentations.get(body)
+    if words is None:
+        words = lm.segmentations[body] = _viterbi(body, lm)
+    return list(words)
+
+
+def _viterbi(body: str, lm: LanguageModel) -> tuple[str, ...]:
+    # Entry (start, end) is the best segmentation of body[:end] whose
+    # last word is body[start:end].  Row ``start`` of score, back and
+    # tie holds the entries for end = start + 1 .. n: the score, the
+    # start of the previous word (-1 for none) and a tie-break key, the
+    # sum of 2^(n - e) over the word ends e before ``end``.  Two
+    # segmentations of one prefix first differ where one of them ends a
+    # word earlier; that one is lexicographically smaller and has the
+    # larger key, so exact score ties go to the larger key.
+    #
+    # A word with no known bigram after its previous word scores the
+    # same whatever that word is.  So the best previous entry is the top
+    # entry ending at start, unless a previous word with a known bigram
+    # occurs there or a lower score ties after rounding; only then are
+    # the entries ending at start sorted.  Every other entry costs O(1),
+    # and words longer than any known word are never looked up.
     n = len(body)
-    # best[(start, end)]: highest-scoring segmentation of body[:end]
-    # whose last word is body[start:end], as (score, words).
-    best: dict[tuple[int, int], tuple[float, tuple[str, ...]]] = {}
-    for end in range(1, n + 1):
-        for start in range(end):
-            word = body[start:end]
-            if start == 0:
-                entry = (transition_score(lm, None, word), (word,))
-            else:
-                entry = None
-                for prev_start in range(start):
-                    prev_score, prev_words = best[(prev_start, start)]
-                    score = prev_score + transition_score(lm, body[prev_start:start], word)
-                    if entry is None or score > entry[0] or (
-                        score == entry[0] and prev_words + (word,) < entry[1]
-                    ):
-                        entry = (score, prev_words + (word,))
-                assert entry is not None
-            best[(start, end)] = entry
-    winner = None
+    unigrams, predecessors = lm.unigram_counts, lm.predecessors
+    oov = [_oov_score(lm, length) for length in range(n + 1)]
+    score: list[list[float]] = []
+    back: list[list[int]] = []
+    tie: list[list[int]] = []
     for start in range(n):
-        score, words = best[(start, n)]
-        if winner is None or score > winner[0] or (score == winner[0] and words < winner[1]):
-            winner = (score, words)
-    assert winner is not None
-    return list(winner[1])
+        width = n - start
+        backoff = oov[1:width + 1]
+        # words with a known bigram predecessor
+        with_bigrams = []
+        for k in range(min(width, lm.longest_word)):
+            word = body[start:start + k + 1]
+            if word in unigrams:
+                backoff[k] = transition_score(lm, None, word)
+                if word in predecessors:
+                    with_bigrams.append(k)
+        if start == 0:
+            score.append(backoff)
+            back.append([-1] * width)
+            tie.append([0] * width)
+            continue
+        # the entries ending at start: entry (q, start) is in row q
+        column = range(start - 1, -1, -1)
+        prev_score = list(map(list.__getitem__, score[:start], column))
+        top_score = max(prev_score)
+        top = prev_score.index(top_score)
+        if prev_score.count(top_score) > 1:
+            top = max((q for q, value in enumerate(prev_score) if value == top_score),
+                      key=lambda q: tie[q][start - q - 1])
+        weight = 1 << (n - start)
+        row_score = list(map(top_score.__add__, backoff))
+        row_back = [top] * width
+        row_tie = [tie[top][start - top - 1] + weight] * width
+        # A lower score ties the top after a word's score is added only
+        # if the two differ by at most one ulp of the sum, which
+        # ``slack`` bounds for every word in this row.
+        second = max(filter(top_score.__gt__, prev_score), default=-math.inf)
+        slack = math.ulp(4.0 * (abs(top_score) - min(backoff)))
+        rounding = (itertools.compress(range(width), map(
+            operator.eq, row_score, map(second.__add__, backoff)))
+            if top_score - second <= slack else ())
+        slow = sorted(set(with_bigrams).union(rounding))
+        if slow:
+            prev_tie = list(map(list.__getitem__, tie[:start], column))
+            ranked = _rank(prev_score, prev_tie)
+        for k in slow:
+            best, row_score[k], best_tie = _best_previous(
+                body, lm, body[start:start + k + 1], start, ranked,
+                prev_score, prev_tie, backoff[k])
+            row_back[k] = best
+            row_tie[k] = best_tie + weight
+        score.append(row_score)
+        back.append(row_back)
+        tie.append(row_tie)
+    start = max(range(n), key=lambda q: (score[q][n - q - 1], tie[q][n - q - 1]))
+    words = []
+    end = n
+    while end:
+        words.append(body[start:end])
+        start, end = back[start][end - start - 1], start
+    return tuple(reversed(words))
+
+
+def _rank(scores: list[float], ties: list[int]) -> tuple[list[int], list[int]]:
+    """Entries best first, and for each one the index of the next entry
+    with a lower score."""
+    order = [q for _, _, q in sorted(zip(scores, ties, range(len(scores))), reverse=True)]
+    next_group = [len(order)] * len(order)
+    for i in range(len(order) - 2, -1, -1):
+        same = scores[order[i + 1]] == scores[order[i]]
+        next_group[i] = next_group[i + 1] if same else i + 1
+    return order, next_group
+
+
+def _best_previous(body, lm, word, start, ranked, prev_score, prev_tie, backoff):
+    """Best entry ending at ``start`` to put ``word`` after, with the
+    score and key this gives.  Previous words with a known bigram are
+    scored one by one; the rest are walked best first, one score group
+    at a time, as long as they can still tie after rounding."""
+    best, best_score, best_tie = -1, -math.inf, -1
+    known = []
+    for prev in lm.predecessors.get(word, ()):
+        q = start - len(prev)
+        if 0 <= q < start and body.startswith(prev, q):
+            known.append(q)
+            s = prev_score[q] + transition_score(lm, prev, word)
+            if s > best_score or (s == best_score and prev_tie[q] > best_tie):
+                best, best_score, best_tie = q, s, prev_tie[q]
+    order, next_group = ranked
+    i = 0
+    while i < start:
+        q = order[i]
+        if q in known:
+            i += 1
+            continue
+        s = prev_score[q] + backoff
+        if s < best_score:
+            break
+        if s > best_score or prev_tie[q] > best_tie:
+            best, best_score, best_tie = q, s, prev_tie[q]
+        # the first entry of a score group that is not known has the
+        # group's largest key
+        i = next_group[i]
+    return best, best_score, best_tie
 
 
 _HASHTAG_BODY_RE = re.compile(r"[^0-9a-z]")

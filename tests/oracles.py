@@ -1,17 +1,21 @@
 """Independent reference implementations the tests check against.
 
 Nothing here may call into the code paths under test: the segmentation
-oracle enumerates every split instead of running Viterbi, the OLS
-oracle solves the normal equations instead of QR, the t-tail oracle
-integrates the density numerically instead of using the incomplete beta
-function, the neighbor oracle is a pure-Python full scan, and the LDA
-oracle runs the variational E-step and bound one document at a time
-instead of batched over all documents.
+oracle enumerates every split instead of running Viterbi, the squeeze
+oracle tries every shortening of the elongated runs in turn instead of
+looking words up by skeleton, the tokenizer oracle is the token regex
+without its two length caps, the OLS oracle solves the normal equations
+instead of QR, the t-tail oracle integrates the density numerically
+instead of using the incomplete beta function, the neighbor oracle is a
+pure-Python full scan, and the LDA oracle runs the variational E-step
+and bound one document at a time instead of batched over all documents.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 
 import numpy as np
 from scipy.integrate import quad
@@ -81,6 +85,78 @@ def exhaustive_segment(body: str, lm) -> list[str]:
     total = score + trans[start, n, pstart + 1]
     winners = np.flatnonzero(total == total.max())
     return list(min(_decode_splits(body, int(i)) for i in winners))
+
+
+_ELONGATION_RE = re.compile(r"([^\W\d_])\1{2,}")
+
+
+def product_squeeze(surface: str, valid_words) -> str | None:
+    """Shorten every run of three or more repeats of a letter to two or
+    one copies, trying two before one for every run with the leftmost
+    run varying slowest, and return the first known word (None if there
+    is no run or no candidate is known).  Tries up to 2^runs candidates."""
+    runs = list(_ELONGATION_RE.finditer(surface))
+    if not runs:
+        return None
+    for repeats in itertools.product((2, 1), repeat=len(runs)):
+        out = []
+        cursor = 0
+        for run, count in zip(runs, repeats):
+            out.append(surface[cursor:run.start()])
+            out.append(run.group(1) * count)
+            cursor = run.end()
+        out.append(surface[cursor:])
+        candidate = "".join(out)
+        if candidate in valid_words:
+            return candidate
+    return None
+
+
+_MASK = r"\*\$%@"
+_EMOJI = ("[\U0001F300-\U0001F5FF\U0001F600-\U0001F64F\U0001F680-\U0001F6FF"
+          "\U0001F900-\U0001F9FF\U0001FA70-\U0001FAFF\u2600-\u27BF\u2B00-\u2BFF]")
+_TAGS = ("<url>", "<email>", "<user>")
+_REFERENCE_PARTS = (
+    ("tag", None),
+    ("url", r"https?://[^\s<>]+|www\.[^\s<>]+"),
+    ("email", r"[a-z0-9][\w.+\-]*@[\w\-]+\.[\w.\-]*[a-z0-9]"),
+    ("mention", r"@\w+"),
+    ("hashtag", r"\#\w+"),
+    ("emoticon", None),
+    ("censored", rf"[a-z]+[{_MASK}]+[a-z0-9]*|[{_MASK}]+[a-z]+"),
+    ("acronym", r"(?:[a-z]\.){2,}"),
+    ("number", r"[+\-]?\$?\d+(?:[.,:/\-]\d+)*%?"),
+    ("word", r"\w+(?:['\u2019\-]\w+)*"),
+    ("ellipsis", r"\.{2,}|\u2026"),
+    ("punct", r"\S"),
+)
+_REFERENCE_KINDS = {
+    "tag": "tag", "url": "tag", "email": "tag", "mention": "tag",
+    "hashtag": "word", "emoticon": "emoticon", "censored": "censored",
+    "acronym": "word", "number": "word", "word": "word",
+    "ellipsis": "punct", "punct": "punct",
+}
+_REFERENCE_TAGS = {"url": "<url>", "email": "<email>", "mention": "<user>"}
+
+
+def regex_tokenize(text: str, emoticons) -> list[tuple[str, str]]:
+    """(surface, kind value) of every token the uncapped token regex
+    finds: e-mail local parts and censored-word mask runs of any length.
+    ``emoticons`` are the emoticon strings to keep whole."""
+    alternatives = {
+        "tag": "|".join(re.escape(t) for t in _TAGS),
+        "emoticon": "|".join(re.escape(e) for e in sorted(emoticons, key=len, reverse=True))
+        + "|" + _EMOJI,
+    }
+    pattern = re.compile("|".join(
+        f"(?P<{name}>{alternatives.get(name, part)})" for name, part in _REFERENCE_PARTS),
+        re.IGNORECASE)
+    out = []
+    for match in pattern.finditer(text):
+        group = match.lastgroup
+        surface = _REFERENCE_TAGS.get(group, match.group().lower())
+        out.append((surface, _REFERENCE_KINDS[group]))
+    return out
 
 
 def normal_equations_ols(x: np.ndarray, y: np.ndarray):

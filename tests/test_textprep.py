@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import io
+import random
 import string
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exhaustive_segment, lm_score
+from oracles import exhaustive_segment, lm_score, product_squeeze, regex_tokenize
 from postmine.errors import DataError
 from postmine.textprep import (
     TAG_EMAIL,
@@ -17,6 +19,8 @@ from postmine.textprep import (
     LanguageModel,
     Token,
     TokenKind,
+    _squeeze_elongation,
+    bundled_emoticons,
     correct_spelling,
     load_correction_dictionary,
     load_language_model,
@@ -98,6 +102,34 @@ class TestTokenize:
         expected = "".join(c for w in words_in for c in w if c.isalnum())
         assert got == expected
 
+    # The emoticons here can start inside a run of mask characters.
+    @given(st.lists(
+        st.sampled_from(["a", "b", "z", "1", " ", ".", "*", "$", "%", "@",
+                         ":*", ":-*", ";*", ":$", "*-*", "*_*", "@_@"]),
+        max_size=20))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_uncapped_regex_within_caps(self, pieces):
+        # at most 60 characters, so no e-mail local part or mask run
+        # reaches the 64-character caps
+        text = "".join(pieces)
+        assert [(t.surface, t.kind.value) for t in tokenize(text)] == \
+            regex_tokenize(text, bundled_emoticons())
+
+    def test_email_local_part_capped_at_64(self):
+        assert surfaces(tokenize("a" * 64 + "@example.org")) == [TAG_EMAIL]
+        tokens = tokenize("a" * 65 + "@example.org")
+        assert TAG_EMAIL not in surfaces(tokens)
+        assert "".join(surfaces(tokens)) == "a" * 65 + "@example.org"
+
+    def test_censored_mask_run_capped_at_64(self):
+        tokens = tokenize("$" * 64 + "abc")
+        assert surfaces(tokens) == ["$" * 64 + "abc"]
+        assert tokens[0].kind is TokenKind.CENSORED
+        # a longer run loses its first characters as punctuation
+        tokens = tokenize("$" * 66 + "abc")
+        assert surfaces(tokens) == ["$", "$", "$" * 64 + "abc"]
+        assert tokens[-1].kind is TokenKind.CENSORED
+
 
 class TestCorrectSpelling:
     DICT = CorrectionDictionary(
@@ -131,6 +163,29 @@ class TestCorrectSpelling:
     def test_non_word_tokens_untouched(self):
         emo = Token(":-)", TokenKind.EMOTICON)
         assert correct_spelling(emo, self.DICT) == [emo]
+
+    def test_squeeze_keeps_runs_that_are_not_elongated(self):
+        words = frozenset(["book", "bok", "boook"])
+        d = CorrectionDictionary({}, valid_words=words)
+        # a run of two is kept as it is
+        assert _squeeze_elongation("boookk", d) is None
+        assert _squeeze_elongation("bbooook", d) is None
+        # an elongated run is always shortened, even to leave a known word
+        assert _squeeze_elongation("boook", d) == "book"
+        for surface in ("boookk", "bbooook", "boook"):
+            assert _squeeze_elongation(surface, d) == product_squeeze(surface, words)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_squeeze_matches_product_oracle(self, data):
+        words = data.draw(st.frozensets(
+            st.text(alphabet="abé1", min_size=1, max_size=6), min_size=1, max_size=25))
+        dictionary = CorrectionDictionary({}, valid_words=words)
+        word = data.draw(st.sampled_from(sorted(words)))
+        repeats = data.draw(st.lists(
+            st.integers(1, 5), min_size=len(word), max_size=len(word)))
+        surface = "".join(ch * r for ch, r in zip(word, repeats))
+        assert _squeeze_elongation(surface, dictionary) == product_squeeze(surface, words)
 
 
 class TestDictionaryLoader:
@@ -207,6 +262,42 @@ class TestSegment:
             body = "".join(rng.choice(alphabet) for _ in range(n))
             assert segment(body, toy_lm) == exhaustive_segment(body, toy_lm), body
 
+    def test_known_bigram_predecessor_excluded_from_backoff(self):
+        # The only split of "a" is the top entry before "b", but the
+        # known bigram ("a", "b") scores lower than the backoff of "b",
+        # so "a b" must take the bigram score; then the rare "ab" wins.
+        lm = LanguageModel.from_counts({"a": 1000, "b": 1000, "ab": 5}, {("a", "b"): 1})
+        assert segment("ab", lm) == ["ab"]
+        assert exhaustive_segment("ab", lm) == ["ab"]
+
+    def test_exact_tie_goes_to_smallest_sequence(self):
+        lm = LanguageModel.from_counts({"a": 5, "b": 5, "aa": 5, "ab": 5})
+        # "a ab" and "aa b" score exactly the same
+        assert (transition_score(lm, None, "a") + transition_score(lm, "a", "ab")
+                == transition_score(lm, None, "aa") + transition_score(lm, "aa", "b"))
+        assert segment("aab", lm) == ["a", "ab"]
+        assert exhaustive_segment("aab", lm) == ["a", "ab"]
+
+    def test_tie_after_rounding_goes_to_smallest_sequence(self):
+        # With one unigram of count 1 every out-of-vocabulary word scores
+        # -len * log(10), and prefixes whose sums differ in the last bit
+        # tie once the next word is added.  The expected split is the one
+        # the cubic per-entry recursion gives (every previous entry
+        # scored for every word).
+        lm = LanguageModel.from_counts({"c": 1}, {("c", "c"): 1})
+        assert segment("dcddabdababdbaadd", lm) == [
+            "d", "c", "d", "d", "a", "b", "dab", "a", "bd", "b", "aa", "d", "d"]
+
+    def test_memoised_per_model(self, toy_lm):
+        lm = LanguageModel.from_counts(dict(toy_lm.unigram_counts), dict(toy_lm.bigram_counts))
+        first = segment("metoo", lm)
+        assert lm.segmentations == {"metoo": ("me", "too")}
+        first.append("x")
+        assert segment("metoo", lm) == ["me", "too"]
+        other = LanguageModel.from_counts({"metoo": 5})
+        assert segment("metoo", other) == ["metoo"]
+        assert segment("metoo", lm) == ["me", "too"]
+
     @given(st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=14))
     @settings(max_examples=80, deadline=None)
     def test_concatenation_invariant(self, body):
@@ -250,3 +341,33 @@ class TestPreprocess:
             once = preprocess(text, d, toy_lm)
             again = preprocess(render(once), d, toy_lm)
             assert surfaces(again) == surfaces(once)
+
+
+class TestWorstCaseBudgets:
+    """Per-call time budgets on inputs built to hit each step's worst
+    case; each is far above the expected time, and far below the time
+    of the earlier super-linear algorithms."""
+
+    def timed(self, fn, *args):
+        start = time.perf_counter()
+        fn(*args)
+        return time.perf_counter() - start
+
+    def test_segment_random_letters(self, toy_lm):
+        rng = random.Random(320)
+        body = "".join(rng.choice(string.ascii_lowercase) for _ in range(320))
+        lm = LanguageModel.from_counts(dict(toy_lm.unigram_counts), dict(toy_lm.bigram_counts))
+        assert self.timed(segment, body, lm) < 1.0
+
+    def test_squeeze_twenty_runs(self):
+        letters = string.ascii_lowercase[:20]
+        # only the last candidate, every run cut to one copy, is known
+        d = CorrectionDictionary({}, valid_words=frozenset([letters]))
+        surface = "".join(ch * 3 for ch in letters)
+        assert self.timed(_squeeze_elongation, surface, d) < 0.1
+        assert _squeeze_elongation(surface, d) == letters
+
+    @pytest.mark.parametrize("text", ["a+" * 16000, "$" * 32000],
+                             ids=["email-run", "mask-run"])
+    def test_tokenize_long_runs(self, text):
+        assert self.timed(tokenize, text) < 1.0
