@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import connotation, corpus, events, textprep
+from . import corpus, events, textprep
 from .errors import ConfigError, DataError
 
 logger = logging.getLogger(__name__)
@@ -45,6 +45,15 @@ class TopicsSettings:
 
 
 @dataclass(frozen=True)
+class PropagationSettings:
+    """k bounds each unannotated verb's neighborhood; min_similarity
+    filters it."""
+
+    k: int = 10
+    min_similarity: float = 0.0
+
+
+@dataclass(frozen=True)
 class RunConfig:
     posts: Path
     institutions: Path
@@ -60,8 +69,7 @@ class RunConfig:
     verb_inventory: Path | None = None
     triples: Path | None = None
     topics: TopicsSettings = field(default_factory=TopicsSettings)
-    propagation: connotation.PropagationConfig = field(
-        default_factory=connotation.PropagationConfig)
+    propagation: PropagationSettings = field(default_factory=PropagationSettings)
 
     @property
     def topics_seed(self) -> int:
@@ -92,6 +100,19 @@ def _check_topics(settings: dict) -> None:
     seed = settings.get("seed")
     if seed is not None and not _is_int(seed):
         raise ConfigError(f"topics.seed must be an integer or null, got {seed!r}")
+
+
+def _check_propagation(settings: dict) -> None:
+    """Reject propagation settings before any stage loads its inputs."""
+    k = settings.get("k", PropagationSettings.k)
+    if not (_is_int(k) and k >= 1):
+        raise ConfigError(
+            f"bad propagation settings: k must be an integer >= 1, got {k!r}")
+    sim = settings.get("min_similarity", PropagationSettings.min_similarity)
+    if not (isinstance(sim, (int, float)) and not isinstance(sim, bool)
+            and 0.0 <= sim <= 1.0):
+        raise ConfigError("bad propagation settings: min_similarity must be "
+                          f"a number in [0, 1], got {sim!r}")
 
 
 def load_config(
@@ -151,9 +172,13 @@ def load_config(
         })
     except TypeError as exc:
         raise ConfigError(f"bad topics settings: {exc}") from None
+    propagation_raw = raw.get("propagation", {})
+    if not isinstance(propagation_raw, dict):
+        raise ConfigError("bad propagation settings: must be a JSON object")
+    _check_propagation(propagation_raw)
     try:
-        propagation = connotation.PropagationConfig(**raw.get("propagation", {}))
-    except (TypeError, ValueError) as exc:
+        propagation = PropagationSettings(**propagation_raw)
+    except TypeError as exc:
         raise ConfigError(f"bad propagation settings: {exc}") from None
 
     return RunConfig(
@@ -221,8 +246,8 @@ def cmd_ingest(config: RunConfig) -> None:
 
 
 def cmd_topics(config: RunConfig) -> None:
-    # topics and stats are imported only by the two stages that run them:
-    # they pull in scipy.special, which is most of a stage's start-up time.
+    # topics, connotation and stats are imported only by the stages that
+    # run them: numpy and scipy.special are most of a stage's start-up time.
     from . import topics
 
     posts = _read_corpus_artifact(config).posts
@@ -263,6 +288,8 @@ def cmd_events(config: RunConfig) -> None:
 
 
 def cmd_sentiment(config: RunConfig) -> None:
+    from . import connotation
+
     full = _read_corpus_artifact(config)
     labels = corpus.ingest_labels(config.labels)
     labeled, _ = corpus.attach_labels(full, labels)
@@ -277,9 +304,10 @@ def cmd_sentiment(config: RunConfig) -> None:
     lexicon = connotation.load_lexicon(config.lexicon)
     embeddings = connotation.load_embeddings(config.embeddings)
 
+    settings = config.propagation
     scored = connotation.score_triples(
         (t for lp in labeled for t in by_post.get(lp.post.post_id, ())),
-        lexicon, embeddings, config.propagation)
+        lexicon, embeddings, settings.k, settings.min_similarity)
     coverage = len({post_id for post_id, _ in scored}) / len(labeled)
     rows = connotation.aggregate(scored, labels)
     connotation.write_aggregate_report(

@@ -20,7 +20,6 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
-from numbers import Real
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -108,8 +107,8 @@ def load_lexicon(source: str | Path | TextIO) -> ConnotationLexicon:
 
 
 class EmbeddingStore:
-    """Fixed-dimension word vectors; unit-normalized copies are kept so
-    cosine similarity is a dot product."""
+    """Fixed-dimension word vectors, kept as one matrix of unit-normalized
+    rows so cosine similarity is a dot product."""
 
     def __init__(self, vectors: Mapping[str, Sequence[float]]):
         if not vectors:
@@ -118,25 +117,34 @@ class EmbeddingStore:
         if len(dims) != 1:
             raise DataError(f"inconsistent embedding dimensions: {sorted(dims)}")
         self.dimension = dims.pop()
-        self._unit: dict[str, np.ndarray] = {}
-        for word, vec in vectors.items():
-            arr = np.asarray(vec, dtype=np.float64)
-            norm = float(np.linalg.norm(arr))
-            if norm == 0.0:
-                raise DataError(f"zero-norm vector for {word!r}")
-            self._unit[word] = arr / norm
+        words = list(vectors)
+        matrix = np.array([vectors[word] for word in words], dtype=np.float64)
+        norms = np.linalg.norm(matrix, axis=1)
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            raise DataError(f"zero-norm vector for {words[zero[0]]!r}")
+        self._unit = matrix / norms[:, None]
+        self._row = {word: i for i, word in enumerate(words)}
 
     def __contains__(self, word: str) -> bool:
-        return word in self._unit
+        return word in self._row
 
     def __len__(self) -> int:
-        return len(self._unit)
+        return len(self._row)
 
     def unit_vector(self, word: str) -> np.ndarray:
         try:
-            return self._unit[word]
+            return self._unit[self._row[word]]
         except KeyError:
             raise NoEmbeddingError(f"no embedding for {word!r}") from None
+
+    def unit_rows(self, words: Iterable[str]) -> tuple[list[str], np.ndarray]:
+        """The given words that have a vector, in the given order, and
+        their unit vectors as the rows of one matrix."""
+        row = self._row
+        kept = [word for word in words if word in row]
+        rows = np.fromiter(map(row.__getitem__, kept), dtype=np.intp, count=len(kept))
+        return kept, self._unit[rows]
 
 
 def load_embeddings(source: str | Path | TextIO) -> EmbeddingStore:
@@ -172,26 +180,12 @@ def load_embeddings(source: str | Path | TextIO) -> EmbeddingStore:
     return EmbeddingStore(vectors)
 
 
-@dataclass(frozen=True)
-class PropagationConfig:
-    """k bounds the neighborhood; min_similarity filters it."""
-
-    k: int = 10
-    min_similarity: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
-        sim = self.min_similarity
-        if not isinstance(sim, Real) or isinstance(sim, bool) or not 0.0 <= sim <= 1.0:
-            raise ValueError(f"min_similarity must be a number in [0, 1], got {sim!r}")
-
-
 def nearest_annotated(
     word: str,
     embeddings: EmbeddingStore,
     lexicon: ConnotationLexicon,
-    config: PropagationConfig,
+    k: int,
+    min_similarity: float,
 ) -> list[tuple[str, float]]:
     """The k annotated lemmas most cosine-similar to ``word``.
 
@@ -200,22 +194,26 @@ def nearest_annotated(
     with lexicographic tie-breaking.
     """
     query = embeddings.unit_vector(word)
-    scored: list[tuple[str, float]] = []
-    for lemma in lexicon.frames:
-        if lemma in embeddings:
-            sim = float(query @ embeddings.unit_vector(lemma))
-            sim = max(-1.0, min(1.0, sim))
-            if sim >= config.min_similarity:
-                scored.append((lemma, sim))
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored[: config.k]
+    lemmas, rows = embeddings.unit_rows(lexicon.frames)
+    # einsum rather than ``rows @ query``: BLAS gemv may round two
+    # identical rows differently depending on where they sit, and that
+    # would break exact ties.  einsum sums every row the same way.
+    sims = np.clip(np.einsum("ij,j->i", rows, query), -1.0, 1.0)
+    keep = np.flatnonzero(sims >= min_similarity)
+    if keep.size > k:
+        # each of the k nearest is at least the k-th largest similarity
+        keep = keep[sims[keep] >= np.partition(sims[keep], -k)[-k]]
+    names = np.array([lemmas[i] for i in keep], dtype=str)
+    order = keep[np.lexsort((names, -sims[keep]))][:k]
+    return [(lemmas[i], float(sims[i])) for i in order]
 
 
 def propagate(
     word: str,
     lexicon: ConnotationLexicon,
     embeddings: EmbeddingStore,
-    config: PropagationConfig,
+    k: int,
+    min_similarity: float,
 ) -> ConnotationFrame:
     """Frame for ``word``: the lexicon entry when annotated, otherwise
     the neighbor-weighted average described in the module docstring.
@@ -227,7 +225,7 @@ def propagate(
     if frame is not None:
         return frame
     try:
-        neighbors = nearest_annotated(word, embeddings, lexicon, config)
+        neighbors = nearest_annotated(word, embeddings, lexicon, k, min_similarity)
     except NoEmbeddingError as exc:
         raise UnscorableError(f"{word!r} is unannotated and unembedded") from exc
     if not neighbors:
@@ -246,7 +244,8 @@ def score_triples(
     triples: Iterable[EventTriple],
     lexicon: ConnotationLexicon,
     embeddings: EmbeddingStore,
-    config: PropagationConfig,
+    k: int,
+    min_similarity: float,
 ) -> list[tuple[str, ConnotationFrame]]:
     """Score each triple by its verb, as (source_post, frame) records in
     input order.
@@ -261,7 +260,7 @@ def score_triples(
         lemma = triple.verb_lemma
         if lemma not in frames:
             try:
-                frames[lemma] = propagate(lemma, lexicon, embeddings, config)
+                frames[lemma] = propagate(lemma, lexicon, embeddings, k, min_similarity)
             except UnscorableError:
                 frames[lemma] = None
         frame = frames[lemma]

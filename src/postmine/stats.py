@@ -12,17 +12,19 @@ column rather than silently regularized.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import betainc
 
 from .corpus import InstitutionRecord, Region
 from .errors import DataError, RankDeficientError
 
 RANK_TOLERANCE = 1e-10
+_EPS = 2.0 ** -53
 
 DESIGN_COLUMNS = (
     "M/F Ratio",
@@ -152,17 +154,57 @@ def ols_fit(design: DesignMatrix) -> RegressionResult:
 
 
 def t_pvalue(t: float, dof: int) -> float:
-    """Two-sided Student-t tail probability via the regularized
-    incomplete beta function; symmetric in t, monotone decreasing in
-    |t|, exactly 1 at t = 0."""
+    """Two-sided Student-t tail probability P(|T| >= |t|) at an integer
+    dof; symmetric in t, monotone decreasing in |t|, exactly 1 at t = 0.
+
+    Closed form of Abramowitz & Stegun 26.7.3 (odd dof) and 26.7.4 (even
+    dof).  With theta = atan(|t| / sqrt(dof)) and x = cos^2(theta), both
+    give the tail as ``full - pre * sum(c_j * x**j for j < m)``, where
+    the series continued to infinity sums to ``full / pre``.  When that
+    difference is below 0.5, the tail is instead summed directly as
+    ``pre * sum(c_j * x**j for j >= m)``: every term is positive, so
+    small p-values keep full relative precision.
+    """
+    if not isinstance(dof, numbers.Integral) or isinstance(dof, bool):
+        raise ValueError(f"dof must be an integer, got {dof!r}")
     if dof < 1:
         raise ValueError(f"dof must be >= 1, got {dof}")
-    if np.isnan(t):
-        return float("nan")
-    if np.isinf(t):
+    if math.isnan(t):
+        return math.nan
+    if math.isinf(t):
         return 0.0
-    x = dof / (dof + t * t)
-    return float(betainc(dof / 2.0, 0.5, x))
+    t = abs(float(t))
+    root = math.sqrt(dof)
+    hyp = math.hypot(t, root)
+    sin, cos = t / hyp, root / hyp
+    x = cos * cos
+    odd = dof % 2
+    # term is c_j * x**j: c_0 = 1 and c_{j+1} / c_j = (2j+1+odd) / (2j+2+odd),
+    # so c_j is (2j-1)!!/(2j)!! for even dof and (2j)!!/(2j+1)!! for odd.
+    m = (dof - 1) // 2 if odd else dof // 2
+    head = 0.0
+    term = 1.0
+    for j in range(m):
+        head += term
+        term *= x * (2 * j + 1 + odd) / (2 * j + 2 + odd)
+    if odd:
+        pre = 2.0 * sin * cos / math.pi
+        p = 2.0 * (math.atan2(root, t) - sin * cos * head) / math.pi
+    else:
+        pre = sin
+        p = 1.0 - sin * head
+    if p >= 0.5:
+        return p
+    # The terms fall faster than x**j, so what is left after a term is
+    # below term / (1 - x).
+    tail = 0.0
+    j = m
+    while True:
+        tail += term
+        term *= x * (2 * j + 1 + odd) / (2 * j + 2 + odd)
+        j += 1
+        if term <= _EPS * (1.0 - x) * tail:
+            return pre * tail
 
 
 def write_regression_report(result: RegressionResult, path: str | Path) -> None:

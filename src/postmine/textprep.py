@@ -389,10 +389,15 @@ def _oov_score(lm: LanguageModel, length: int) -> float:
 def segment(body: str, lm: LanguageModel) -> list[str]:
     """Viterbi split of an unspaced hashtag body into words.
 
-    Maximizes the left-to-right sum of ``transition_score`` over all
-    2^(len-1) segmentations; exact score ties go to the
-    lexicographically smallest word sequence.  The output concatenates
-    back to the input body.  Results are memoised per body on ``lm``.
+    Scores are left-to-right sums of ``transition_score``, compared per
+    prefix: for each prefix and each last word, only the best-scoring
+    segmentation ending in that word is kept and extended.  Exact score
+    ties are resolved among the kept prefixes, in favour of the
+    lexicographically smallest word sequence.  So when two prefix sums
+    that differ in the last bit round to the same total after the next
+    word, the dropped prefix never takes part in the tie.  The output
+    concatenates back to the input body.  Results are memoised per body
+    on ``lm``.
     """
     if not body:
         return []

@@ -5,10 +5,11 @@ oracle enumerates every split instead of running Viterbi, the squeeze
 oracle tries every shortening of the elongated runs in turn instead of
 looking words up by skeleton, the tokenizer oracle is the token regex
 without its two length caps, the OLS oracle solves the normal equations
-instead of QR, the t-tail oracle integrates the density numerically
-instead of using the incomplete beta function, the neighbor oracle is a
-pure-Python full scan, and the LDA oracle runs the variational E-step
-and bound one document at a time instead of batched over all documents.
+instead of QR, the t-tail oracles integrate the density numerically
+or call scipy's incomplete beta function instead of summing the
+closed-form series, the neighbor oracle is a pure-Python full scan,
+and the LDA oracle runs the variational E-step and bound one document
+at a time instead of batched over all documents.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import re
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import digamma, gammaln
+from scipy.special import betainc, digamma, gammaln
 
 
 def lm_score(lm, prev: str | None, word: str) -> float:
@@ -183,6 +184,16 @@ def t_tail_quadrature(t: float, dof: int) -> float:
 
     upper, _ = quad(pdf, abs(t), np.inf)
     return 2.0 * upper
+
+
+def t_tail_betainc(t: float, dof: int) -> float:
+    """Two-sided Student-t tail through scipy's regularized incomplete
+    beta function: I_x(dof/2, 1/2) at x = dof / (dof + t^2)."""
+    if np.isnan(t):
+        return float("nan")
+    if np.isinf(t):
+        return 0.0
+    return float(betainc(dof / 2.0, 0.5, dof / (dof + t * t)))
 
 
 def brute_force_neighbors(

@@ -107,24 +107,36 @@ class TestConfig:
         assert main(["frobnicate"]) == 1
 
 
-_NO_SCIPY_SCRIPT = """
-import sys
+_STAGE_IMPORTS_SCRIPT = """
+import json, sys
 from postmine import cli
-for command in ("ingest", "events", "sentiment", "report"):
-    assert cli.main(["--config", sys.argv[1], command]) == 0, command
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert not loaded, loaded
+code = cli.main(["--config", sys.argv[1], sys.argv[2]])
+print(json.dumps({"code": code, "modules": sorted({m.split(".")[0] for m in sys.modules})}))
 """
 
+# Heavy libraries each stage must never load; numpy and scipy.special
+# are most of a stage's start-up time.
+_NOT_LOADED = {
+    "ingest": {"numpy", "scipy"},
+    "events": {"numpy", "scipy"},
+    "sentiment": {"scipy"},
+    "regress": {"scipy"},
+    "report": {"numpy", "scipy"},
+}
 
-def test_stages_without_topics_or_regress_never_load_scipy(tmp_path, demo_bundle):
+
+def test_each_stage_loads_only_what_it_runs(tmp_path, demo_bundle):
     config = write_config(tmp_path, demo_bundle)
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(config)],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    for stage, forbidden in _NOT_LOADED.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", _STAGE_IMPORTS_SCRIPT, str(config), stage],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["code"] == 0, (stage, proc.stderr)
+        assert not forbidden & set(result["modules"]), stage
 
 
 class TestIngestCommand:

@@ -10,7 +10,6 @@ from postmine.connotation import (
     ConnotationFrame,
     ConnotationLexicon,
     EmbeddingStore,
-    PropagationConfig,
     aggregate,
     load_embeddings,
     load_lexicon,
@@ -93,25 +92,25 @@ def small_world():
 class TestNearestAnnotated:
     def test_self_neighbor_ranks_first_with_similarity_one(self):
         lex, emb = small_world()
-        cfg = PropagationConfig(k=3, min_similarity=0.0)
-        neighbors = nearest_annotated("harass", emb, lex, cfg)
+        cfg = dict(k=3, min_similarity=0.0)
+        neighbors = nearest_annotated("harass", emb, lex, **cfg)
         assert neighbors[0][0] == "harass"
         assert neighbors[0][1] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_word_filtered_to_empty(self):
         lex, emb = small_world()
-        cfg = PropagationConfig(k=5, min_similarity=0.2)
-        assert nearest_annotated("orthogonal", emb, lex, cfg) == []
+        cfg = dict(k=5, min_similarity=0.2)
+        assert nearest_annotated("orthogonal", emb, lex, **cfg) == []
 
     def test_absent_word_raises(self):
         lex, emb = small_world()
         with pytest.raises(NoEmbeddingError):
-            nearest_annotated("ghost", emb, lex, PropagationConfig())
+            nearest_annotated("ghost", emb, lex, k=10, min_similarity=0.0)
 
     def test_k_caps_result(self):
         lex, emb = small_world()
         assert len(nearest_annotated("pester", emb, lex,
-                                     PropagationConfig(k=2))) == 2
+                                     k=2, min_similarity=0.0)) == 2
 
     def test_matches_brute_force_on_random_store(self):
         rng = np.random.default_rng(99)
@@ -120,20 +119,54 @@ class TestNearestAnnotated:
         annotated = {f"w{i:03d}" for i in range(0, 120, 3)}
         lex = ConnotationLexicon({w: frame(0, 0, 0, 0, 0) for w in annotated})
         emb = EmbeddingStore(vectors)
-        cfg = PropagationConfig(k=7, min_similarity=0.0)
+        cfg = dict(k=7, min_similarity=0.0)
         for i in range(0, 120, 11):
             word = f"w{i:03d}"
-            mine = nearest_annotated(word, emb, lex, cfg)
+            mine = nearest_annotated(word, emb, lex, **cfg)
             ref = brute_force_neighbors(word, vectors, annotated, 7, 0.0)
             assert [w for w, _ in mine] == [w for w, _ in ref]
             for (_, a), (_, b) in zip(mine, ref):
                 assert a == pytest.approx(b, abs=1e-9)
 
+    def test_planted_exact_ties_match_brute_force(self):
+        # Five lemmas share one random vector.  The lexicon lists them out
+        # of alphabetical order and spread out, last rows included, so
+        # only the lemma tie-break orders them and a product that rounds
+        # a row by its position would split them.  "edge" sits exactly at
+        # min_similarity for the query "axis" (cosine 3/5), "below" just
+        # under it.
+        rng = np.random.default_rng(7)
+        shared = [float(x) for x in rng.normal(size=25)]
+        annotated = ["tie_e", "other0", "other1", "tie_b", "other2", "other3", "tie_d",
+                     "other4", "edge", "other5", "below", "other6", "other7", "tie_a",
+                     "tie_c"]
+        vectors = {w: (list(shared) if w.startswith("tie") else
+                       [float(x) for x in rng.normal(size=25)]) for w in annotated}
+        vectors["edge"] = [3.0, 4.0] + [0.0] * 23
+        vectors["below"] = [3.0, 4.0000001] + [0.0] * 23
+        vectors["axis"] = [2.0] + [0.0] * 24
+        vectors["query"] = [x + 0.5 * float(y) for x, y in zip(shared, rng.normal(size=25))]
+        lex = ConnotationLexicon({w: frame(0, 0, 0, 0, 0) for w in annotated})
+        emb = EmbeddingStore(vectors)
+        cases = [("query", 3, 0.0), ("query", 5, 0.0), ("query", 7, 0.0),
+                 ("query", 20, -1.0), ("tie_c", 4, 0.0), ("axis", 10, 0.6)]
+        for word, k, min_sim in cases:
+            mine = nearest_annotated(word, emb, lex, k=k, min_similarity=min_sim)
+            ref = brute_force_neighbors(word, vectors, set(annotated), k, min_sim)
+            assert [w for w, _ in mine] == [w for w, _ in ref], (word, k)
+            for (_, a), (_, b) in zip(mine, ref):
+                assert a == pytest.approx(b, abs=1e-9)
+        assert [w for w, _ in nearest_annotated("query", emb, lex, k=3, min_similarity=0.0)] \
+            == ["tie_a", "tie_b", "tie_c"]
+        edge = nearest_annotated("axis", emb, lex, k=10, min_similarity=0.6)
+        assert ("edge", 0.6) in edge
+        assert "below" not in [w for w, _ in edge]
+
 
 class TestPropagate:
     def test_annotated_identity(self):
         lex, emb = small_world()
-        out = propagate("harass", lex, emb, PropagationConfig())
+        out = propagate("harass", lex, emb, k=10, min_similarity=0.0)
         assert out == HARASS_FRAME
 
     def test_hand_computed_two_neighbor_average(self):
@@ -148,23 +181,23 @@ class TestPropagate:
             "far": [0.4, 0.0, np.sqrt(1 - 0.16)],
             "query": [1.0, 0.0, 0.0],
         })
-        out = propagate("query", lex, emb, PropagationConfig(k=2))
+        out = propagate("query", lex, emb, k=2, min_similarity=0.0)
         assert out.sentiment_verb == pytest.approx(-0.29, abs=1e-12)
 
     def test_unscorable_when_no_neighbors(self):
         lex, emb = small_world()
-        cfg = PropagationConfig(k=5, min_similarity=0.9)
+        cfg = dict(k=5, min_similarity=0.9)
         with pytest.raises(UnscorableError):
-            propagate("orthogonal", lex, emb, cfg)
+            propagate("orthogonal", lex, emb, **cfg)
 
     def test_unscorable_when_unembedded(self):
         lex, emb = small_world()
         with pytest.raises(UnscorableError):
-            propagate("ghostverb", lex, emb, PropagationConfig())
+            propagate("ghostverb", lex, emb, k=10, min_similarity=0.0)
 
     def test_magnitude_bounded_by_annotated_max(self):
         lex, emb = small_world()
-        out = propagate("pester", lex, emb, PropagationConfig(k=3))
+        out = propagate("pester", lex, emb, k=3, min_similarity=0.0)
         bound = max(max(abs(v) for v in f.as_tuple()) for f in lex.frames.values())
         assert all(abs(v) <= bound + 1e-12 for v in out.as_tuple())
         assert all(-1.0 <= v <= 1.0 for v in out.as_tuple())
@@ -177,7 +210,7 @@ class TestPropagate:
             })
             emb = EmbeddingStore({
                 "a": [0.9, 0.1], "b": [0.7, 0.3], "q": [1.0, 0.0]})
-            return propagate("q", lex, emb, PropagationConfig(k=2)).sentiment_verb
+            return propagate("q", lex, emb, k=2, min_similarity=0.0).sentiment_verb
 
         assert world(0.3) >= world(0.0) >= world(-0.3)
 
@@ -187,7 +220,7 @@ class TestScoreEvent:
         lex, emb = small_world()
         triple = EventTriple("harass", TokenSpan("he", 0), TokenSpan("me", 2),
                              False, "p1")
-        [(post_id, out)] = score_triples([triple], lex, emb, PropagationConfig())
+        [(post_id, out)] = score_triples([triple], lex, emb, k=10, min_similarity=0.0)
         assert post_id == "p1"
         assert out.sentiment_verb < 0
         assert out.sentiment_affected < 0
@@ -200,15 +233,15 @@ class TestScoreEvent:
         active = EventTriple("harass", TokenSpan("he"), TokenSpan("me"), False, "p1")
         passive = EventTriple("harass", TokenSpan("boss"), TokenSpan("i"), True, "p2")
         [(_, a), (_, b)] = score_triples([active, passive], lex, emb,
-                                         PropagationConfig())
+                                         k=10, min_similarity=0.0)
         assert a == b
 
     def test_purity(self):
         lex, emb = small_world()
         triples = [EventTriple("pester", None, None, False, "p1")]
-        cfg = PropagationConfig(k=2)
-        assert score_triples(triples, lex, emb, cfg) == \
-            score_triples(triples, lex, emb, cfg)
+        cfg = dict(k=2, min_similarity=0.0)
+        assert score_triples(triples, lex, emb, **cfg) == \
+            score_triples(triples, lex, emb, **cfg)
 
     def test_each_lemma_propagated_once_and_unscorable_dropped(self, monkeypatch):
         lex, emb = small_world()
@@ -223,10 +256,10 @@ class TestScoreEvent:
                    for lemma, post_id in (("pester", "p1"), ("ghostverb", "p1"),
                                           ("harass", "p2"), ("pester", "p3"),
                                           ("ghostverb", "p4"), ("harass", "p1"))]
-        cfg = PropagationConfig(k=3)
-        scored = score_triples(triples, lex, emb, cfg)
+        cfg = dict(k=3, min_similarity=0.0)
+        scored = score_triples(triples, lex, emb, **cfg)
         assert calls == ["pester", "ghostverb", "harass"]
-        pester = propagate("pester", lex, emb, cfg)
+        pester = propagate("pester", lex, emb, **cfg)
         assert scored == [("p1", pester), ("p2", HARASS_FRAME),
                           ("p3", pester), ("p1", HARASS_FRAME)]
 

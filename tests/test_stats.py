@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import normal_equations_ols, t_tail_quadrature
+from oracles import normal_equations_ols, t_tail_betainc, t_tail_quadrature
 from postmine.corpus import InstitutionRecord, Region
 from postmine.errors import DataError, RankDeficientError
 from postmine.stats import (
@@ -190,6 +190,24 @@ class TestTPValue:
     def test_bad_dof(self):
         with pytest.raises(ValueError):
             t_pvalue(1.0, 0)
+
+    @pytest.mark.parametrize("dof", [2.0, 2.5, True, "3", None], ids=repr)
+    def test_non_integer_dof_rejected(self, dof):
+        with pytest.raises(ValueError, match="integer"):
+            t_pvalue(1.0, dof)
+
+    def test_matches_betainc_to_relative_precision(self):
+        # Small tails are where a closed form summed as "1 - series"
+        # would lose every digit; the reference stays within 1e-7 of it
+        # down to the smallest normal float.
+        for dof in range(1, 121):
+            for t in np.logspace(-6, 3, 46):
+                ref = t_tail_betainc(float(t), dof)
+                if ref < np.finfo(float).tiny:
+                    continue
+                value = t_pvalue(float(t), dof)
+                assert abs(value - ref) <= 1e-7 * ref, (dof, t, value, ref)
+                assert f"{value:.4g}" == f"{ref:.4g}", (dof, t, value, ref)
 
 
 def test_unique_user_rates_defaults_to_zero():
