@@ -18,9 +18,16 @@ import logging
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import corpus, events, textprep
+# Every other stage module is imported inside the stage functions that
+# run it: numpy, scipy.special and the text-processing tables are most of
+# a stage's start-up time.
+from . import corpus
 from .errors import ConfigError, DataError
+
+if TYPE_CHECKING:
+    from . import textprep
 
 logger = logging.getLogger(__name__)
 
@@ -205,19 +212,6 @@ def _out_path(config: RunConfig, name: str) -> Path:
     return config.out_dir / name
 
 
-def _load_textprep(config: RunConfig):
-    dictionary = textprep.load_correction_dictionary(
-        config.abbreviations, config.wordlist, config.censored)
-    lm = textprep.load_language_model(config.language_model)
-    return dictionary, lm
-
-
-def _load_inventory(config: RunConfig) -> events.VerbInventory:
-    if config.verb_inventory is not None:
-        return events.load_inventory(config.verb_inventory)
-    return events.bundled_inventory()
-
-
 def _read_corpus_artifact(config: RunConfig) -> corpus.Corpus:
     path = config.out_dir / CORPUS_ARTIFACT
     if not path.is_file():
@@ -226,7 +220,11 @@ def _read_corpus_artifact(config: RunConfig) -> corpus.Corpus:
 
 
 def _preprocessed(config: RunConfig, posts) -> list[list[textprep.Token]]:
-    dictionary, lm = _load_textprep(config)
+    from . import textprep
+
+    dictionary = textprep.load_correction_dictionary(
+        config.abbreviations, config.wordlist, config.censored)
+    lm = textprep.load_language_model(config.language_model)
     return [textprep.preprocess(post.text, dictionary, lm) for post in posts]
 
 
@@ -246,9 +244,7 @@ def cmd_ingest(config: RunConfig) -> None:
 
 
 def cmd_topics(config: RunConfig) -> None:
-    # topics, connotation and stats are imported only by the stages that
-    # run them: numpy and scipy.special are most of a stage's start-up time.
-    from . import topics
+    from . import textprep, topics
 
     posts = _read_corpus_artifact(config).posts
     docs = _preprocessed(config, posts)
@@ -275,9 +271,12 @@ def cmd_topics(config: RunConfig) -> None:
 
 
 def cmd_events(config: RunConfig) -> None:
+    from . import events, textprep
+
     posts = _read_corpus_artifact(config).posts
     docs = _preprocessed(config, posts)
-    inventory = _load_inventory(config)
+    inventory = (events.load_inventory(config.verb_inventory)
+                 if config.verb_inventory is not None else events.bundled_inventory())
     stopwords = textprep.bundled_stopwords()
     triples: list[events.EventTriple] = []
     for post, doc in zip(posts, docs):
@@ -288,7 +287,7 @@ def cmd_events(config: RunConfig) -> None:
 
 
 def cmd_sentiment(config: RunConfig) -> None:
-    from . import connotation
+    from . import connotation, events
 
     full = _read_corpus_artifact(config)
     labels = corpus.ingest_labels(config.labels)

@@ -183,18 +183,19 @@ def load_embeddings(source: str | Path | TextIO) -> EmbeddingStore:
 def nearest_annotated(
     word: str,
     embeddings: EmbeddingStore,
-    lexicon: ConnotationLexicon,
+    annotated: tuple[list[str], np.ndarray],
     k: int,
     min_similarity: float,
 ) -> list[tuple[str, float]]:
     """The k annotated lemmas most cosine-similar to ``word``.
 
-    Full scan over every lemma present in both the lexicon and the
-    store, filtered by min_similarity, sorted by similarity descending
-    with lexicographic tie-breaking.
+    ``annotated`` is every lemma present in both the lexicon and the
+    store with its unit row, ``embeddings.unit_rows(lexicon.frames)``.
+    Full scan over them, filtered by min_similarity, sorted by
+    similarity descending with lexicographic tie-breaking.
     """
     query = embeddings.unit_vector(word)
-    lemmas, rows = embeddings.unit_rows(lexicon.frames)
+    lemmas, rows = annotated
     # einsum rather than ``rows @ query``: BLAS gemv may round two
     # identical rows differently depending on where they sit, and that
     # would break exact ties.  einsum sums every row the same way.
@@ -212,11 +213,14 @@ def propagate(
     word: str,
     lexicon: ConnotationLexicon,
     embeddings: EmbeddingStore,
+    annotated: tuple[list[str], np.ndarray],
     k: int,
     min_similarity: float,
 ) -> ConnotationFrame:
     """Frame for ``word``: the lexicon entry when annotated, otherwise
     the neighbor-weighted average described in the module docstring.
+    ``annotated`` is ``embeddings.unit_rows(lexicon.frames)``, as
+    ``nearest_annotated`` takes it.
 
     Raises UnscorableError when the verb is unannotated and has no
     embedding or no qualifying annotated neighbor.
@@ -225,7 +229,7 @@ def propagate(
     if frame is not None:
         return frame
     try:
-        neighbors = nearest_annotated(word, embeddings, lexicon, k, min_similarity)
+        neighbors = nearest_annotated(word, embeddings, annotated, k, min_similarity)
     except NoEmbeddingError as exc:
         raise UnscorableError(f"{word!r} is unannotated and unembedded") from exc
     if not neighbors:
@@ -250,17 +254,20 @@ def score_triples(
     """Score each triple by its verb, as (source_post, frame) records in
     input order.
 
-    Each distinct lemma is propagated once.  Triples whose verb is
+    Each distinct lemma is propagated once, and the annotated lemmas'
+    unit rows are gathered once for all of them.  Triples whose verb is
     unscorable are dropped.  Passive triples use the same frame: the
     extractor already swapped the roles.
     """
+    annotated = embeddings.unit_rows(lexicon.frames)
     frames: dict[str, ConnotationFrame | None] = {}
     scored: list[tuple[str, ConnotationFrame]] = []
     for triple in triples:
         lemma = triple.verb_lemma
         if lemma not in frames:
             try:
-                frames[lemma] = propagate(lemma, lexicon, embeddings, k, min_similarity)
+                frames[lemma] = propagate(lemma, lexicon, embeddings, annotated,
+                                          k, min_similarity)
             except UnscorableError:
                 frames[lemma] = None
         frame = frames[lemma]

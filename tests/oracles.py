@@ -4,10 +4,11 @@ Nothing here may call into the code paths under test: the segmentation
 oracle enumerates every split instead of running Viterbi, the squeeze
 oracle tries every shortening of the elongated runs in turn instead of
 looking words up by skeleton, the tokenizer oracle is the token regex
-without its two length caps, the OLS oracle solves the normal equations
-instead of QR, the t-tail oracles integrate the density numerically
-or call scipy's incomplete beta function instead of summing the
-closed-form series, the neighbor oracle is a pure-Python full scan,
+without its two length caps, the OLS oracles solve the normal equations
+or call LAPACK through numpy instead of a pure-Python Householder QR,
+the t-tail oracles integrate the density numerically, call scipy's
+incomplete beta function or sum the closed-form series instead of
+evaluating the continued fraction, the neighbor oracle is a pure-Python full scan,
 and the LDA oracle runs the variational E-step and bound one document
 at a time instead of batched over all documents.
 """
@@ -21,6 +22,8 @@ import re
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import betainc, digamma, gammaln
+
+from postmine.errors import RankDeficientError
 
 
 def lm_score(lm, prev: str | None, word: str) -> float:
@@ -174,6 +177,38 @@ def normal_equations_ols(x: np.ndarray, y: np.ndarray):
     return beta, se, t
 
 
+def lapack_ols(x, y, names):
+    """Least squares through numpy's LAPACK bindings, as (beta, se, t).
+
+    The design is rank deficient when its smallest singular value is
+    below 1e-10 of the largest; the error then names the first column
+    whose prefix does not gain rank by ``np.linalg.matrix_rank``, or
+    the last column if every prefix does.  t is +-inf where se is 0,
+    and nan where the coefficient is also 0."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, p = x.shape
+    singular = np.linalg.svd(x, compute_uv=False)
+    if singular[-1] < 1e-10 * singular[0]:
+        name, rank = names[-1], 0
+        for j in range(p):
+            new_rank = np.linalg.matrix_rank(x[:, : j + 1])
+            if new_rank == rank:
+                name = names[j]
+                break
+            rank = new_rank
+        raise RankDeficientError(f"design matrix is rank deficient at column {name!r}")
+    q, r = np.linalg.qr(x)
+    beta = np.linalg.solve(r, q.T @ y)
+    residuals = y - x @ beta
+    sigma2 = float(residuals @ residuals) / (n - p)
+    r_inv = np.linalg.solve(r, np.eye(p))
+    se = np.sqrt(sigma2 * np.diag(r_inv @ r_inv.T))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(se > 0, beta / se, np.sign(beta) * np.inf)
+    return beta, se, t
+
+
 def t_tail_quadrature(t: float, dof: int) -> float:
     """Two-sided tail of the Student-t density by numerical
     integration; the density is spelled out via log-gammas."""
@@ -194,6 +229,50 @@ def t_tail_betainc(t: float, dof: int) -> float:
     if np.isinf(t):
         return 0.0
     return float(betainc(dof / 2.0, 0.5, dof / (dof + t * t)))
+
+
+def t_tail_closed_form(t: float, dof: int) -> float:
+    """Two-sided Student-t tail at an integer dof by the closed form of
+    Abramowitz & Stegun 26.7.3 (odd dof) and 26.7.4 (even dof).
+
+    With theta = atan(|t| / sqrt(dof)) and x = cos^2(theta), both give
+    the tail as ``full - pre * sum(c_j * x**j for j < m)``.  Below 0.5
+    the tail is summed directly as ``pre * sum(c_j * x**j for j >= m)``,
+    all positive terms, so small tails keep full relative precision.
+    Near 0.5 that takes about 80 * dof terms."""
+    if math.isnan(t):
+        return math.nan
+    if math.isinf(t):
+        return 0.0
+    t = abs(float(t))
+    root = math.sqrt(dof)
+    hyp = math.hypot(t, root)
+    sin, cos = t / hyp, root / hyp
+    x = cos * cos
+    odd = dof % 2
+    # c_0 = 1 and c_{j+1} / c_j = (2j+1+odd) / (2j+2+odd)
+    m = (dof - 1) // 2 if odd else dof // 2
+    head = 0.0
+    term = 1.0
+    for j in range(m):
+        head += term
+        term *= x * (2 * j + 1 + odd) / (2 * j + 2 + odd)
+    if odd:
+        pre = 2.0 * sin * cos / math.pi
+        p = 2.0 * (math.atan2(root, t) - sin * cos * head) / math.pi
+    else:
+        pre = sin
+        p = 1.0 - sin * head
+    if p >= 0.5:
+        return p
+    tail = 0.0
+    j = m
+    while True:
+        tail += term
+        term *= x * (2 * j + 1 + odd) / (2 * j + 2 + odd)
+        j += 1
+        if term <= 2.0 ** -53 * (1.0 - x) * tail:
+            return pre * tail
 
 
 def brute_force_neighbors(

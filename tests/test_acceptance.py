@@ -125,8 +125,9 @@ def test_criterion_4_propagation(demo_bundle):
         embeddings = load_embeddings(demo_bundle["embeddings"])
         config = dict(k=10, min_similarity=0.0)
         assert len(lexicon) == 950
+        annotated_rows = embeddings.unit_rows(lexicon.frames)
         for lemma, frame in lexicon.frames.items():
-            assert propagate(lemma, lexicon, embeddings, **config) == frame
+            assert propagate(lemma, lexicon, embeddings, annotated_rows, **config) == frame
 
         # hand-computed two-neighbor case: (1/2)(0.6*-0.5 + 0.4*-0.7) = -0.29
         from postmine.connotation import ConnotationFrame, ConnotationLexicon, \
@@ -140,7 +141,8 @@ def test_criterion_4_propagation(demo_bundle):
             "far": [0.4, 0.0, float(np.sqrt(1 - 0.16))],
             "query": [1.0, 0.0, 0.0],
         })
-        out = propagate("query", tiny_lex, tiny_emb, k=2, min_similarity=0.0)
+        out = propagate("query", tiny_lex, tiny_emb, tiny_emb.unit_rows(tiny_lex.frames),
+                        k=2, min_similarity=0.0)
         assert out.sentiment_verb == pytest.approx(-0.29, abs=1e-12)
 
         # brute-force neighbor scan over the 1,000-word fixture store,
@@ -154,7 +156,7 @@ def test_criterion_4_propagation(demo_bundle):
         rng = random.Random(777)
         queries = rng.sample(sorted(vectors), 100)
         for word in queries:
-            mine = nearest_annotated(word, embeddings, lexicon, **config)
+            mine = nearest_annotated(word, embeddings, annotated_rows, **config)
             ref = brute_force_neighbors(word, vectors, annotated, 10, 0.0)
             assert [w for w, _ in mine] == [w for w, _ in ref]
             for (_, a), (_, b) in zip(mine, ref):

@@ -93,23 +93,24 @@ class TestNearestAnnotated:
     def test_self_neighbor_ranks_first_with_similarity_one(self):
         lex, emb = small_world()
         cfg = dict(k=3, min_similarity=0.0)
-        neighbors = nearest_annotated("harass", emb, lex, **cfg)
+        neighbors = nearest_annotated("harass", emb, emb.unit_rows(lex.frames), **cfg)
         assert neighbors[0][0] == "harass"
         assert neighbors[0][1] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_word_filtered_to_empty(self):
         lex, emb = small_world()
         cfg = dict(k=5, min_similarity=0.2)
-        assert nearest_annotated("orthogonal", emb, lex, **cfg) == []
+        assert nearest_annotated("orthogonal", emb, emb.unit_rows(lex.frames), **cfg) == []
 
     def test_absent_word_raises(self):
         lex, emb = small_world()
         with pytest.raises(NoEmbeddingError):
-            nearest_annotated("ghost", emb, lex, k=10, min_similarity=0.0)
+            nearest_annotated("ghost", emb, emb.unit_rows(lex.frames), k=10,
+                              min_similarity=0.0)
 
     def test_k_caps_result(self):
         lex, emb = small_world()
-        assert len(nearest_annotated("pester", emb, lex,
+        assert len(nearest_annotated("pester", emb, emb.unit_rows(lex.frames),
                                      k=2, min_similarity=0.0)) == 2
 
     def test_matches_brute_force_on_random_store(self):
@@ -120,9 +121,10 @@ class TestNearestAnnotated:
         lex = ConnotationLexicon({w: frame(0, 0, 0, 0, 0) for w in annotated})
         emb = EmbeddingStore(vectors)
         cfg = dict(k=7, min_similarity=0.0)
+        rows = emb.unit_rows(lex.frames)
         for i in range(0, 120, 11):
             word = f"w{i:03d}"
-            mine = nearest_annotated(word, emb, lex, **cfg)
+            mine = nearest_annotated(word, emb, rows, **cfg)
             ref = brute_force_neighbors(word, vectors, annotated, 7, 0.0)
             assert [w for w, _ in mine] == [w for w, _ in ref]
             for (_, a), (_, b) in zip(mine, ref):
@@ -150,15 +152,16 @@ class TestNearestAnnotated:
         emb = EmbeddingStore(vectors)
         cases = [("query", 3, 0.0), ("query", 5, 0.0), ("query", 7, 0.0),
                  ("query", 20, -1.0), ("tie_c", 4, 0.0), ("axis", 10, 0.6)]
+        rows = emb.unit_rows(lex.frames)
         for word, k, min_sim in cases:
-            mine = nearest_annotated(word, emb, lex, k=k, min_similarity=min_sim)
+            mine = nearest_annotated(word, emb, rows, k=k, min_similarity=min_sim)
             ref = brute_force_neighbors(word, vectors, set(annotated), k, min_sim)
             assert [w for w, _ in mine] == [w for w, _ in ref], (word, k)
             for (_, a), (_, b) in zip(mine, ref):
                 assert a == pytest.approx(b, abs=1e-9)
-        assert [w for w, _ in nearest_annotated("query", emb, lex, k=3, min_similarity=0.0)] \
+        assert [w for w, _ in nearest_annotated("query", emb, rows, k=3, min_similarity=0.0)] \
             == ["tie_a", "tie_b", "tie_c"]
-        edge = nearest_annotated("axis", emb, lex, k=10, min_similarity=0.6)
+        edge = nearest_annotated("axis", emb, rows, k=10, min_similarity=0.6)
         assert ("edge", 0.6) in edge
         assert "below" not in [w for w, _ in edge]
 
@@ -166,7 +169,7 @@ class TestNearestAnnotated:
 class TestPropagate:
     def test_annotated_identity(self):
         lex, emb = small_world()
-        out = propagate("harass", lex, emb, k=10, min_similarity=0.0)
+        out = propagate("harass", lex, emb, emb.unit_rows(lex.frames), k=10, min_similarity=0.0)
         assert out == HARASS_FRAME
 
     def test_hand_computed_two_neighbor_average(self):
@@ -181,23 +184,23 @@ class TestPropagate:
             "far": [0.4, 0.0, np.sqrt(1 - 0.16)],
             "query": [1.0, 0.0, 0.0],
         })
-        out = propagate("query", lex, emb, k=2, min_similarity=0.0)
+        out = propagate("query", lex, emb, emb.unit_rows(lex.frames), k=2, min_similarity=0.0)
         assert out.sentiment_verb == pytest.approx(-0.29, abs=1e-12)
 
     def test_unscorable_when_no_neighbors(self):
         lex, emb = small_world()
         cfg = dict(k=5, min_similarity=0.9)
         with pytest.raises(UnscorableError):
-            propagate("orthogonal", lex, emb, **cfg)
+            propagate("orthogonal", lex, emb, emb.unit_rows(lex.frames), **cfg)
 
     def test_unscorable_when_unembedded(self):
         lex, emb = small_world()
         with pytest.raises(UnscorableError):
-            propagate("ghostverb", lex, emb, k=10, min_similarity=0.0)
+            propagate("ghostverb", lex, emb, emb.unit_rows(lex.frames), k=10, min_similarity=0.0)
 
     def test_magnitude_bounded_by_annotated_max(self):
         lex, emb = small_world()
-        out = propagate("pester", lex, emb, k=3, min_similarity=0.0)
+        out = propagate("pester", lex, emb, emb.unit_rows(lex.frames), k=3, min_similarity=0.0)
         bound = max(max(abs(v) for v in f.as_tuple()) for f in lex.frames.values())
         assert all(abs(v) <= bound + 1e-12 for v in out.as_tuple())
         assert all(-1.0 <= v <= 1.0 for v in out.as_tuple())
@@ -210,7 +213,8 @@ class TestPropagate:
             })
             emb = EmbeddingStore({
                 "a": [0.9, 0.1], "b": [0.7, 0.3], "q": [1.0, 0.0]})
-            return propagate("q", lex, emb, k=2, min_similarity=0.0).sentiment_verb
+            out = propagate("q", lex, emb, emb.unit_rows(lex.frames), k=2, min_similarity=0.0)
+            return out.sentiment_verb
 
         assert world(0.3) >= world(0.0) >= world(-0.3)
 
@@ -259,7 +263,7 @@ class TestScoreEvent:
         cfg = dict(k=3, min_similarity=0.0)
         scored = score_triples(triples, lex, emb, **cfg)
         assert calls == ["pester", "ghostverb", "harass"]
-        pester = propagate("pester", lex, emb, **cfg)
+        pester = propagate("pester", lex, emb, emb.unit_rows(lex.frames), **cfg)
         assert scored == [("p1", pester), ("p2", HARASS_FRAME),
                           ("p3", pester), ("p1", HARASS_FRAME)]
 

@@ -1,9 +1,18 @@
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
+from scipy.special import betainc
 
-from oracles import normal_equations_ols, t_tail_betainc, t_tail_quadrature
+from oracles import (
+    lapack_ols,
+    normal_equations_ols,
+    t_tail_betainc,
+    t_tail_closed_form,
+    t_tail_quadrature,
+)
 from postmine.corpus import InstitutionRecord, Region
 from postmine.errors import DataError, RankDeficientError
 from postmine.stats import (
@@ -116,6 +125,11 @@ class TestOlsFit:
         with pytest.raises(RankDeficientError, match="copy_of_first"):
             ols_fit(design)
 
+    def test_all_zero_design_rejected_with_name(self):
+        design = DesignMatrix(("a", "b"), np.zeros((5, 2)), np.ones(5))
+        with pytest.raises(RankDeficientError, match="'a'"):
+            ols_fit(design)
+
     def test_underdetermined_rejected(self):
         x = np.eye(3)
         design = DesignMatrix(("a", "b", "c"), x, np.ones(3))
@@ -138,6 +152,30 @@ class TestOlsFit:
         assert np.allclose(scaled_x @ scaled.coefficients, x @ base.coefficients,
                            rtol=1e-8)
 
+    @pytest.mark.parametrize("x_scale, y_scale", [
+        (1e200, 1.0), (1e-200, 1.0), (1.0, 1e250), (1.0, 1e-250), (1e150, 1e-140)])
+    def test_extreme_magnitudes_scale_exactly(self, x_scale, y_scale):
+        # squares of these entries overflow or underflow; a power-of-two
+        # scale keeps every bit of the fit, and a power of ten nearly all
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(30, 4))
+        x[:, -1] = 1.0
+        y = rng.normal(size=30)
+        names = ("a", "b", "c", "constant")
+        base = ols_fit(DesignMatrix(names, x, y))
+        shift = ols_fit(DesignMatrix(names, np.ldexp(x, 600), np.ldexp(y, -500)))
+        assert shift.coefficients == tuple(np.ldexp(base.coefficients, -1100))
+        assert shift.std_errors == tuple(np.ldexp(base.std_errors, -1100))
+        assert (shift.t_stats, shift.p_values, shift.r_squared) == \
+            (base.t_stats, base.p_values, base.r_squared)
+        scaled = ols_fit(DesignMatrix(names, x * x_scale, y * y_scale))
+        ratio = y_scale / x_scale
+        assert np.allclose(scaled.coefficients, np.multiply(base.coefficients, ratio),
+                           rtol=1e-12, atol=0.0)
+        assert np.allclose(scaled.std_errors, np.multiply(base.std_errors, ratio),
+                           rtol=1e-12, atol=0.0)
+        assert np.allclose(scaled.t_stats, base.t_stats, rtol=1e-12, atol=0.0)
+
     def test_planted_coefficients_recovered(self):
         rng = np.random.default_rng(21)
         regions = [Region.NORTHEAST, Region.SOUTH, Region.WEST, Region.MIDWEST]
@@ -154,12 +192,137 @@ class TestOlsFit:
         ]
         planted = np.array([0.002, 1e-7, 0.003, 0.08, 0.09, 0.075, 0.9, -0.05])
         probe = build_design(institutions, {f"u{i}": 0.0 for i in range(40)})
-        y = probe.rows @ planted + rng.normal(scale=1e-4, size=40)
+        rows = np.asarray(probe.rows)
+        y = rows @ planted + rng.normal(scale=1e-4, size=40)
         design = DesignMatrix(probe.feature_names, probe.rows, y)
         result = ols_fit(design)
-        beta, _, _ = normal_equations_ols(probe.rows, y)
+        beta, _, _ = normal_equations_ols(rows, y)
         assert np.allclose(result.coefficients, beta, rtol=1e-8)
         assert np.allclose(result.coefficients, planted, atol=2e-3)
+
+    def test_matches_lapack_on_random_designs(self):
+        # Every other design has benchmark-like column scales: enrollment
+        # ~1e4 and a case rate ~1e-3 per student.  Each column moves y by
+        # O(1), so every coefficient is well determined.
+        rng = np.random.default_rng(8)
+        for trial in range(40):
+            n, p = int(rng.integers(12, 300)), int(rng.integers(3, 9))
+            x = rng.normal(size=(n, p))
+            x[:, -1] = 1.0
+            if trial % 2:
+                x[:, 0] = rng.uniform(2000, 40000, n)
+                x[:, 1] = rng.integers(0, 60, n) / x[:, 0]
+            scale = np.where(x.std(axis=0) > 0, x.std(axis=0), 1.0)
+            y = x @ (rng.normal(size=p) / scale) + rng.normal(scale=0.1, size=n)
+            result = ols_fit(DesignMatrix(tuple(f"c{i}" for i in range(p)), x, y))
+            beta, se, t = lapack_ols(x, y, None)
+            for mine, ref in ((result.coefficients, beta), (result.std_errors, se),
+                              (result.t_stats, t)):
+                assert np.allclose(mine, ref, rtol=1e-8, atol=0.0), trial
+
+    @staticmethod
+    def _planted_design(kind):
+        rng = np.random.default_rng(13)
+        if kind == "no_midwest":
+            regions = [Region.NORTHEAST, Region.WEST, Region.SOUTH]
+            institutions = [
+                make_institution(f"u{i}", enrollment=int(rng.integers(2000, 40000)),
+                                 mf=float(rng.uniform(0.5, 1.5)),
+                                 private=bool(rng.integers(0, 2)), region=regions[i % 3],
+                                 cases=int(rng.integers(0, 50)))
+                for i in range(40)]
+            design = build_design(institutions, {f"u{i}": 0.0 for i in range(40)})
+            return design.feature_names, np.asarray(design.rows), rng.normal(size=40)
+        names = ("a", "b", "c", "d", "constant")
+        x = rng.normal(size=(30, 5))
+        x[:, -1] = 1.0
+        if kind == "duplicate":
+            x[:, 2] = x[:, 1]
+        elif kind == "scaled_copy":
+            x[:, 3] = -2.5e4 * x[:, 0]
+        elif kind == "near_dependence":
+            x[:, 2] = x[:, 1] + 1e-11 * rng.normal(size=30)
+        elif kind == "just_independent":
+            x[:, 2] = x[:, 1] + 1e-8 * rng.normal(size=30)
+        return names, x, rng.normal(size=30)
+
+    @pytest.mark.parametrize("kind, named", [
+        ("duplicate", "c"),
+        ("scaled_copy", "d"),
+        ("no_midwest", "constant"),
+        # below the 1e-10 ratio, yet every prefix gains rank at
+        # matrix_rank's tolerance, so the last column is named
+        ("near_dependence", "constant"),
+        ("just_independent", None),
+    ])
+    def test_rank_decision_matches_lapack(self, kind, named):
+        names, x, y = self._planted_design(kind)
+
+        def outcome(fit):
+            try:
+                fit()
+            except RankDeficientError as exc:
+                return str(exc)
+            return None
+
+        mine = outcome(lambda: ols_fit(DesignMatrix(names, x, y)))
+        assert mine == outcome(lambda: lapack_ols(x, y, names))
+        if named is None:
+            assert mine is None
+        else:
+            assert mine == f"design matrix is rank deficient at column {named!r}"
+
+    def test_perfect_fit_infinite_t_and_zero_coefficient_nan(self, tmp_path):
+        # y = 2 * constant over four rows: the constant column has norm 2,
+        # so every Householder step on y is exact, and the residuals and
+        # hence the standard errors are exactly 0.
+        x = [[1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [1.0, 3.0]]
+        result = ols_fit(DesignMatrix(("constant", "b"), x, [2.0] * 4))
+        assert result.coefficients == (2.0, 0.0)
+        assert result.std_errors == (0.0, 0.0)
+        assert result.t_stats[0] == np.inf
+        assert np.isnan(result.t_stats[1])
+        assert result.p_values[0] == 0.0
+        assert np.isnan(result.p_values[1])
+        path = tmp_path / "regression.csv"
+        write_regression_report(result, path)
+        lines = path.read_text().splitlines()
+        assert lines[1].endswith(",inf,0")
+        assert lines[2].endswith(",nan,nan")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        x = np.column_stack([np.arange(6.0), np.ones(6)])
+        y = np.arange(6.0)
+        bad_x, bad_y = x.copy(), y.copy()
+        bad_x[3, 0] = bad_y[2] = bad
+        for rows, response in ((bad_x, y), (x, bad_y)):
+            with pytest.raises(DataError, match="non-finite"):
+                ols_fit(DesignMatrix(("a", "constant"), rows, response))
+
+    def test_ragged_design_rejected(self):
+        x = [[1.0, 1.0]] * 5 + [[1.0]]
+        with pytest.raises(DataError, match="2 values per row"):
+            ols_fit(DesignMatrix(("a", "constant"), x, [1.0] * 6))
+
+    def test_singular_values_not_converged_raises(self, monkeypatch):
+        # one Jacobi sweep leaves a random design's columns not yet
+        # orthogonal, so its column norms are not the singular values
+        monkeypatch.setattr("postmine.stats._MAX_SWEEPS", 1)
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(20, 5))
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            ols_fit(DesignMatrix(tuple("abcde"), x, rng.normal(size=20)))
+
+    def test_budget_at_us_institution_scale(self):
+        # about the number of US degree-granting institutions
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(4000, 8))
+        x[:, -1] = 1.0
+        design = DesignMatrix(tuple("abcdefgh"), x.tolist(), rng.normal(size=4000).tolist())
+        start = time.perf_counter()
+        ols_fit(design)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestTPValue:
@@ -208,6 +371,46 @@ class TestTPValue:
                 value = t_pvalue(float(t), dof)
                 assert abs(value - ref) <= 1e-7 * ref, (dof, t, value, ref)
                 assert f"{value:.4g}" == f"{ref:.4g}", (dof, t, value, ref)
+
+
+    @pytest.mark.parametrize("dof", [1000, 10_000, 100_000])
+    def test_matches_betainc_at_large_dof(self, dof):
+        # t_tail_betainc rounds x = dof / (dof + t^2); where t^2 is tiny
+        # next to dof that rounding is the error, so there the reference
+        # is 1 - I_{1-x}(1/2, dof/2) with 1 - x = t^2 / (dof + t^2).
+        for t in np.logspace(-6, 3, 46):
+            t = float(t)
+            y = t * t / (dof + t * t)
+            ref = (1.0 - float(betainc(0.5, dof / 2.0, y)) if y < 1e-3
+                   else t_tail_betainc(t, dof))
+            if ref < np.finfo(float).tiny:
+                continue
+            value = t_pvalue(t, dof)
+            assert abs(value - ref) <= 1e-7 * ref, (dof, t, value, ref)
+            assert f"{value:.4g}" == f"{ref:.4g}", (dof, t, value, ref)
+
+    def test_matches_closed_form_series(self):
+        for dof in range(1, 121):
+            for t in np.logspace(-6, 3, 46):
+                ref = t_tail_closed_form(float(t), dof)
+                if ref < np.finfo(float).tiny:
+                    continue
+                value = t_pvalue(float(t), dof)
+                assert abs(value - ref) <= 1e-11 * ref, (dof, t, value, ref)
+        # t^2 overflows from |t| ~ 1.3e154; at dof 1 the tail is still
+        # ~2 / (pi |t|), and from 1e308 on a subnormal
+        for t in (1e155, -1e155, 1e200, 1e300, 1.7e308):
+            ref = t_tail_closed_form(t, 1)
+            value = t_pvalue(t, 1)
+            assert abs(value - ref) <= 1e-11 * ref, (t, value, ref)
+
+    def test_budget_at_large_dof(self):
+        # the closed-form series needs ~80 * dof terms near p = 0.5; the
+        # continued fraction's hardest t sit around its switch, t ~ sqrt(3)
+        start = time.perf_counter()
+        for t in (0.7, 1.0, 1.5, 1.7, 1.75, 2.0, 2.5, 3.0):
+            assert 0.0 < t_pvalue(t, 1_000_000) < 1.0
+        assert time.perf_counter() - start < 0.05
 
 
 def test_unique_user_rates_defaults_to_zero():
