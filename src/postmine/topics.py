@@ -16,9 +16,17 @@ over the nonzeros and one segment sum per document, and the expected
 counts come from one bincount per topic.  A per-document convergence
 mask keeps the per-document stopping rule: a document stops after the
 iteration in which its mean absolute change fell below ``inner_tol``,
-or after ``inner_iters``, and its nonzeros leave the working arrays.
-The bound is likewise one log-sum-exp over all nonzeros plus the
-per-document Dirichlet terms summed over rows.
+or after ``inner_iters``.  The iteration runs on arrays compacted to the
+live documents; a stopped document's topic weights are written back
+once, and its rows and nonzeros leave the working arrays.  The bound is
+likewise one log-sum-exp over all nonzeros plus the per-document
+Dirichlet terms summed over rows.
+
+The special functions are numpy code in this module, so the stage needs
+numpy alone.  Digamma shifts its argument by ten with the recurrence and
+then sums the asymptotic Bernoulli series; every Dirichlet expectation
+is one digamma call on a block that holds the parameters and their row
+sums.  Log-gamma, needed only by the bound, is ``math.lgamma``.
 
 The fit keeps the per-document variational parameters warm across
 sweeps, which makes the evidence lower bound non-decreasing from one
@@ -42,7 +50,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
 from .errors import DataError, EmptyVocabularyError
 from .textprep import Token, TokenKind
@@ -50,6 +57,12 @@ from .textprep import Token, TokenKind
 logger = logging.getLogger(__name__)
 
 COHERENCE_EPS = 1e-12
+
+# B_2j / (2j) for j = 1..7, the coefficients of the asymptotic series
+# psi(x) ~ ln x - 1/(2x) - sum_j B_2j / (2j x^2j) (Abramowitz & Stegun
+# 6.3.18); from x >= 10 on, the first omitted term is below 5e-17.
+_PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+_PSI_STEPS = np.arange(9.0, -1.0, -1.0)   # the recurrence's shifts, largest first
 
 _CONTENT_KINDS = (TokenKind.WORD, TokenKind.HASHTAG_SEGMENTED)
 
@@ -90,6 +103,7 @@ class TopicModel:
     terms: tuple[str, ...] | None = None
     objective_trace: tuple[float, ...] = ()
     converged: bool | None = None  # bound met tol before iters ran out; None if unknown
+    inner_iterations: int | None = None  # E-step iterations over all sweeps; None if unknown
 
 
 def content_terms(doc: Sequence[Token]) -> list[str]:
@@ -149,9 +163,51 @@ def tfidf(docs: Sequence[Sequence[Token]], vocab: Vocabulary) -> WeightedMatrix:
     return WeightedMatrix(rows=tuple(rows), n_terms=len(vocab), terms=vocab.terms)
 
 
+def _digamma(values: np.ndarray) -> np.ndarray:
+    """psi(x) elementwise for positive x.
+
+    The recurrence psi(x) = psi(x + 1) - 1/x gives psi(x) =
+    psi(x + 10) - sum_i 1/(x + i), i < 10, and at x + 10 >= 10 the
+    asymptotic series needs seven terms.  The positive corrections are
+    summed smallest first and subtracted from the logarithm once.
+    Against scipy's digamma the error is within 1.3e-15 * max(1, |psi|)
+    on [1e-3, 1e6].  Keep the order of operations: the demo bundle's fit
+    has top words tied to the last bit, and subtracting the corrections
+    one at a time, though as accurate, reorders its topic report."""
+    x = np.asarray(values, dtype=np.float64)
+    steps = x + _PSI_STEPS.reshape((-1,) + (1,) * x.ndim)   # x + 9, ..., x + 0
+    np.reciprocal(steps, out=steps)
+    correction = np.add.reduce(steps, axis=0)
+    shifted = x + len(_PSI_STEPS)
+    inv = np.reciprocal(shifted)
+    z = inv * inv
+    series = z * _PSI_SERIES[-1]
+    for coeff in reversed(_PSI_SERIES[:-1]):
+        series += coeff
+        series *= z
+    inv *= 0.5
+    correction += inv
+    correction += series
+    np.log(shifted, out=shifted)
+    shifted -= correction
+    return shifted
+
+
+def _gammaln(values: np.ndarray) -> np.ndarray:
+    """log Gamma(x) elementwise, by ``math.lgamma``."""
+    return np.fromiter(map(math.lgamma, values.ravel().tolist()),
+                       dtype=np.float64, count=values.size).reshape(values.shape)
+
+
 def _dirichlet_expectation(params: np.ndarray) -> np.ndarray:
-    """E[log x] under Dirichlet(row) for every row of ``params``."""
-    return digamma(params) - digamma(params.sum(axis=1))[:, None]
+    """E[log x] under Dirichlet(row) for every row of ``params``: one
+    digamma call on the rows with their sums appended as a last column."""
+    k = params.shape[1]
+    block = np.empty((len(params), k + 1))
+    block[:, :k] = params
+    block[:, k] = params.sum(axis=1)
+    psi = _digamma(block)
+    return psi[:, :k] - psi[:, k:]
 
 
 @dataclass(frozen=True)
@@ -224,9 +280,11 @@ def fit_lda(
 
     trace: list[float] = []
     converged = False
+    inner_total = 0
     for _ in range(iters):
         exp_elog_beta = np.exp(_dirichlet_expectation(lam).T[nz.ids])  # nnz x K
-        exp_elog_theta = _e_step(gamma, exp_elog_beta, nz, alpha, inner_iters, inner_tol)
+        exp_elog_theta, inner = _e_step(gamma, exp_elog_beta, nz, alpha, inner_iters, inner_tol)
+        inner_total += inner
         theta = exp_elog_theta[nz.doc_of]
         phinorm = np.einsum("jk,jk->j", theta, exp_elog_beta) + 1e-100
         weights = theta * (nz.cts / phinorm)[:, None] * exp_elog_beta
@@ -255,6 +313,7 @@ def fit_lda(
         terms=matrix.terms,
         objective_trace=tuple(trace),
         converged=converged,
+        inner_iterations=inner_total,
     )
 
 
@@ -265,37 +324,45 @@ def _e_step(
     alpha: float,
     inner_iters: int,
     inner_tol: float,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """Run the per-document fixed point for gamma on every active
     document at once, updating ``gamma`` in place; returns the final
-    exp(E[log theta]) rows.
+    exp(E[log theta]) rows and the number of iterations run.
 
     A document stops after the iteration in which its mean absolute
-    change of gamma fell below inner_tol, or after inner_iters; the
-    nonzeros of stopped documents drop out of the working arrays."""
+    change of gamma fell below inner_tol, or after inner_iters.  The
+    iteration works on arrays compacted to the live documents: a
+    stopped document's rows are written back once and leave them, along
+    with its nonzeros."""
     exp_elog_theta = np.exp(_dirichlet_expectation(gamma))
     if not len(gamma):
-        return exp_elog_theta
+        return exp_elog_theta, 0
     live = np.arange(len(gamma))
+    last, theta = gamma, exp_elog_theta
     beta, cts, local, lengths = exp_elog_beta, nz.cts, nz.doc_of, nz.lengths
     starts = _starts(lengths)
-    for _inner in range(inner_iters):
-        theta = exp_elog_theta[live]
+    inner = 0
+    for inner in range(1, inner_iters + 1):
         phinorm = np.einsum("jk,jk->j", theta[local], beta) + 1e-100
-        last = gamma[live]
         fresh = alpha + theta * np.add.reduceat(beta * (cts / phinorm)[:, None], starts)
-        gamma[live] = fresh
-        exp_elog_theta[live] = np.exp(_dirichlet_expectation(fresh))
+        theta = np.exp(_dirichlet_expectation(fresh))
         done = np.mean(np.abs(fresh - last), axis=1) < inner_tol
-        if done.all():
+        last = fresh
+        if done.all() or inner == inner_iters:
             break
         if done.any():
-            keep = ~done[local]
-            live, lengths = live[~done], lengths[~done]
-            beta, cts = beta[keep], cts[keep]
+            gamma[live[done]] = fresh[done]
+            exp_elog_theta[live[done]] = theta[done]
+            keep = ~done
+            live, lengths = live[keep], lengths[keep]
+            last, theta = last[keep], theta[keep]
+            keep_nz = keep[local]
+            beta, cts = beta[keep_nz], cts[keep_nz]
             local = np.repeat(np.arange(len(live)), lengths)
             starts = _starts(lengths)
-    return exp_elog_theta
+    gamma[live] = last
+    exp_elog_theta[live] = theta
+    return exp_elog_theta, inner
 
 
 def _elbo(
@@ -315,11 +382,11 @@ def _elbo(
     peak = combined.max(axis=1)
     score = float(nz.cts @ (peak + np.log(np.exp(combined - peak[:, None]).sum(axis=1))))
     score += float(np.sum((alpha - gamma) * elog_theta))
-    score += float(np.sum(gammaln(gamma)) - np.sum(gammaln(gamma.sum(axis=1))))
-    score += len(gamma) * (gammaln(alpha * k) - k * gammaln(alpha))
+    score += float(np.sum(_gammaln(gamma)) - np.sum(_gammaln(gamma.sum(axis=1))))
+    score += len(gamma) * (math.lgamma(alpha * k) - k * math.lgamma(alpha))
     score += float(np.sum((eta - lam) * elog_beta))
-    score += float(np.sum(gammaln(lam)) - np.sum(gammaln(lam.sum(axis=1))))
-    score += k * (gammaln(eta * n_terms) - n_terms * gammaln(eta))
+    score += float(np.sum(_gammaln(lam)) - np.sum(_gammaln(lam.sum(axis=1))))
+    score += k * (math.lgamma(eta * n_terms) - n_terms * math.lgamma(eta))
     return score
 
 
@@ -390,9 +457,9 @@ def select_k(
         score = coherence(model, docs, top_n=top_n)
         model = replace(model, coherence=score)
         logger.info(
-            "select_k: k=%d coherence=%.6f sweeps=%d bound=%.6f stop=%s",
-            k, score, len(model.objective_trace), model.objective_trace[-1],
-            "tol" if model.converged else "iters")
+            "select_k: k=%d coherence=%.6f sweeps=%d inner=%d bound=%.6f stop=%s",
+            k, score, len(model.objective_trace), model.inner_iterations,
+            model.objective_trace[-1], "tol" if model.converged else "iters")
         if best is None or score > best.coherence:
             best = model
     assert best is not None

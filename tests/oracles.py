@@ -7,8 +7,8 @@ looking words up by skeleton, the tokenizer oracle is the token regex
 without its two length caps, the OLS oracles solve the normal equations
 or call LAPACK through numpy instead of a pure-Python Householder QR,
 the t-tail oracles integrate the density numerically, call scipy's
-incomplete beta function or sum the closed-form series instead of
-evaluating the continued fraction, the neighbor oracle is a pure-Python full scan,
+or mpmath's incomplete beta function or sum the closed-form series
+instead of evaluating the continued fraction, the neighbor oracle is a pure-Python full scan,
 and the LDA oracle runs the variational E-step and bound one document
 at a time instead of batched over all documents.
 """
@@ -19,6 +19,7 @@ import itertools
 import math
 import re
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import betainc, digamma, gammaln
@@ -182,9 +183,10 @@ def lapack_ols(x, y, names):
 
     The design is rank deficient when its smallest singular value is
     below 1e-10 of the largest; the error then names the first column
-    whose prefix does not gain rank by ``np.linalg.matrix_rank``, or
-    the last column if every prefix does.  t is +-inf where se is 0,
-    and nan where the coefficient is also 0."""
+    whose prefix does not gain rank, counted as the prefix's singular
+    values above 1e-10 of its largest, or the last column if every
+    prefix does.  t is +-inf where se is 0, and nan where the
+    coefficient is also 0."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, p = x.shape
@@ -192,7 +194,8 @@ def lapack_ols(x, y, names):
     if singular[-1] < 1e-10 * singular[0]:
         name, rank = names[-1], 0
         for j in range(p):
-            new_rank = np.linalg.matrix_rank(x[:, : j + 1])
+            prefix = np.linalg.svd(x[:, : j + 1], compute_uv=False)
+            new_rank = int(np.sum(prefix > 1e-10 * prefix[0]))
             if new_rank == rank:
                 name = names[j]
                 break
@@ -229,6 +232,17 @@ def t_tail_betainc(t: float, dof: int) -> float:
     if np.isinf(t):
         return 0.0
     return float(betainc(dof / 2.0, 0.5, dof / (dof + t * t)))
+
+
+def t_tail_mpmath(t: float, dof: int, digits: int = 50) -> float:
+    """Two-sided Student-t tail through mpmath's regularized incomplete
+    beta function at ``digits`` decimal digits, with x = dof / (dof +
+    t^2) formed in that precision."""
+    with mpmath.workdps(digits):
+        t2 = mpmath.mpf(t) ** 2
+        x = dof / (dof + t2)
+        return float(mpmath.betainc(mpmath.mpf(dof) / 2, mpmath.mpf(1) / 2, 0, x,
+                                    regularized=True))
 
 
 def t_tail_closed_form(t: float, dof: int) -> float:

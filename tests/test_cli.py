@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import json
 import os
 import shutil
@@ -120,6 +121,7 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 _HEAVY_MODULES = {"numpy", "scipy", "postmine.textprep", "postmine.events"}
 _NOT_LOADED = {
     "ingest": _HEAVY_MODULES,
+    "topics": {"scipy"},
     "events": {"numpy", "scipy"},
     "sentiment": {"scipy"},
     "regress": _HEAVY_MODULES,
@@ -141,6 +143,19 @@ def test_each_stage_loads_only_what_it_runs(tmp_path, demo_bundle):
         loaded = {name for name in result["modules"]
                   if name in forbidden or name.split(".")[0] in forbidden}
         assert not loaded, (stage, sorted(loaded))
+
+
+def test_no_module_imports_scipy():
+    package = Path(__file__).resolve().parents[1] / "src" / "postmine"
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "scipy" for m in modules), path.name
 
 
 class TestIngestCommand:

@@ -11,6 +11,7 @@ from oracles import (
     normal_equations_ols,
     t_tail_betainc,
     t_tail_closed_form,
+    t_tail_mpmath,
     t_tail_quadrature,
 )
 from postmine.corpus import InstitutionRecord, Region
@@ -250,9 +251,9 @@ class TestOlsFit:
         ("duplicate", "c"),
         ("scaled_copy", "d"),
         ("no_midwest", "constant"),
-        # below the 1e-10 ratio, yet every prefix gains rank at
-        # matrix_rank's tolerance, so the last column is named
-        ("near_dependence", "constant"),
+        # below the 1e-10 ratio, so the prefix ending at the near copy
+        # gains no rank at that ratio
+        ("near_dependence", "c"),
         ("just_independent", None),
     ])
     def test_rank_decision_matches_lapack(self, kind, named):
@@ -403,6 +404,14 @@ class TestTPValue:
             ref = t_tail_closed_form(t, 1)
             value = t_pvalue(t, 1)
             assert abs(value - ref) <= 1e-11 * ref, (t, value, ref)
+
+    @pytest.mark.parametrize("dof", [10**6, 10**9, 10**12, 10**15])
+    def test_matches_mpmath_at_very_large_dof(self, dof):
+        # a difference of log-gammas in the prefactor would lose 6e-9 at
+        # dof 1e6 and give 0.636 for 0.0836 at 1e15
+        for t in (1e-3, 0.7, 1.73):
+            ref = t_tail_mpmath(t, dof)
+            assert abs(t_pvalue(t, dof) - ref) <= 1e-10 * ref, (t, ref)
 
     def test_budget_at_large_dof(self):
         # the closed-form series needs ~80 * dof terms near p = 0.5; the

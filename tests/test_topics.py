@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import digamma, gammaln
 
 from conftest import words
 from oracles import per_document_lda
+from postmine import topics
 from postmine.errors import DataError, EmptyVocabularyError
 from postmine.textprep import Token, TokenKind
 from postmine.topics import (
@@ -183,6 +185,22 @@ def test_batched_fit_matches_per_document_oracle(name, k):
     assert np.allclose(model.doc_topic, doc_topic, rtol=1e-9, atol=0.0)
 
 
+# [1e-3, 1e6] on a log grid, the neighbourhood of digamma's root at
+# 1.4616 and the prior eta = 0.01, as one 2-D block like the fit's
+_SPECIAL_POINTS = np.concatenate([
+    np.logspace(-3, 6, 2001), np.linspace(1.45, 1.475, 251),
+    [0.01, 1.4616321449683623]]).reshape(2, -1)
+
+
+@pytest.mark.parametrize("mine, reference", [
+    (topics._digamma, digamma), (topics._gammaln, gammaln)], ids=["digamma", "gammaln"])
+def test_special_functions_match_scipy(mine, reference):
+    ref = reference(_SPECIAL_POINTS)
+    value = mine(_SPECIAL_POINTS)
+    assert value.shape == ref.shape
+    assert np.all(np.abs(value - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+
 class TestCoherence:
     def test_perfect_cooccurrence_near_zero(self):
         docs = [words("a b c d")] * 3
@@ -236,12 +254,18 @@ class TestSelectK:
         docs, _ = planted_corpus(seed=13, n_docs=40)
         matrix = tfidf(docs, build_vocab(docs, min_df=1))
         with caplog.at_level(logging.INFO, logger="postmine.topics"):
-            select_k(matrix, docs, [2], seed=0, iters=1)
-            select_k(matrix, docs, [2], seed=0, iters=200)
+            one = select_k(matrix, docs, [2], seed=0, iters=1)
+            full = select_k(matrix, docs, [2], seed=0, iters=200)
         capped, converged = [r.getMessage() for r in caplog.records]
         assert capped.startswith("select_k: k=2 coherence=")
-        assert " sweeps=1 bound=" in capped and capped.endswith(" stop=iters")
+        assert f" sweeps=1 inner={one.inner_iterations} bound=" in capped
+        assert capped.endswith(" stop=iters")
         assert converged.endswith(" stop=tol")
+        sweeps = len(full.objective_trace)
+        assert f" sweeps={sweeps} inner={full.inner_iterations} bound=" in converged
+        # each sweep runs at least one and at most inner_iters (100) E-step iterations
+        assert 1 <= one.inner_iterations <= 100
+        assert sweeps <= full.inner_iterations <= 100 * sweeps
 
     def test_singleton_candidate(self):
         docs, _ = planted_corpus(seed=13, n_docs=40)
@@ -303,6 +327,7 @@ def test_model_serialization_round_trip(tmp_path):
     again = load_model(path, terms=model.terms)
     assert again.k == model.k
     assert again.seed == model.seed
+    assert model.inner_iterations >= 20 and again.inner_iterations is None
     assert np.array_equal(again.topic_word, model.topic_word)
     assert np.array_equal(again.doc_topic, model.doc_topic)
 
