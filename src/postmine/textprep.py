@@ -19,7 +19,9 @@ The stages, applied in order by ``preprocess``:
    unigram/bigram language model with stupid-backoff-style weighting.
    O(n^2 log n) at worst in the body length n, and O(n^2) unless a
    known bigram or a tie after rounding makes it sort the entries that
-   end at some position; memoised per body on the model.
+   end at some position; memoised per body on the model.  A body over
+   SEGMENT_MAX_CHARS (280, a tweet's length limit) characters is not
+   segmented and stays one word, so the cost per hashtag is bounded.
 
 All operations are pure given an immutable dictionary and language
 model, so corpus-level preprocessing can fan out per document.
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence, TextIO
+from typing import Mapping, TextIO
 
 from .errors import DataError
 
@@ -47,6 +49,8 @@ DESIGNATED_TAGS = (TAG_URL, TAG_EMAIL, TAG_USER)
 # Weight applied when a bigram is absent and we back off to the smoothed
 # unigram probability.
 BACKOFF_WEIGHT = 0.4
+# longest hashtag body that ``segment`` splits; longer ones stay whole
+SEGMENT_MAX_CHARS = 280
 
 
 class TokenKind(Enum):
@@ -397,10 +401,13 @@ def segment(body: str, lm: LanguageModel) -> list[str]:
     that differ in the last bit round to the same total after the next
     word, the dropped prefix never takes part in the tie.  The output
     concatenates back to the input body.  Results are memoised per body
-    on ``lm``.
+    on ``lm``.  A body longer than SEGMENT_MAX_CHARS is returned whole,
+    as one word.
     """
     if not body:
         return []
+    if len(body) > SEGMENT_MAX_CHARS:
+        return [body]
     words = lm.segmentations.get(body)
     if words is None:
         words = lm.segmentations[body] = _viterbi(body, lm)
@@ -554,8 +561,3 @@ def preprocess(
             out.append(token)
     return out
 
-
-def render(tokens: Sequence[Token]) -> str:
-    """Space-join token surfaces (the inverse-ish of tokenize, for
-    idempotence checks and artifact dumps)."""
-    return " ".join(t.surface for t in tokens)

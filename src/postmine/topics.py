@@ -13,18 +13,26 @@ Blei & Bach, "Online Learning for Latent Dirichlet Allocation", 2010):
 the nonzeros of all non-empty rows are concatenated once per fit, each
 inner iteration updates every document's topic weights with one gather
 over the nonzeros and one segment sum per document, and the expected
-counts come from one bincount per topic.  A per-document convergence
-mask keeps the per-document stopping rule: a document stops after the
-iteration in which its mean absolute change fell below ``inner_tol``,
-or after ``inner_iters``.  The iteration runs on arrays compacted to the
-live documents; a stopped document's topic weights are written back
-once, and its rows and nonzeros leave the working arrays.  The bound is
-likewise one log-sum-exp over all nonzeros plus the per-document
-Dirichlet terms summed over rows.
+counts come from one bincount per topic.  The arrays are topic-major:
+exp E[log beta] is gathered as K x nonzeros and the topic weights are
+K x documents, so every gather and segment sum runs along contiguous
+rows.  The update is scale-free: exp E[log theta] enters it and the
+expected counts only through ratios within a document, so the E-step
+uses exp(psi(gamma)) and never evaluates psi of the row sums.  A
+document stops after the iteration in which sum_k |change of gamma| <
+inner_tol * sum_k gamma (a relative form of the paper's mean-change
+threshold), or after ``inner_iters``; its topic weights are written
+back in that iteration.  Stopped documents leave the working arrays,
+with their nonzeros, once at most half of the working columns are still
+running, so compaction costs little and no document's arithmetic
+depends on when it happens.  The bound is one log-sum-exp over all
+nonzeros plus the per-document Dirichlet terms summed over documents,
+and keeps the full Dirichlet expectation.
 
 The special functions are numpy code in this module, so the stage needs
 numpy alone.  Digamma shifts its argument by ten with the recurrence and
-then sums the asymptotic Bernoulli series; every Dirichlet expectation
+then sums the asymptotic Bernoulli series; each Dirichlet expectation
+(of the topic-word parameters every sweep, and of gamma in the bound)
 is one digamma call on a block that holds the parameters and their row
 sums.  Log-gamma, needed only by the bound, is ``math.lgamma``.
 
@@ -36,9 +44,14 @@ monotonicity.
 
 Model quality is scored with intrinsic (co-document) coherence: for
 each topic, sum over ordered top-word pairs (w_i, w_j), i > j ranked by
-topic mass, of ln((codoc(w_i, w_j) + eps) / doc(w_j)), eps = 1e-12,
-averaged over topics.  ``select_k`` fits one model per candidate K and
-returns the coherence argmax, ties broken toward smaller K.
+``top_words``, of ln((codoc(w_i, w_j) + eps) / doc(w_j)), eps = 1e-12,
+averaged over topics.  ``top_words`` sorts by weight, descending, and
+orders by name each chain of sorted neighbours whose gap is at most
+1e-9 times the larger of the two, so words with the same document
+profile, which converge to the same weight only up to rounding, rank by
+name and the report does not depend on the fit's last bits.
+``select_k`` fits one model per candidate K and returns the coherence
+argmax, ties broken toward smaller K.
 """
 
 from __future__ import annotations
@@ -57,6 +70,8 @@ from .textprep import Token, TokenKind
 logger = logging.getLogger(__name__)
 
 COHERENCE_EPS = 1e-12
+# top_words ranks sorted neighbours this close, relative to the larger, by name
+TIE_RTOL = 1e-9
 
 # B_2j / (2j) for j = 1..7, the coefficients of the asymptotic series
 # psi(x) ~ ln x - 1/(2x) - sum_j B_2j / (2j x^2j) (Abramowitz & Stegun
@@ -104,6 +119,7 @@ class TopicModel:
     objective_trace: tuple[float, ...] = ()
     converged: bool | None = None  # bound met tol before iters ran out; None if unknown
     inner_iterations: int | None = None  # E-step iterations over all sweeps; None if unknown
+    capped_documents: int | None = None  # documents cut off by inner_iters, over all sweeps
 
 
 def content_terms(doc: Sequence[Token]) -> list[str]:
@@ -171,9 +187,7 @@ def _digamma(values: np.ndarray) -> np.ndarray:
     asymptotic series needs seven terms.  The positive corrections are
     summed smallest first and subtracted from the logarithm once.
     Against scipy's digamma the error is within 1.3e-15 * max(1, |psi|)
-    on [1e-3, 1e6].  Keep the order of operations: the demo bundle's fit
-    has top words tied to the last bit, and subtracting the corrections
-    one at a time, though as accurate, reorders its topic report."""
+    on [1e-3, 1e6]."""
     x = np.asarray(values, dtype=np.float64)
     steps = x + _PSI_STEPS.reshape((-1,) + (1,) * x.ndim)   # x + 9, ..., x + 0
     np.reciprocal(steps, out=steps)
@@ -247,7 +261,7 @@ def fit_lda(
     eta: float = 0.01,
     tol: float = 1e-6,
     inner_iters: int = 100,
-    inner_tol: float = 1e-10,
+    inner_tol: float = 1e-6,
 ) -> TopicModel:
     """Batch variational-Bayes LDA over (possibly fractional) weights.
 
@@ -274,24 +288,24 @@ def fit_lda(
 
     rng = np.random.default_rng(seed)
     lam = rng.gamma(100.0, 0.01, (k, n_terms))
-    # gamma holds the active documents' rows only, in order
+    # gamma holds the active documents' columns only, in order: K x active
     row_sums = np.array([matrix.rows[d][1].sum() for d in active])
-    gamma = np.repeat(alpha + row_sums[:, None] / k, k, axis=1)
+    gamma = np.repeat((alpha + row_sums / k)[None, :], k, axis=0)
 
     trace: list[float] = []
     converged = False
-    inner_total = 0
+    inner_total = capped_total = 0
     for _ in range(iters):
-        exp_elog_beta = np.exp(_dirichlet_expectation(lam).T[nz.ids])  # nnz x K
-        exp_elog_theta, inner = _e_step(gamma, exp_elog_beta, nz, alpha, inner_iters, inner_tol)
+        exp_elog_beta = np.take(np.exp(_dirichlet_expectation(lam)), nz.ids, axis=1)  # K x nnz
+        theta, inner, capped = _e_step(gamma, exp_elog_beta, nz, alpha, inner_iters, inner_tol)
         inner_total += inner
-        theta = exp_elog_theta[nz.doc_of]
-        phinorm = np.einsum("jk,jk->j", theta, exp_elog_beta) + 1e-100
-        weights = theta * (nz.cts / phinorm)[:, None] * exp_elog_beta
+        capped_total += capped
+        weights = np.take(theta, nz.doc_of, axis=1)
+        phinorm = np.einsum("kj,kj->j", weights, exp_elog_beta) + 1e-100
+        weights *= nz.cts / phinorm
+        weights *= exp_elog_beta
         sstats = np.array([
-            np.bincount(nz.ids, weights=weights[:, t], minlength=n_terms)
-            for t in range(k)
-        ])
+            np.bincount(nz.ids, weights=row, minlength=n_terms) for row in weights])
         lam = eta + sstats
         bound = _elbo(nz, gamma, lam, alpha, eta)
         trace.append(bound)
@@ -303,7 +317,7 @@ def fit_lda(
 
     topic_word = lam / lam.sum(axis=1)[:, None]
     doc_topic = np.full((n_docs, k), 1.0 / k)
-    doc_topic[active] = gamma / gamma.sum(axis=1)[:, None]
+    doc_topic[active] = (gamma / gamma.sum(axis=0)).T
     return TopicModel(
         k=k,
         topic_word=topic_word,
@@ -314,6 +328,7 @@ def fit_lda(
         objective_trace=tuple(trace),
         converged=converged,
         inner_iterations=inner_total,
+        capped_documents=capped_total,
     )
 
 
@@ -324,45 +339,56 @@ def _e_step(
     alpha: float,
     inner_iters: int,
     inner_tol: float,
-) -> tuple[np.ndarray, int]:
-    """Run the per-document fixed point for gamma on every active
-    document at once, updating ``gamma`` in place; returns the final
-    exp(E[log theta]) rows and the number of iterations run.
+) -> tuple[np.ndarray, int, int]:
+    """Run the per-document fixed point for gamma (K x active) on every
+    active document at once, updating ``gamma`` in place; returns the
+    final exp(psi(gamma)) columns, the number of iterations run and the
+    number of documents still running when inner_iters ran out.
 
-    A document stops after the iteration in which its mean absolute
-    change of gamma fell below inner_tol, or after inner_iters.  The
-    iteration works on arrays compacted to the live documents: a
-    stopped document's rows are written back once and leave them, along
-    with its nonzeros."""
-    exp_elog_theta = np.exp(_dirichlet_expectation(gamma))
-    if not len(gamma):
-        return exp_elog_theta, 0
-    live = np.arange(len(gamma))
-    last, theta = gamma, exp_elog_theta
+    exp(psi(gamma)) stands in for exp(E[log theta]): the two differ by
+    a factor per document, which ``phinorm`` divides out of the update
+    and of the expected counts.  A document stops after the iteration
+    in which sum_k |change of gamma| < inner_tol * sum_k gamma, or after
+    inner_iters; its columns are written back in that iteration.  They
+    leave the working arrays, with its nonzeros, once at most half of
+    the working columns are still running; until then they are updated
+    and ignored, which leaves every other document's arithmetic as it
+    is."""
+    exp_theta = np.exp(_digamma(gamma))
+    if not gamma.shape[1]:
+        return exp_theta, 0, 0
+    live = np.arange(gamma.shape[1])      # working column -> active document
+    running = np.ones(len(live), dtype=bool)
+    last, theta = gamma, exp_theta
     beta, cts, local, lengths = exp_elog_beta, nz.cts, nz.doc_of, nz.lengths
     starts = _starts(lengths)
     inner = 0
     for inner in range(1, inner_iters + 1):
-        phinorm = np.einsum("jk,jk->j", theta[local], beta) + 1e-100
-        fresh = alpha + theta * np.add.reduceat(beta * (cts / phinorm)[:, None], starts)
-        theta = np.exp(_dirichlet_expectation(fresh))
-        done = np.mean(np.abs(fresh - last), axis=1) < inner_tol
+        phinorm = np.einsum("kj,kj->j", np.take(theta, local, axis=1), beta) + 1e-100
+        fresh = alpha + theta * np.add.reduceat(beta * (cts / phinorm), starts, axis=1)
+        theta = np.exp(_digamma(fresh))
+        stop = np.abs(fresh - last).sum(axis=0) < inner_tol * fresh.sum(axis=0)
+        stop &= running
         last = fresh
-        if done.all() or inner == inner_iters:
+        if not stop.any():
+            continue
+        gamma[:, live[stop]] = fresh[:, stop]
+        exp_theta[:, live[stop]] = theta[:, stop]
+        running &= ~stop
+        still = np.count_nonzero(running)
+        if not still:
             break
-        if done.any():
-            gamma[live[done]] = fresh[done]
-            exp_elog_theta[live[done]] = theta[done]
-            keep = ~done
-            live, lengths = live[keep], lengths[keep]
-            last, theta = last[keep], theta[keep]
-            keep_nz = keep[local]
-            beta, cts = beta[keep_nz], cts[keep_nz]
+        if 2 * still <= len(running):
+            keep_nz = np.repeat(running, lengths)
+            live, lengths = live[running], lengths[running]
+            last, theta = last[:, running], theta[:, running]
+            beta, cts = beta[:, keep_nz], cts[keep_nz]
             local = np.repeat(np.arange(len(live)), lengths)
             starts = _starts(lengths)
-    gamma[live] = last
-    exp_elog_theta[live] = theta
-    return exp_elog_theta, inner
+            running = np.ones(len(live), dtype=bool)
+    gamma[:, live[running]] = last[:, running]
+    exp_theta[:, live[running]] = theta[:, running]
+    return exp_theta, inner, int(np.count_nonzero(running))
 
 
 def _elbo(
@@ -374,16 +400,16 @@ def _elbo(
 ) -> float:
     """Evidence lower bound with the per-token assignments optimized out
     (log-sum-exp over topics for every weighted term); ``gamma`` holds
-    the active documents' rows."""
+    the active documents' columns."""
     k, n_terms = lam.shape
     elog_beta = _dirichlet_expectation(lam)
-    elog_theta = _dirichlet_expectation(gamma)
-    combined = elog_theta[nz.doc_of] + elog_beta.T[nz.ids]   # nnz x K
-    peak = combined.max(axis=1)
-    score = float(nz.cts @ (peak + np.log(np.exp(combined - peak[:, None]).sum(axis=1))))
+    elog_theta = _dirichlet_expectation(gamma.T).T
+    combined = np.take(elog_theta, nz.doc_of, axis=1) + np.take(elog_beta, nz.ids, axis=1)
+    peak = combined.max(axis=0)
+    score = float(nz.cts @ (peak + np.log(np.exp(combined - peak).sum(axis=0))))
     score += float(np.sum((alpha - gamma) * elog_theta))
-    score += float(np.sum(_gammaln(gamma)) - np.sum(_gammaln(gamma.sum(axis=1))))
-    score += len(gamma) * (math.lgamma(alpha * k) - k * math.lgamma(alpha))
+    score += float(np.sum(_gammaln(gamma)) - np.sum(_gammaln(gamma.sum(axis=0))))
+    score += gamma.shape[1] * (math.lgamma(alpha * k) - k * math.lgamma(alpha))
     score += float(np.sum((eta - lam) * elog_beta))
     score += float(np.sum(_gammaln(lam)) - np.sum(_gammaln(lam.sum(axis=1))))
     score += k * (math.lgamma(eta * n_terms) - n_terms * math.lgamma(eta))
@@ -391,15 +417,26 @@ def _elbo(
 
 
 def top_words(model: TopicModel, topic: int, n: int) -> list[tuple[str, float]]:
-    """The n highest-probability terms of one topic, descending, ties
-    broken lexicographically; clamps n to the vocabulary size."""
+    """The n highest-probability terms of one topic; clamps n to the
+    vocabulary size.
+
+    The terms are sorted by weight, descending, and each run of sorted
+    neighbours whose gap is at most TIE_RTOL (1e-9) times the larger of
+    the two forms one chain, which is ordered by name.  So terms whose
+    weights differ only by rounding rank by name, and the ranking does
+    not depend on the last bits of the fit."""
     if model.terms is None:
         raise ValueError("model carries no vocabulary terms")
     if not 0 <= topic < model.k:
         raise ValueError(f"topic {topic} out of range for k={model.k}")
     row = model.topic_word[topic]
-    order = sorted(range(len(row)), key=lambda i: (-row[i], model.terms[i]))
-    return [(model.terms[i], float(row[i])) for i in order[: min(n, len(row))]]
+    order = np.argsort(-row, kind="stable")
+    weights = row[order]
+    chain = np.zeros(len(row), dtype=np.intp)
+    np.cumsum(weights[:-1] - weights[1:] > TIE_RTOL * weights[:-1], out=chain[1:])
+    names = [model.terms[i] for i in order.tolist()]
+    ranked = sorted(zip(chain.tolist(), names, weights.tolist()))
+    return [(name, weight) for _, name, weight in ranked[: min(n, len(row))]]
 
 
 def coherence(
@@ -457,9 +494,10 @@ def select_k(
         score = coherence(model, docs, top_n=top_n)
         model = replace(model, coherence=score)
         logger.info(
-            "select_k: k=%d coherence=%.6f sweeps=%d inner=%d bound=%.6f stop=%s",
+            "select_k: k=%d coherence=%.6f sweeps=%d inner=%d capped=%d bound=%.6f stop=%s",
             k, score, len(model.objective_trace), model.inner_iterations,
-            model.objective_trace[-1], "tol" if model.converged else "iters")
+            model.capped_documents, model.objective_trace[-1],
+            "tol" if model.converged else "iters")
         if best is None or score > best.coherence:
             best = model
     assert best is not None

@@ -329,7 +329,7 @@ def per_document_lda(
     eta: float = 0.01,
     tol: float = 1e-6,
     inner_iters: int = 100,
-    inner_tol: float = 1e-10,
+    inner_tol: float = 1e-6,
 ):
     """Batch variational-Bayes LDA with a per-document Python loop for
     the E-step and the bound; returns (topic_word, doc_topic, bound
@@ -361,7 +361,7 @@ def per_document_lda(
                 last_gamma = gamma_d
                 gamma_d = alpha + exp_elog_theta_d * ((cts / phinorm) @ beta_d.T)
                 exp_elog_theta_d = np.exp(_dirichlet_expectation(gamma_d))
-                if np.mean(np.abs(gamma_d - last_gamma)) < inner_tol:
+                if np.sum(np.abs(gamma_d - last_gamma)) < inner_tol * np.sum(gamma_d):
                     break
             gamma[d] = gamma_d
             phinorm = exp_elog_theta_d @ beta_d + 1e-100

@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import TOY_BIGRAMS, TOY_UNIGRAMS
 from oracles import exhaustive_segment, lm_score, product_squeeze, regex_tokenize
+from postmine import textprep
 from postmine.errors import DataError
 from postmine.textprep import (
+    SEGMENT_MAX_CHARS,
     TAG_EMAIL,
     TAG_URL,
     TAG_USER,
@@ -25,7 +28,6 @@ from postmine.textprep import (
     load_correction_dictionary,
     load_language_model,
     preprocess,
-    render,
     segment,
     tokenize,
     transition_score,
@@ -304,6 +306,19 @@ class TestSegment:
         lm = LanguageModel.from_counts({"me": 10, "too": 5, "to": 4, "o": 1})
         assert "".join(segment(body, lm)) == body
 
+    @given(st.text(alphabet="metoahlwrdscnupy", min_size=1, max_size=SEGMENT_MAX_CHARS))
+    @settings(max_examples=40, deadline=None)
+    def test_within_cap_matches_uncapped_viterbi(self, body):
+        lm = LanguageModel.from_counts(TOY_UNIGRAMS, TOY_BIGRAMS)
+        assert segment(body, lm) == list(textprep._viterbi(body, lm))
+
+    def test_cap_is_a_tweet_length(self):
+        lm = LanguageModel.from_counts(TOY_UNIGRAMS, TOY_BIGRAMS)
+        at_cap = "metoo" * 56
+        assert len(at_cap) == SEGMENT_MAX_CHARS == 280
+        assert segment(at_cap, lm) == ["me", "too"] * 56
+        assert segment(at_cap + "a", lm) == [at_cap + "a"]
+
 
 class TestPreprocess:
     def _dict(self):
@@ -339,7 +354,7 @@ class TestPreprocess:
         d = self._dict()
         for text in texts:
             once = preprocess(text, d, toy_lm)
-            again = preprocess(render(once), d, toy_lm)
+            again = preprocess(" ".join(surfaces(once)), d, toy_lm)
             assert surfaces(again) == surfaces(once)
 
 
@@ -366,6 +381,14 @@ class TestWorstCaseBudgets:
         surface = "".join(ch * 3 for ch in letters)
         assert self.timed(_squeeze_elongation, surface, d) < 0.1
         assert _squeeze_elongation(surface, d) == letters
+
+    def test_preprocess_long_hashtag(self, toy_lm):
+        rng = random.Random(40000)
+        body = "".join(rng.choice(string.ascii_lowercase) for _ in range(40000))
+        lm = LanguageModel.from_counts(dict(toy_lm.unigram_counts), dict(toy_lm.bigram_counts))
+        d = CorrectionDictionary({}, valid_words=frozenset())
+        assert self.timed(preprocess, "#" + body, d, lm) < 1.0
+        assert preprocess("#" + body, d, lm) == [Token(body, TokenKind.HASHTAG_SEGMENTED)]
 
     @pytest.mark.parametrize("text", ["a+" * 16000, "$" * 32000],
                              ids=["email-run", "mask-run"])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from postmine.errors import DataError, EmptyVocabularyError
 from postmine.textprep import Token, TokenKind
 from postmine.topics import (
     COHERENCE_EPS,
+    TIE_RTOL,
     TopicModel,
     WeightedMatrix,
     build_vocab,
@@ -258,14 +260,22 @@ class TestSelectK:
             full = select_k(matrix, docs, [2], seed=0, iters=200)
         capped, converged = [r.getMessage() for r in caplog.records]
         assert capped.startswith("select_k: k=2 coherence=")
-        assert f" sweeps=1 inner={one.inner_iterations} bound=" in capped
+        assert (f" sweeps=1 inner={one.inner_iterations} "
+                f"capped={one.capped_documents} bound=") in capped
         assert capped.endswith(" stop=iters")
         assert converged.endswith(" stop=tol")
         sweeps = len(full.objective_trace)
-        assert f" sweeps={sweeps} inner={full.inner_iterations} bound=" in converged
+        assert (f" sweeps={sweeps} inner={full.inner_iterations} "
+                f"capped={full.capped_documents} bound=") in converged
         # each sweep runs at least one and at most inner_iters (100) E-step iterations
         assert 1 <= one.inner_iterations <= 100
         assert sweeps <= full.inner_iterations <= 100 * sweeps
+        # a document is cut off at most once per sweep, and only by a
+        # sweep that ran all inner_iters; the random start leaves the
+        # first sweep short of the tolerance
+        assert 0 < one.capped_documents <= len(docs)
+        assert one.inner_iterations == 100
+        assert one.capped_documents <= full.capped_documents <= len(docs) * sweeps
 
     def test_singleton_candidate(self):
         docs, _ = planted_corpus(seed=13, n_docs=40)
@@ -317,6 +327,38 @@ class TestTopWords:
         model = self._model([0.6, 0.4], ("a", "b"))
         assert len(top_words(model, 0, 99)) == 2
 
+    def test_near_ties_chained_and_ordered_by_name(self):
+        # d, c and b are each within TIE_RTOL of their sorted neighbour,
+        # so they form one chain although d and b are further apart;
+        # a is just outside it
+        step = 0.4 * TIE_RTOL
+        weights = [0.2 * (1 - 5 * step), 0.2 * (1 - 2 * step), 0.2 * (1 - step), 0.2, 0.1]
+        model = self._model(weights, ("a", "b", "c", "d", "e"))
+        assert [w for w, _ in top_words(model, 0, 5)] == ["b", "c", "d", "a", "e"]
+        assert [w for w, _ in top_words(model, 0, 2)] == ["b", "c"]
+        assert top_words(model, 0, 1) == [("b", weights[1])]
+
+    def test_ranking_ignores_last_bit_of_identical_columns(self):
+        # every theme word has a twin on exactly the same documents, so
+        # the fit gives the two the same weight up to rounding
+        base, _ = planted_corpus(seed=19, n_docs=90)
+        docs = [[t for tok in doc for t in (tok, Token("twin" + tok.surface, tok.kind))]
+                for doc in base]
+        matrix = tfidf(docs, build_vocab(docs, min_df=1))
+        model = fit_lda(matrix, 3, seed=3, iters=30)
+        index = {term: i for i, term in enumerate(model.terms)}
+        for t in range(model.k):
+            names = [w for w, _ in top_words(model, t, 12)]
+            for word in names:
+                twin = word[4:] if word.startswith("twin") else "twin" + word
+                assert twin in names and names.index(twin) - names.index(word) in (-1, 1)
+                for direction in (-np.inf, np.inf):
+                    topic_word = model.topic_word.copy()
+                    cell = topic_word[t, index[word]]
+                    topic_word[t, index[word]] = np.nextafter(cell, direction)
+                    again = top_words(replace(model, topic_word=topic_word), t, 12)
+                    assert [w for w, _ in again] == names
+
 
 def test_model_serialization_round_trip(tmp_path):
     docs, _ = planted_corpus(seed=23, n_docs=30)
@@ -328,6 +370,7 @@ def test_model_serialization_round_trip(tmp_path):
     assert again.k == model.k
     assert again.seed == model.seed
     assert model.inner_iterations >= 20 and again.inner_iterations is None
+    assert model.capped_documents >= 0 and again.capped_documents is None
     assert np.array_equal(again.topic_word, model.topic_word)
     assert np.array_equal(again.doc_topic, model.doc_topic)
 
