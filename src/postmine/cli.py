@@ -225,7 +225,9 @@ def _preprocessed(config: RunConfig, posts) -> list[list[textprep.Token]]:
     dictionary = textprep.load_correction_dictionary(
         config.abbreviations, config.wordlist, config.censored)
     lm = textprep.load_language_model(config.language_model)
-    return [textprep.preprocess(post.text, dictionary, lm) for post in posts]
+    # one memo per run: each distinct whitespace chunk is processed once
+    memo: dict[str, tuple[textprep.Token, ...]] = {}
+    return [textprep.preprocess(post.text, dictionary, lm, memo) for post in posts]
 
 
 def cmd_ingest(config: RunConfig) -> None:

@@ -145,6 +145,13 @@ def _parse_post(obj: object) -> Post:
                         ("institution_id", institution_id), ("text", text)):
         if not isinstance(value, str):
             raise ValueError("field %r is not a string" % name)
+    # ids are written out as text, so they must encode
+    for name, value in (("post_id", post_id), ("user_id", user_id),
+                        ("institution_id", institution_id)):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("field %r is not valid UTF-8" % name) from None
     if not post_id:
         raise ValueError("empty post_id")
     if not user_id:
@@ -185,6 +192,8 @@ def ingest_posts(source: str | Path | TextIO) -> tuple[Corpus, list[str]]:
             continue
         try:
             posts.append(_parse_post(json.loads(line)))
+        except RecursionError:
+            warnings.append(f"line {lineno}: JSON nested too deeply")
         except (ValueError, TypeError) as exc:
             warnings.append(f"line {lineno}: {exc}")
     _log_warnings("ingest_posts", warnings)

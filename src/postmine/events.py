@@ -66,6 +66,8 @@ class VerbInventory:
                 raise DataError(f"inflection {surface!r} maps to unknown lemma {lemma!r}")
             table.setdefault(surface, lemma)
         self.inflections = table
+        # surface -> lemma or None; filled by ``lemmatize``
+        self.lemmatized: dict[str, str | None] = {}
 
     def __contains__(self, lemma: str) -> bool:
         return lemma in self.lemmas
@@ -113,15 +115,18 @@ def lemmatize(surface: str, inventory: VerbInventory) -> str | None:
 
     Exact inflection-map hits win; otherwise suffix rules for -ed, -ing,
     -es, -s with consonant-undoubling and silent-e restoration, accepted
-    only when the candidate is an inventory lemma.
+    only when the candidate is an inventory lemma.  Memoised per surface
+    on ``inventory``.
     """
-    hit = inventory.inflections.get(surface)
-    if hit is not None:
-        return hit
-    for candidate in _suffix_candidates(surface):
-        if candidate in inventory.lemmas:
-            return candidate
-    return None
+    memo = inventory.lemmatized
+    if surface in memo:
+        return memo[surface]
+    lemma = inventory.inflections.get(surface)
+    if lemma is None:
+        lemma = next(
+            (c for c in _suffix_candidates(surface) if c in inventory.lemmas), None)
+    memo[surface] = lemma
+    return lemma
 
 
 def _suffix_candidates(surface: str) -> list[str]:

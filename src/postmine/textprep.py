@@ -23,6 +23,15 @@ The stages, applied in order by ``preprocess``:
    SEGMENT_MAX_CHARS (280, a tweet's length limit) characters is not
    segmented and stays one word, so the cost per hashtag is bounded.
 
+``preprocess`` applies them to each whitespace-separated chunk of a
+text (``\\S+``, the regex engine's whitespace class) on its own.  That
+equals applying them to the whole text: no tokenizer rule has an
+anchor or a lookaround or can match whitespace (no emoticon or
+designated tag contains any), so no token crosses a chunk boundary,
+and the later stages work on one token at a time.  A memo dict passed
+to every ``preprocess`` call of a run maps each distinct chunk to its
+tokens, so repeated chunks are processed once per run.
+
 All operations are pure given an immutable dictionary and language
 model, so corpus-level preprocessing can fan out per document.
 """
@@ -538,14 +547,44 @@ def _best_previous(body, lm, word, start, ranked, prev_score, prev_tie, backoff)
 
 
 _HASHTAG_BODY_RE = re.compile(r"[^0-9a-z]")
+# A run of the regex engine's non-whitespace: no token spans whitespace.
+_CHUNK_RE = re.compile(r"\S+")
 
 
 def preprocess(
-    text: str, dictionary: CorrectionDictionary, lm: LanguageModel
+    text: str,
+    dictionary: CorrectionDictionary,
+    lm: LanguageModel,
+    memo: dict[str, tuple[Token, ...]] | None = None,
 ) -> list[Token]:
-    """Tokenize, correct and hashtag-segment one post's text."""
+    """Tokenize, correct and hashtag-segment one post's text.
+
+    The text is split into its whitespace-separated chunks (``\\S+``,
+    the whitespace class ``tokenize`` itself uses), and each chunk is
+    processed alone.  This equals processing the whole text: no
+    tokenizer rule can match or look past whitespace, and every later
+    step works on one token at a time.  ``memo`` maps a chunk to its
+    tokens; pass one dict to the calls of a run so each distinct chunk
+    is processed once (None: a fresh dict, no sharing).  It holds each
+    distinct chunk once, so it grows linearly with the input.
+    """
+    if memo is None:
+        memo = {}
     out: list[Token] = []
-    for token in tokenize(text):
+    for chunk in _CHUNK_RE.findall(text):
+        tokens = memo.get(chunk)
+        if tokens is None:
+            tokens = memo[chunk] = _preprocess_chunk(chunk, dictionary, lm)
+        out.extend(tokens)
+    return out
+
+
+def _preprocess_chunk(
+    chunk: str, dictionary: CorrectionDictionary, lm: LanguageModel
+) -> tuple[Token, ...]:
+    """The tokens of one chunk: tokenize, then correct or segment each."""
+    out: list[Token] = []
+    for token in tokenize(chunk):
         if token.kind is TokenKind.WORD and token.surface.startswith("#"):
             body = _HASHTAG_BODY_RE.sub("", token.surface[1:])
             out.extend(
@@ -559,5 +598,4 @@ def preprocess(
                 out.extend(correct_spelling(token, dictionary))
         else:
             out.append(token)
-    return out
-
+    return tuple(out)

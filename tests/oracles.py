@@ -10,7 +10,10 @@ the t-tail oracles integrate the density numerically, call scipy's
 or mpmath's incomplete beta function or sum the closed-form series
 instead of evaluating the continued fraction, the neighbor oracle is a pure-Python full scan,
 and the LDA oracle runs the variational E-step and bound one document
-at a time instead of batched over all documents.
+at a time instead of batched over all documents.  The one exception is
+the preprocessing oracle: it runs textprep's per-token steps on the
+whole text at once, with no split into whitespace chunks and no memo,
+so it checks only that split.
 """
 
 from __future__ import annotations
@@ -25,6 +28,14 @@ from scipy.integrate import quad
 from scipy.special import betainc, digamma, gammaln
 
 from postmine.errors import RankDeficientError
+from postmine.textprep import (
+    _HASHTAG_BODY_RE,
+    Token,
+    TokenKind,
+    correct_spelling,
+    segment,
+    tokenize,
+)
 
 
 def lm_score(lm, prev: str | None, word: str) -> float:
@@ -161,6 +172,26 @@ def regex_tokenize(text: str, emoticons) -> list[tuple[str, str]]:
         group = match.lastgroup
         surface = _REFERENCE_TAGS.get(group, match.group().lower())
         out.append((surface, _REFERENCE_KINDS[group]))
+    return out
+
+
+def whole_text_preprocess(text, dictionary, lm) -> list:
+    """Tokenize the whole text, then correct or segment token by token."""
+    out = []
+    for token in tokenize(text):
+        if token.kind is TokenKind.WORD and token.surface.startswith("#"):
+            body = _HASHTAG_BODY_RE.sub("", token.surface[1:])
+            out.extend(
+                Token(word, TokenKind.HASHTAG_SEGMENTED)
+                for word in segment(body, lm)
+            )
+        elif token.kind is TokenKind.WORD:
+            if token.surface in dictionary.censored:
+                out.append(Token(token.surface, TokenKind.CENSORED))
+            else:
+                out.extend(correct_spelling(token, dictionary))
+        else:
+            out.append(token)
     return out
 
 

@@ -180,6 +180,19 @@ class TestIngestCommand:
         assert main(["--config", str(config), "ingest"]) == 0
         assert (tmp_path / "out" / CORPUS_ARTIFACT).read_bytes() == first
 
+    def test_lone_surrogate_id_is_malformed(self, tmp_path, demo_bundle):
+        # the id would make every later stage that writes it fail
+        posts = tmp_path / "posts.jsonl"
+        posts.write_text(demo_bundle["posts"].read_text()
+                         + post_line("p\ud800x", text="my boss harassed me") + "\n")
+        config = write_config(tmp_path, demo_bundle, posts=str(posts))
+        assert main(["--config", str(config), "ingest"]) == 0
+        summary = (tmp_path / "out" / INGEST_SUMMARY).read_text()
+        assert "malformed_lines=1" in summary
+        assert "'post_id' is not valid UTF-8" in summary
+        for command in ("topics", "events", "sentiment", "regress", "report"):
+            assert main(["--config", str(config), command]) == 0, command
+
     def test_topics_requires_corpus_artifact(self, tmp_path, demo_bundle, capsys):
         config = write_config(tmp_path, demo_bundle)
         assert main(["--config", str(config), "topics"]) == 2

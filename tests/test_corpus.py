@@ -73,6 +73,21 @@ class TestIngestPosts:
         assert len(corpus) == 1
         assert len(warnings) == 2
 
+    def test_deeply_nested_json_is_malformed(self):
+        src = io.StringIO("\n".join([post_line(post_id="p1"), "[" * 5000 + "]" * 5000,
+                                     post_line(post_id="p3")]))
+        corpus, warnings = ingest_posts(src)
+        assert [p.post_id for p in corpus.posts] == ["p1", "p3"]
+        assert warnings == ["line 2: JSON nested too deeply"]
+
+    @pytest.mark.parametrize("field", ["post_id", "user_id", "institution_id"])
+    def test_lone_surrogate_in_id_is_malformed(self, field):
+        bad = post_line(**{"post_id": "p2", field: "x\ud800y"})
+        src = io.StringIO("\n".join([post_line(post_id="p1"), bad]))
+        corpus, warnings = ingest_posts(src)
+        assert [p.post_id for p in corpus.posts] == ["p1"]
+        assert warnings == [f"line 2: field {field!r} is not valid UTF-8"]
+
     def test_warnings_logged_as_one_line(self, caplog):
         src = io.StringIO(post_line() + "\n" + "garbage\n" * 5)
         with caplog.at_level(logging.WARNING, logger="postmine.corpus"):

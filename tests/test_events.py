@@ -10,6 +10,7 @@ from postmine.events import (
     EventTriple,
     TokenSpan,
     VerbInventory,
+    _suffix_candidates,
     bundled_inventory,
     extract_triples,
     lemmatize,
@@ -62,6 +63,24 @@ class TestLemmatize:
         for surface in ("harassed", "running", "tables", "xyzzy", "mocked"):
             lemma = lemmatize(surface, inventory)
             assert lemma is None or lemma in inventory
+
+    def test_memo_gives_the_rule_lemma(self):
+        def rule_lemma(surface, inventory):
+            # the inflection map, else the first suffix candidate that is a lemma
+            hit = inventory.inflections.get(surface)
+            return hit if hit is not None else next(
+                (c for c in _suffix_candidates(surface) if c in inventory.lemmas), None)
+
+        gold = load_event_gold()
+        surfaces = sorted({t.surface for entry in gold for t in tokenize(entry["text"])})
+        shared, second = bundled_inventory(), bundled_inventory()
+        expected = {s: rule_lemma(s, shared) for s in surfaces}
+        for order in (surfaces, surfaces[::-1]):
+            assert {s: lemmatize(s, shared) for s in order} == expected
+        assert {s: lemmatize(s, second) for s in surfaces} == expected
+        assert shared.lemmatized == expected
+        # both outcomes occur: verbs and non-verbs
+        assert {None} < set(expected.values())
 
 
 class TestExtractTriples:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import random
+import re
 import string
 import time
 
@@ -10,10 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TOY_BIGRAMS, TOY_UNIGRAMS
-from oracles import exhaustive_segment, lm_score, product_squeeze, regex_tokenize
+from oracles import (
+    exhaustive_segment,
+    lm_score,
+    product_squeeze,
+    regex_tokenize,
+    whole_text_preprocess,
+)
 from postmine import textprep
 from postmine.errors import DataError
 from postmine.textprep import (
+    DESIGNATED_TAGS,
     SEGMENT_MAX_CHARS,
     TAG_EMAIL,
     TAG_URL,
@@ -356,6 +364,58 @@ class TestPreprocess:
             once = preprocess(text, d, toy_lm)
             again = preprocess(" ".join(surfaces(once)), d, toy_lm)
             assert surfaces(again) == surfaces(once)
+
+
+# Every character the regex engine's ``\s`` matches.
+WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+              "\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
+              "\u2028\u2029\u202f\u205f\u3000")
+# Pieces that reach every tokenizer rule and every per-token step.
+TEXT_PIECES = [*WHITESPACE, "#", "@", "*", "$", "%", ".", "..", "'", "\u2019", "-", ":",
+               "xd", "8)", ":-)", "<3", "<url>", "<user", "http://", "www.", "a.b.",
+               "\ud800", "\u2026", "\U0001F600", "2020", "u", "s**t", "sooo", "reallyyy",
+               "metoo", "MeToo", "hello", "world", "the", "cat", "ann", "x.co"]
+
+
+class TestChunkedPreprocess:
+    """``preprocess`` runs each whitespace chunk on its own and shares
+    the result through ``memo``; this must equal running the whole
+    text at once."""
+
+    DICT = CorrectionDictionary(
+        abbreviations={"u": "you"},
+        censored=frozenset(["s**t"]),
+        valid_words=frozenset(["you", "really", "so", "sad", "hello", "me", "too"]),
+    )
+
+    def test_whitespace_is_the_regex_class(self):
+        assert all(re.fullmatch(r"\s", ch) for ch in WHITESPACE)
+        assert not re.search(r"\s", "".join(map(chr, range(0x3001))).translate(
+            {ord(ch): None for ch in WHITESPACE}))
+
+    def test_no_token_contains_whitespace(self):
+        # the invariant that makes the chunk split exact
+        for fixed in (*bundled_emoticons(), *DESIGNATED_TAGS):
+            assert not re.search(r"\s", fixed), fixed
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(TEXT_PIECES), max_size=24).map("".join),
+                    max_size=6))
+    def test_shared_memo_equals_whole_text(self, toy_lm, texts):
+        texts = texts + texts[:2]   # repeated posts hit the memo
+        memo = {}
+        chunked = [preprocess(text, self.DICT, toy_lm, memo) for text in texts]
+        assert chunked == [whole_text_preprocess(text, self.DICT, toy_lm) for text in texts]
+        assert [preprocess(text, self.DICT, toy_lm) for text in texts] == chunked
+
+    def test_memo_holds_each_distinct_chunk_once(self, toy_lm):
+        memo = {}
+        first = preprocess("u  #MeToo\u3000u\nu", self.DICT, toy_lm, memo)
+        second = preprocess("#MeToo u", self.DICT, toy_lm, memo)
+        assert sorted(memo) == ["#MeToo", "u"]
+        assert surfaces(first) == ["you", "me", "too", "you", "you"]
+        assert surfaces(second) == ["me", "too", "you"]
+        assert first is not second
 
 
 class TestWorstCaseBudgets:
