@@ -7,6 +7,18 @@ Subcommands compose only through files in the output directory:
 files, config, seed), and report bodies carry no timestamps, so reruns
 are byte-identical.  Exit codes: 0 success, 1 usage or configuration
 error, 2 data error.
+
+A stage pays little to start and to stop.  It imports only the modules
+it runs: every stage module, ``corpus`` included, is imported inside
+the commands that use it, since numpy and the text-processing tables
+are most of a stage's start-up time and ``report`` needs none of them.  And ``run``, the entry point of ``python -m
+postmine.cli`` and of the ``postmine`` script, ends the process with
+``os._exit`` once ``main`` has returned and logging and the standard
+streams are flushed, skipping the interpreter's teardown.  That is safe
+only while every file the package writes is opened in a ``with`` block,
+so it is closed before ``main`` returns, and nothing in the package
+relies on ``atexit``, ``tempfile``, ``weakref`` or ``__del__``; keep it
+that way.
 """
 
 from __future__ import annotations
@@ -15,19 +27,15 @@ import argparse
 import csv
 import json
 import logging
+import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-# Every other stage module is imported inside the stage functions that
-# run it: numpy, scipy.special and the text-processing tables are most of
-# a stage's start-up time.
-from . import corpus
 from .errors import ConfigError, DataError
 
 if TYPE_CHECKING:
-    from . import textprep
+    from . import corpus, textprep
 
 logger = logging.getLogger(__name__)
 
@@ -42,8 +50,7 @@ REGRESSION_REPORT = "regression_report.csv"
 COMBINED_REPORT = "report.txt"
 
 
-@dataclass(frozen=True)
-class TopicsSettings:
+class TopicsSettings(NamedTuple):
     k_candidates: tuple[int, ...] = tuple(range(2, 21))
     min_df: int = 2
     iters: int = 200
@@ -51,8 +58,7 @@ class TopicsSettings:
     top_words: int = 13
 
 
-@dataclass(frozen=True)
-class PropagationSettings:
+class PropagationSettings(NamedTuple):
     """k bounds each unannotated verb's neighborhood; min_similarity
     filters it."""
 
@@ -60,8 +66,7 @@ class PropagationSettings:
     min_similarity: float = 0.0
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     posts: Path
     institutions: Path
     labels: Path
@@ -75,8 +80,8 @@ class RunConfig:
     censored: Path | None = None
     verb_inventory: Path | None = None
     triples: Path | None = None
-    topics: TopicsSettings = field(default_factory=TopicsSettings)
-    propagation: PropagationSettings = field(default_factory=PropagationSettings)
+    topics: TopicsSettings = TopicsSettings()
+    propagation: PropagationSettings = PropagationSettings()
 
     @property
     def topics_seed(self) -> int:
@@ -111,11 +116,12 @@ def _check_topics(settings: dict) -> None:
 
 def _check_propagation(settings: dict) -> None:
     """Reject propagation settings before any stage loads its inputs."""
-    k = settings.get("k", PropagationSettings.k)
+    k = settings.get("k", PropagationSettings._field_defaults["k"])
     if not (_is_int(k) and k >= 1):
         raise ConfigError(
             f"bad propagation settings: k must be an integer >= 1, got {k!r}")
-    sim = settings.get("min_similarity", PropagationSettings.min_similarity)
+    sim = settings.get("min_similarity",
+                       PropagationSettings._field_defaults["min_similarity"])
     if not (isinstance(sim, (int, float)) and not isinstance(sim, bool)
             and 0.0 <= sim <= 1.0):
         raise ConfigError("bad propagation settings: min_similarity must be "
@@ -175,7 +181,7 @@ def load_config(
         topics_settings = TopicsSettings(**{
             **topics_raw,
             "k_candidates": tuple(topics_raw.get(
-                "k_candidates", TopicsSettings.k_candidates)),
+                "k_candidates", TopicsSettings._field_defaults["k_candidates"])),
         })
     except TypeError as exc:
         raise ConfigError(f"bad topics settings: {exc}") from None
@@ -213,6 +219,8 @@ def _out_path(config: RunConfig, name: str) -> Path:
 
 
 def _read_corpus_artifact(config: RunConfig) -> corpus.Corpus:
+    from . import corpus
+
     path = config.out_dir / CORPUS_ARTIFACT
     if not path.is_file():
         raise DataError(f"corpus artifact {path} not found; run 'ingest' first")
@@ -231,6 +239,8 @@ def _preprocessed(config: RunConfig, posts) -> list[list[textprep.Token]]:
 
 
 def cmd_ingest(config: RunConfig) -> None:
+    from . import corpus
+
     raw, warnings = corpus.ingest_posts(config.posts)
     deduped = corpus.dedup(raw)
     corpus.write_corpus(deduped, _out_path(config, CORPUS_ARTIFACT))
@@ -289,7 +299,7 @@ def cmd_events(config: RunConfig) -> None:
 
 
 def cmd_sentiment(config: RunConfig) -> None:
-    from . import connotation, events
+    from . import connotation, corpus, events
 
     full = _read_corpus_artifact(config)
     labels = corpus.ingest_labels(config.labels)
@@ -318,7 +328,7 @@ def cmd_sentiment(config: RunConfig) -> None:
 
 
 def cmd_regress(config: RunConfig) -> None:
-    from . import stats
+    from . import corpus, stats
 
     full = _read_corpus_artifact(config)
     institutions = corpus.ingest_institutions(config.institutions)
@@ -428,5 +438,16 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def run() -> None:
+    """Run ``main`` on the command line and exit with its code, without
+    the interpreter's teardown (see the module docstring).  An exception
+    that escapes ``main`` takes the normal exit path."""
+    code = main()
+    logging.shutdown()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -12,6 +12,9 @@ clamped to [-1, 1].  The 1/n average is applied exactly as stated even
 though it shrinks propagated magnitudes toward zero; all five frame
 dimensions propagate with the same weights.  Neighbor search has exact
 full-scan semantics.
+
+Frames are named tuples that check their range when they are made.
+``events`` is imported for type annotations only.
 """
 
 from __future__ import annotations
@@ -19,15 +22,16 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from .corpus import HarassmentLabel, HarassmentType, Participant
 from .errors import DataError, NoEmbeddingError, UnscorableError
-from .events import EventTriple
+
+if TYPE_CHECKING:
+    from .events import EventTriple
 
 logger = logging.getLogger(__name__)
 
@@ -48,27 +52,37 @@ AGGREGATE_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class ConnotationFrame:
+class _FrameFields(NamedTuple):
     sentiment_verb: float
     sentiment_affected: float
     persp_affected_to_agent: float
     persp_reader_to_affected: float
     persp_affected_to_affected: float
 
-    def __post_init__(self) -> None:
-        for dim in FRAME_DIMENSIONS:
-            value = getattr(self, dim)
+
+class ConnotationFrame(_FrameFields):
+    """Five scores, each in [-1, 1]; ``_make`` and ``_replace`` check too."""
+
+    __slots__ = ()
+
+    def __new__(cls, *scores: float, **named: float) -> "ConnotationFrame":
+        frame = _FrameFields.__new__(cls, *scores, **named)
+        for dim, value in zip(FRAME_DIMENSIONS, frame):
             if not -1.0 <= value <= 1.0:
                 raise ValueError(f"{dim}={value} outside [-1, 1]")
+        return frame
+
+    @classmethod
+    def _make(cls, iterable) -> "ConnotationFrame":
+        return cls(*iterable)
 
     def as_tuple(self) -> tuple[float, ...]:
-        return tuple(getattr(self, dim) for dim in FRAME_DIMENSIONS)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
 class ConnotationLexicon:
-    frames: Mapping[str, ConnotationFrame]
+    def __init__(self, frames: Mapping[str, ConnotationFrame]):
+        self.frames = frames
 
     def __contains__(self, lemma: str) -> bool:
         return lemma in self.frames
@@ -276,8 +290,7 @@ def score_triples(
     return scored
 
 
-@dataclass(frozen=True)
-class AggregateRow:
+class AggregateRow(NamedTuple):
     harassment_type: HarassmentType
     participant: Participant
     event_sentiment: float

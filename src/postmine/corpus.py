@@ -5,6 +5,10 @@ fields post_id, user_id, institution_id, timestamp, text), institution
 metadata as a CSV table and harassment labels as a CSV table.  Malformed
 post lines never abort a run: they are counted, reported with their line
 number and skipped.  A run only fails when zero valid records survive.
+
+The records are immutable named tuples.  ``atomic_open`` writes the
+artifacts that later stages read, so a run that dies mid-write never
+leaves a truncated one.
 """
 
 from __future__ import annotations
@@ -13,10 +17,11 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass
+import os
+from contextlib import contextmanager
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Iterable, Iterator, Mapping, NamedTuple, TextIO
 
 from .errors import DataError, EmptyCorpusError
 
@@ -64,8 +69,7 @@ _PARTICIPANT_ALIASES = {
 }
 
 
-@dataclass(frozen=True)
-class Post:
+class Post(NamedTuple):
     """One social-media message.  timestamp is UTC epoch seconds."""
 
     post_id: str
@@ -75,8 +79,7 @@ class Post:
     text: str
 
 
-@dataclass(frozen=True)
-class InstitutionRecord:
+class InstitutionRecord(NamedTuple):
     institution_id: str
     enrollment: int
     mf_ratio: float
@@ -85,15 +88,13 @@ class InstitutionRecord:
     reported_cases: int
 
 
-@dataclass(frozen=True)
-class HarassmentLabel:
+class HarassmentLabel(NamedTuple):
     post_id: str
     harassment_type: HarassmentType
     participant: Participant
 
 
-@dataclass(frozen=True)
-class LabeledPost:
+class LabeledPost(NamedTuple):
     post: Post
     label: HarassmentLabel
 
@@ -347,12 +348,32 @@ def attach_labels(
     return labeled, warnings
 
 
+@contextmanager
+def atomic_open(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """Open a UTF-8 text file to write in place of ``path``.
+
+    The text goes to ``<path>.part`` beside it, which replaces ``path``
+    only when the block ends without an exception; otherwise it is
+    removed and ``path`` stays as it was (or absent).  So a stage that
+    dies mid-write never leaves a truncated artifact for the next one.
+    """
+    path = Path(path)
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "w", encoding="utf-8", newline=newline) as handle:
+            yield handle
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write the corpus as line-delimited JSON with a fixed key order."""
-    with open(path, "w", encoding="utf-8") as handle:
+    """Write the corpus as line-delimited JSON with a fixed key order,
+    replacing ``path`` atomically."""
+    with atomic_open(path) as handle:
         for post in corpus.posts:
-            record = {f: getattr(post, f) for f in POST_FIELDS}
-            handle.write(json.dumps(record, ensure_ascii=True, sort_keys=False))
+            handle.write(json.dumps(post._asdict(), ensure_ascii=True, sort_keys=False))
             handle.write("\n")
 
 

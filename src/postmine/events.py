@@ -8,19 +8,25 @@ arguments are the nearest noun-like tokens inside short windows, with a
 passive-voice rule that swaps the roles and looks for a "by" phrase.
 Sentences are split on sentence-final punctuation and windows never
 cross a boundary.
+
+Only the functions that read token kinds (``extract_triples`` and
+``split_sentences``) import ``textprep``, once per call, and only
+``write_triples`` imports ``corpus``, so importing this module to read
+triple files loads neither.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, TextIO
 
 from .errors import DataError
-from .textprep import Token, TokenKind, bundled_stopwords
+
+if TYPE_CHECKING:
+    from .textprep import Token, TokenKind
 
 logger = logging.getLogger(__name__)
 
@@ -35,8 +41,7 @@ AFFECTED_WINDOW = 5
 AUX_WINDOW = 3
 
 
-@dataclass(frozen=True)
-class TokenSpan:
+class TokenSpan(NamedTuple):
     """A single-token argument span; index refers to the source token
     list (None for triples imported from a file)."""
 
@@ -44,8 +49,7 @@ class TokenSpan:
     index: int | None = None
 
 
-@dataclass(frozen=True)
-class EventTriple:
+class EventTriple(NamedTuple):
     verb_lemma: str
     agent: TokenSpan | None
     affected: TokenSpan | None
@@ -152,28 +156,20 @@ def _suffix_candidates(surface: str) -> list[str]:
     return out
 
 
-def _is_candidate(
-    token: Token,
-    stopwords: frozenset[str],
-    inventory: VerbInventory,
-) -> bool:
-    if token.kind not in (TokenKind.WORD, TokenKind.HASHTAG_SEGMENTED):
-        return False
-    surface = token.surface
-    if surface in PRONOUN_CANDIDATES:
-        return True
-    if surface in stopwords:
-        return False
-    return lemmatize(surface, inventory) is None
-
-
 def split_sentences(tokens: Sequence[Token]) -> list[list[int]]:
     """Index lists per sentence, split on sentence-final punctuation."""
+    from .textprep import TokenKind
+
+    return _split_sentences(tokens, TokenKind.PUNCT)
+
+
+def _split_sentences(tokens: Sequence[Token], punct: TokenKind) -> list[list[int]]:
     sentences: list[list[int]] = []
     current: list[int] = []
     for i, token in enumerate(tokens):
-        if token.kind is TokenKind.PUNCT and (
-            token.surface in SENTENCE_FINAL or set(token.surface) == {"."}
+        # surfaces are never empty, so one of dots only strips to ""
+        if token.kind is punct and (
+            token.surface in SENTENCE_FINAL or not token.surface.strip(".")
         ):
             if current:
                 sentences.append(current)
@@ -198,18 +194,30 @@ def extract_triples(
     passive auxiliary shortly before the verb): the preceding candidate
     becomes the affected and the agent, if any, is the object of a
     following "by".  Missing arguments stay None; the triple is still
-    emitted.
+    emitted.  A token is tested for being noun-like only when a verb's
+    window reaches it.
     """
+    from .textprep import TokenKind, bundled_stopwords
+
     if stopwords is None:
         stopwords = bundled_stopwords()
+    word = TokenKind.WORD
+    content = (word, TokenKind.HASHTAG_SEGMENTED)
+
+    def is_candidate(index: int) -> bool:
+        token = tokens[index]
+        if token.kind not in content:
+            return False
+        surface = token.surface
+        if surface in PRONOUN_CANDIDATES:
+            return True
+        return surface not in stopwords and lemmatize(surface, inventory) is None
+
     triples: list[EventTriple] = []
-    for sentence in split_sentences(tokens):
-        candidate_flags = [
-            _is_candidate(tokens[i], stopwords, inventory) for i in sentence
-        ]
+    for sentence in _split_sentences(tokens, TokenKind.PUNCT):
         for pos, tok_index in enumerate(sentence):
             token = tokens[tok_index]
-            if token.kind is not TokenKind.WORD:
+            if token.kind is not word:
                 continue
             lemma = lemmatize(token.surface, inventory)
             if lemma is None or token.surface in PASSIVE_AUXILIARIES:
@@ -219,16 +227,16 @@ def extract_triples(
                 for p in range(max(0, pos - AUX_WINDOW), pos)
             )
             before = _nearest_candidate(
-                tokens, sentence, candidate_flags,
+                tokens, sentence, is_candidate,
                 range(pos - 1, max(0, pos - AGENT_WINDOW) - 1, -1),
             )
             if passive:
                 affected = before
-                agent = _by_object(tokens, sentence, candidate_flags, pos)
+                agent = _by_object(tokens, sentence, is_candidate, pos)
             else:
                 agent = before
                 affected = _nearest_candidate(
-                    tokens, sentence, candidate_flags,
+                    tokens, sentence, is_candidate,
                     range(pos + 1, min(len(sentence), pos + AFFECTED_WINDOW + 1)),
                 )
             triples.append(EventTriple(
@@ -244,11 +252,11 @@ def extract_triples(
 def _nearest_candidate(
     tokens: Sequence[Token],
     sentence: list[int],
-    flags: list[bool],
+    is_candidate: Callable[[int], bool],
     positions: range,
 ) -> TokenSpan | None:
     for p in positions:
-        if 0 <= p < len(sentence) and flags[p]:
+        if 0 <= p < len(sentence) and is_candidate(sentence[p]):
             idx = sentence[p]
             return TokenSpan(tokens[idx].surface, idx)
     return None
@@ -257,13 +265,13 @@ def _nearest_candidate(
 def _by_object(
     tokens: Sequence[Token],
     sentence: list[int],
-    flags: list[bool],
+    is_candidate: Callable[[int], bool],
     verb_pos: int,
 ) -> TokenSpan | None:
     for p in range(verb_pos + 1, min(len(sentence), verb_pos + AFFECTED_WINDOW + 1)):
         if tokens[sentence[p]].surface == "by":
             return _nearest_candidate(
-                tokens, sentence, flags,
+                tokens, sentence, is_candidate,
                 range(p + 1, min(len(sentence), p + AFFECTED_WINDOW + 1)),
             )
     return None
@@ -273,8 +281,11 @@ TRIPLE_HEADER = ("post_id", "verb_lemma", "passive", "agent", "affected")
 
 
 def write_triples(triples: Iterable[EventTriple], path: str | Path) -> None:
-    """Tab-delimited triple export; empty cell means a missing argument."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    """Tab-delimited triple export; empty cell means a missing argument.
+    ``path`` is replaced atomically."""
+    from .corpus import atomic_open
+
+    with atomic_open(path, newline="") as handle:
         writer = csv.writer(handle, delimiter="\t", lineterminator="\n")
         writer.writerow(TRIPLE_HEADER)
         for t in triples:

@@ -17,10 +17,9 @@ import csv
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
 from operator import mul
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import InstitutionRecord, Region
 from .errors import DataError, RankDeficientError
@@ -55,15 +54,13 @@ DESIGN_COLUMNS = (
 REPORT_HEADER = ("feature", "coefficient", "std_err", "t_stat", "p_value")
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
+class DesignMatrix(NamedTuple):
     feature_names: tuple[str, ...]
     rows: Sequence[Sequence[float]]   # n x p, final column is the intercept constant 1
     response: Sequence[float]         # n
 
 
-@dataclass(frozen=True)
-class RegressionResult:
+class RegressionResult(NamedTuple):
     feature_names: tuple[str, ...]
     coefficients: tuple[float, ...]
     std_errors: tuple[float, ...]

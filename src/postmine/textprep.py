@@ -33,7 +33,9 @@ to every ``preprocess`` call of a run maps each distinct chunk to its
 tokens, so repeated chunks are processed once per run.
 
 All operations are pure given an immutable dictionary and language
-model, so corpus-level preprocessing can fan out per document.
+model, so corpus-level preprocessing can fan out per document.  A
+``Token`` is an immutable named tuple that checks its surface and kind
+when it is made.
 """
 
 from __future__ import annotations
@@ -42,11 +44,10 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, TextIO
+from typing import Mapping, NamedTuple, TextIO
 
 from .errors import DataError
 
@@ -71,16 +72,27 @@ class TokenKind(Enum):
     PUNCT = "punct"
 
 
-@dataclass(frozen=True)
-class Token:
+class _TokenFields(NamedTuple):
     surface: str
     kind: TokenKind
 
-    def __post_init__(self) -> None:
-        if not self.surface:
+
+class Token(_TokenFields):
+    """One token: a non-empty surface and its kind; only the designated
+    tags have kind TAG.  ``_make`` and ``_replace`` check too."""
+
+    __slots__ = ()
+
+    def __new__(cls, surface: str, kind: TokenKind) -> "Token":
+        if not surface:
             raise ValueError("empty token surface")
-        if self.kind is TokenKind.TAG and self.surface not in DESIGNATED_TAGS:
-            raise ValueError(f"kind TAG reserved for designated tags, got {self.surface!r}")
+        if kind is TokenKind.TAG and surface not in DESIGNATED_TAGS:
+            raise ValueError(f"kind TAG reserved for designated tags, got {surface!r}")
+        return tuple.__new__(cls, (surface, kind))
+
+    @classmethod
+    def _make(cls, iterable) -> "Token":
+        return cls(*iterable)
 
 
 def _data_lines(name: str) -> list[str]:
@@ -173,7 +185,6 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-@dataclass(frozen=True)
 class CorrectionDictionary:
     """Abbreviation expansions, censored-word surfaces and known words.
 
@@ -182,19 +193,21 @@ class CorrectionDictionary:
     idempotent on its own output.
     """
 
-    abbreviations: Mapping[str, str]
-    censored: frozenset[str] = frozenset()
-    valid_words: frozenset[str] = frozenset()
-    # valid words grouped by skeleton, for elongation squeezing
-    by_skeleton: Mapping[str, tuple[str, ...]] = field(
-        init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        abbreviations: Mapping[str, str],
+        censored: frozenset[str] = frozenset(),
+        valid_words: frozenset[str] = frozenset(),
+    ):
+        self.abbreviations = abbreviations
+        self.censored = censored
+        self.valid_words = valid_words
+        # valid words grouped by skeleton, for elongation squeezing
         index: dict[str, list[str]] = {}
-        for word in self.valid_words:
+        for word in valid_words:
             index.setdefault(_skeleton(word), []).append(word)
-        object.__setattr__(
-            self, "by_skeleton", {k: tuple(v) for k, v in index.items()})
+        self.by_skeleton: Mapping[str, tuple[str, ...]] = {
+            k: tuple(v) for k, v in index.items()}
 
 
 def load_correction_dictionary(
@@ -301,29 +314,28 @@ def correct_spelling(token: Token, dictionary: CorrectionDictionary) -> list[Tok
     return [token]
 
 
-@dataclass(frozen=True)
 class LanguageModel:
     """Unigram/bigram counts backing the hashtag segmenter."""
 
-    unigram_counts: Mapping[str, int]
-    bigram_counts: Mapping[tuple[str, str], int]
-    total_unigrams: int
-    # w2 -> every w1 with a known bigram (w1, w2)
-    predecessors: Mapping[str, tuple[str, ...]] = field(
-        init=False, repr=False, compare=False)
-    longest_word: int = field(init=False, repr=False, compare=False)
-    # hashtag body -> its segmentation; one memo per loaded model
-    segmentations: dict[str, tuple[str, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        unigram_counts: Mapping[str, int],
+        bigram_counts: Mapping[tuple[str, str], int],
+        total_unigrams: int,
+    ):
+        self.unigram_counts = unigram_counts
+        self.bigram_counts = bigram_counts
+        self.total_unigrams = total_unigrams
+        # w2 -> every w1 with a known bigram (w1, w2)
         predecessors: dict[str, list[str]] = {}
-        for (w1, w2), count in self.bigram_counts.items():
+        for (w1, w2), count in bigram_counts.items():
             if count:
                 predecessors.setdefault(w2, []).append(w1)
-        object.__setattr__(
-            self, "predecessors", {w2: tuple(w1s) for w2, w1s in predecessors.items()})
-        object.__setattr__(self, "longest_word", max(map(len, self.unigram_counts), default=0))
+        self.predecessors: Mapping[str, tuple[str, ...]] = {
+            w2: tuple(w1s) for w2, w1s in predecessors.items()}
+        self.longest_word = max(map(len, unigram_counts), default=0)
+        # hashtag body -> its segmentation; one memo per loaded model
+        self.segmentations: dict[str, tuple[str, ...]] = {}
 
     @classmethod
     def from_counts(

@@ -58,9 +58,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -82,17 +81,17 @@ _PSI_STEPS = np.arange(9.0, -1.0, -1.0)   # the recurrence's shifts, largest fir
 _CONTENT_KINDS = (TokenKind.WORD, TokenKind.HASHTAG_SEGMENTED)
 
 
-@dataclass(frozen=True)
 class Vocabulary:
-    terms: tuple[str, ...]
-    doc_freq: tuple[int, ...]
-    index: Mapping[str, int]
+    def __init__(self, terms: tuple[str, ...], doc_freq: tuple[int, ...],
+                 index: Mapping[str, int]):
+        self.terms = terms
+        self.doc_freq = doc_freq
+        self.index = index
 
     def __len__(self) -> int:
         return len(self.terms)
 
 
-@dataclass(frozen=True)
 class WeightedMatrix:
     """Per-document sparse rows of (term index, nonnegative weight).
 
@@ -100,16 +99,17 @@ class WeightedMatrix:
     models fitted from the matrix can name their top words.
     """
 
-    rows: tuple[tuple[np.ndarray, np.ndarray], ...]
-    n_terms: int
-    terms: tuple[str, ...] | None = None
+    def __init__(self, rows: tuple[tuple[np.ndarray, np.ndarray], ...], n_terms: int,
+                 terms: tuple[str, ...] | None = None):
+        self.rows = rows
+        self.n_terms = n_terms
+        self.terms = terms
 
     def __len__(self) -> int:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class TopicModel:
+class TopicModel(NamedTuple):
     k: int
     topic_word: np.ndarray        # K x V, rows sum to 1
     doc_topic: np.ndarray         # D x K, rows sum to 1
@@ -224,8 +224,7 @@ def _dirichlet_expectation(params: np.ndarray) -> np.ndarray:
     return psi[:, :k] - psi[:, k:]
 
 
-@dataclass(frozen=True)
-class _Nonzeros:
+class _Nonzeros(NamedTuple):
     """The nonzeros of the active (non-empty) rows, concatenated in
     document order: a CSR layout with row lengths instead of a pointer
     array."""
@@ -492,7 +491,7 @@ def select_k(
     for k in candidates:
         model = fit_lda(matrix, k, seed, iters=iters)
         score = coherence(model, docs, top_n=top_n)
-        model = replace(model, coherence=score)
+        model = model._replace(coherence=score)
         logger.info(
             "select_k: k=%d coherence=%.6f sweeps=%d inner=%d capped=%d bound=%.6f stop=%s",
             k, score, len(model.objective_trace), model.inner_iterations,

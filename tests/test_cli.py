@@ -7,11 +7,13 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from postmine import textprep
+from postmine import corpus, events, textprep
 from postmine.cli import (
+    COMBINED_REPORT,
     CORPUS_ARTIFACT,
     INGEST_SUMMARY,
     REGRESSION_REPORT,
@@ -22,6 +24,9 @@ from postmine.cli import (
     main,
 )
 from postmine.errors import ConfigError
+from postmine.events import EventTriple
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def post_line(post_id, user_id="u1", institution_id="c1", timestamp=100,
@@ -116,23 +121,24 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 # Modules each stage must never load, as top-level packages or full
-# module names: numpy, scipy.special and the text-processing tables are
-# most of a stage's start-up time.
-_HEAVY_MODULES = {"numpy", "scipy", "postmine.textprep", "postmine.events"}
+# module names: numpy and the text-processing tables are most of a
+# stage's start-up time, and dataclasses (with inspect, ast and dis)
+# and scipy are used by no stage.
+_NOWHERE = {"scipy", "dataclasses"}
+_HEAVY_MODULES = _NOWHERE | {"numpy", "postmine.textprep", "postmine.events"}
 _NOT_LOADED = {
     "ingest": _HEAVY_MODULES,
-    "topics": {"scipy"},
-    "events": {"numpy", "scipy"},
-    "sentiment": {"scipy"},
+    "topics": _NOWHERE,
+    "events": _NOWHERE | {"numpy"},
+    "sentiment": _NOWHERE | {"postmine.textprep"},
     "regress": _HEAVY_MODULES,
-    "report": _HEAVY_MODULES,
+    "report": _HEAVY_MODULES | {"postmine.corpus"},
 }
 
 
 def test_each_stage_loads_only_what_it_runs(tmp_path, demo_bundle):
     config = write_config(tmp_path, demo_bundle)
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     for stage, forbidden in _NOT_LOADED.items():
         proc = subprocess.run(
             [sys.executable, "-c", _STAGE_IMPORTS_SCRIPT, str(config), stage],
@@ -145,9 +151,10 @@ def test_each_stage_loads_only_what_it_runs(tmp_path, demo_bundle):
         assert not loaded, (stage, sorted(loaded))
 
 
-def test_no_module_imports_scipy():
-    package = Path(__file__).resolve().parents[1] / "src" / "postmine"
-    for path in sorted(package.glob("*.py")):
+def _imports_of_package() -> list[tuple[str, str]]:
+    """(file name, top-level package) of every import in src/postmine."""
+    found = []
+    for path in sorted((SRC / "postmine").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
@@ -155,7 +162,93 @@ def test_no_module_imports_scipy():
                 modules = [node.module or ""]
             else:
                 continue
-            assert not any(m.split(".")[0] == "scipy" for m in modules), path.name
+            found.extend((path.name, m.split(".")[0]) for m in modules)
+    return found
+
+
+def test_no_module_imports_scipy():
+    assert [name for name, top in _imports_of_package() if top == "scipy"] == []
+
+
+def test_no_module_imports_dataclasses():
+    # records are named tuples: generating dataclass methods cost every
+    # stage 7-19 ms at start-up
+    assert [name for name, top in _imports_of_package() if top == "dataclasses"] == []
+
+
+def _run_module(config: Path, command: str) -> subprocess.CompletedProcess:
+    """``python -m postmine.cli`` as a fresh process.  PYTHONUNBUFFERED is
+    dropped so that stdout is block-buffered into the pipe, as it is for
+    any user who redirects it."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run(
+        [sys.executable, "-m", "postmine.cli", "--config", str(config), command],
+        env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_keeps_exit_codes_and_output(tmp_path, demo_bundle):
+    config = write_config(tmp_path, demo_bundle)
+    proc = _run_module(config, "sentiment")
+    assert proc.returncode == 2
+    assert "run 'ingest' first" in proc.stderr
+    bad = write_config(tmp_path, demo_bundle, name="bad.json", bogus_key=1)
+    proc = _run_module(bad, "ingest")
+    assert proc.returncode == 1
+    assert "config error: unknown config key(s): bogus_key" in proc.stderr
+    for command in ("ingest", "events", "sentiment", "regress", "report"):
+        proc = _run_module(config, command)
+        assert proc.returncode == 0, (command, proc.stderr)
+    # stdout is flushed before the process exits without teardown
+    assert proc.stdout == (tmp_path / "out" / COMBINED_REPORT).read_text("utf-8") + "\n"
+
+
+def _dies_after(items):
+    yield from items
+    raise RuntimeError("writer died")
+
+
+class TestAtomicArtifacts:
+    """An artifact a later stage reads is never left half-written."""
+
+    def test_failed_triples_write_leaves_none(self, tmp_path, demo_bundle, capsys):
+        config = write_config(tmp_path, demo_bundle)
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "ingest"]) == 0
+        before = sorted(os.listdir(out))
+        triple = EventTriple("harass", None, None, False, "p1")
+        with pytest.raises(RuntimeError, match="writer died"):
+            events.write_triples(_dies_after([triple]), out / TRIPLES_ARTIFACT)
+        assert sorted(os.listdir(out)) == before
+        assert main(["--config", str(config), "sentiment"]) == 2
+        assert "run 'events' first" in capsys.readouterr().err
+
+    def test_failed_triples_write_keeps_earlier(self, tmp_path, demo_bundle):
+        config = write_config(tmp_path, demo_bundle)
+        out = tmp_path / "out"
+        for command in ("ingest", "events"):
+            assert main(["--config", str(config), command]) == 0
+        earlier = (out / TRIPLES_ARTIFACT).read_bytes()
+        before = sorted(os.listdir(out))
+        triples = events.read_triples(out / TRIPLES_ARTIFACT)
+        with pytest.raises(RuntimeError, match="writer died"):
+            events.write_triples(_dies_after(triples[:3]), out / TRIPLES_ARTIFACT)
+        assert (out / TRIPLES_ARTIFACT).read_bytes() == earlier
+        assert sorted(os.listdir(out)) == before
+        assert main(["--config", str(config), "sentiment"]) == 0
+
+    def test_failed_corpus_write_keeps_earlier(self, tmp_path, demo_bundle):
+        config = write_config(tmp_path, demo_bundle)
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "ingest"]) == 0
+        earlier = (out / CORPUS_ARTIFACT).read_bytes()
+        before = sorted(os.listdir(out))
+        posts = corpus.read_corpus(out / CORPUS_ARTIFACT).posts
+        with pytest.raises(RuntimeError, match="writer died"):
+            corpus.write_corpus(SimpleNamespace(posts=_dies_after(posts[:3])),
+                                out / CORPUS_ARTIFACT)
+        assert (out / CORPUS_ARTIFACT).read_bytes() == earlier
+        assert sorted(os.listdir(out)) == before
 
 
 class TestIngestCommand:

@@ -30,6 +30,21 @@ def frame(*values):
 HARASS_FRAME = frame(-0.8, -0.7, -0.9, -0.6, 0.5)
 
 
+class TestConnotationFrame:
+    @pytest.mark.parametrize("dim", range(5))
+    @pytest.mark.parametrize("value", [-1.5, 1.0 + 1e-9, float("nan")])
+    def test_out_of_range_score_rejected(self, dim, value):
+        scores = [0.0] * 5
+        scores[dim] = value
+        with pytest.raises(ValueError, match="outside"):
+            ConnotationFrame(*scores)
+        with pytest.raises(ValueError, match="outside"):
+            HARASS_FRAME._replace(**{HARASS_FRAME._fields[dim]: value})
+
+    def test_bounds_are_inclusive(self):
+        assert ConnotationFrame(-1.0, 1.0, 0.0, 0.0, 0.0).as_tuple() == (-1.0, 1.0, 0.0, 0.0, 0.0)
+
+
 class TestLoadLexicon:
     def test_row_stored_under_lemma(self):
         lex = load_lexicon(io.StringIO("harass\t-0.8\t-0.7\t-0.9\t-0.6\t0.5\n"))

@@ -46,6 +46,32 @@ def surfaces(tokens):
     return [t.surface for t in tokens]
 
 
+class TestTokenRecord:
+    def test_empty_surface_rejected(self):
+        with pytest.raises(ValueError, match="empty token surface"):
+            Token("", TokenKind.WORD)
+
+    def test_tag_kind_reserved_for_designated_tags(self):
+        assert Token(TAG_URL, TokenKind.TAG).surface == TAG_URL
+        with pytest.raises(ValueError, match="kind TAG reserved"):
+            Token("<nope>", TokenKind.TAG)
+
+    def test_replace_and_make_check_too(self):
+        token = Token("word", TokenKind.WORD)
+        with pytest.raises(ValueError, match="empty token surface"):
+            token._replace(surface="")
+        with pytest.raises(ValueError, match="kind TAG reserved"):
+            Token._make(("word", TokenKind.TAG))
+
+    def test_is_an_immutable_named_tuple(self):
+        token = Token("word", TokenKind.WORD)
+        assert token == ("word", TokenKind.WORD)
+        assert token[0] == token.surface == "word"
+        assert token._replace(kind=TokenKind.CENSORED) == Token("word", TokenKind.CENSORED)
+        with pytest.raises(AttributeError):
+            token.surface = "other"
+
+
 class TestTokenize:
     def test_plain_sentence(self):
         tokens = tokenize("He harassed me.")

@@ -3,7 +3,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -356,7 +355,7 @@ class TestTopWords:
                     topic_word = model.topic_word.copy()
                     cell = topic_word[t, index[word]]
                     topic_word[t, index[word]] = np.nextafter(cell, direction)
-                    again = top_words(replace(model, topic_word=topic_word), t, 12)
+                    again = top_words(model._replace(topic_word=topic_word), t, 12)
                     assert [w for w, _ in again] == names
 
 
