@@ -1,17 +1,18 @@
-"""Check that two source trees write the same ``out_dir`` files.
+"""Check that two source trees run every stage alike and write the same
+``out_dir`` files.
 
 Runs every stage of each bundle below once per tree, each stage as a
-fresh ``python -m postmine.cli`` subprocess, and compares the two
-output directories file by file:
+fresh ``python -m postmine.cli`` subprocess, and compares each stage's
+exit code and stdout, then the two output directories file by file:
 
 - the demo bundle (``postmine.demo``, seed 42), all six stages;
 - ``perfbench/generate.py``'s ``topics-small`` and ``hostile-mix``
   recipes at seeds 1-4, each with its workload's stages.
 
 The bundles are built from this checkout, as ``scripts/time_topics.py``
-builds its bundle.  Prints "identical" or "DIFFERS" for every file and
-exits 1 on any difference, a file that only one tree wrote, or a stage
-that fails.
+builds its bundle.  Prints "identical" or "DIFFERS" for every stage and
+every file, and exits 1 on any difference, a stage or file that only one
+tree ran or wrote, or a stage that fails.
 
     python3 scripts/same_outputs.py OLD/src NEW/src
 
@@ -52,18 +53,19 @@ def build_bundles(directory: Path) -> list[tuple[str, Path, tuple[str, ...]]]:
     return bundles
 
 
-def run_stages(src: Path, bundle: Path, out: Path, stages: tuple[str, ...]) -> str | None:
-    """Run ``stages`` in order; the first failure, or None."""
+def run_stages(src: Path, bundle: Path, out: Path,
+               stages: tuple[str, ...]) -> list[subprocess.CompletedProcess]:
+    """Run ``stages`` in order, up to and including the first that fails."""
     env = {**os.environ, "PYTHONPATH": str(src)}
+    runs = []
     for stage in stages:
-        proc = subprocess.run(
+        runs.append(subprocess.run(
             [sys.executable, "-m", "postmine.cli", "--config", "config.json",
              "--out", str(out), stage],
-            cwd=bundle, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-            text=True)
-        if proc.returncode != 0:
-            return f"{stage} exited {proc.returncode}: {proc.stderr.strip()}"
-    return None
+            cwd=bundle, env=env, capture_output=True, text=True))
+        if runs[-1].returncode != 0:
+            break
+    return runs
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -79,11 +81,23 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
         for name, bundle, stages in build_bundles(Path(tmp)):
             outs = [Path(tmp) / f"{name}-out{i}" for i in range(len(trees))]
-            for label, src, out in zip("AB", trees, outs):
-                failure = run_stages(src, bundle, out, stages)
-                if failure is not None:
-                    print(f"{name}: {label} {failure}")
+            runs = [run_stages(src, bundle, out, stages) for src, out in zip(trees, outs)]
+            for label, tree_runs in zip("AB", runs):
+                failed = tree_runs[-1]
+                if failed.returncode != 0:
+                    print(f"{name}: {label} {failed.args[-1]} exited {failed.returncode}: "
+                          f"{failed.stderr.strip()}")
                     same = False
+            for i, stage in enumerate(stages[:max(map(len, runs))]):
+                a, b = (tree_runs[i] if i < len(tree_runs) else None for tree_runs in runs)
+                if a is None or b is None:
+                    verdict = f"DIFFERS (only {'A' if a else 'B'} ran it)"
+                elif (a.returncode, a.stdout) == (b.returncode, b.stdout):
+                    verdict = "identical"
+                else:
+                    verdict = "DIFFERS"
+                same = same and verdict == "identical"
+                print(f"{name}/{stage} (exit code, stdout): {verdict}")
             files = sorted({p.name for out in outs if out.is_dir() for p in out.iterdir()})
             for file in files:
                 a, b = (out / file for out in outs)

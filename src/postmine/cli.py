@@ -97,6 +97,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _path(key: str, value) -> Path:
+    if not (isinstance(value, str) and value):
+        raise ConfigError(f"config key {key!r} must be a non-empty string, got {value!r}")
+    return Path(value)
+
+
 def _check_topics(settings: dict) -> None:
     """Reject topics settings the stage would only trip over after the
     whole corpus has been preprocessed."""
@@ -110,8 +116,8 @@ def _check_topics(settings: dict) -> None:
             raise ConfigError(
                 f"topics.{key} must be an integer >= 1, got {settings[key]!r}")
     seed = settings.get("seed")
-    if seed is not None and not _is_int(seed):
-        raise ConfigError(f"topics.seed must be an integer or null, got {seed!r}")
+    if seed is not None and not (_is_int(seed) and seed >= 0):
+        raise ConfigError(f"topics.seed must be an integer >= 0 or null, got {seed!r}")
 
 
 def _check_propagation(settings: dict) -> None:
@@ -143,7 +149,7 @@ def load_config(
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
@@ -157,9 +163,9 @@ def load_config(
     for key in _PATH_KEYS:
         if key not in raw:
             raise ConfigError(f"config is missing required key {key!r}")
-        paths[key] = Path(raw[key])
+        paths[key] = _path(key, raw[key])
     for key in _OPTIONAL_PATH_KEYS:
-        paths[key] = Path(raw[key]) if raw.get(key) else None
+        paths[key] = _path(key, raw[key]) if raw.get(key) is not None else None
     for key, value in paths.items():
         if value is not None and not value.is_file():
             raise ConfigError(f"config key {key!r}: no such file: {value}")
@@ -167,10 +173,10 @@ def load_config(
     seed = seed_override if seed_override is not None else raw.get("seed")
     if seed is None:
         raise ConfigError("config requires an explicit seed")
-    if not _is_int(seed):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if not (_is_int(seed) and seed >= 0):
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     out_dir = out_override if out_override is not None else raw.get("out_dir")
-    if not out_dir:
+    if out_dir is None:
         raise ConfigError("config requires out_dir (or pass --out)")
 
     topics_raw = raw.get("topics", {})
@@ -209,7 +215,7 @@ def load_config(
         topics=topics_settings,
         propagation=propagation,
         seed=seed,
-        out_dir=Path(out_dir),
+        out_dir=_path("out_dir", out_dir),
     )
 
 
@@ -243,16 +249,17 @@ def cmd_ingest(config: RunConfig) -> None:
 
     raw, warnings = corpus.ingest_posts(config.posts)
     deduped = corpus.dedup(raw)
+    users = deduped.user_count()
     corpus.write_corpus(deduped, _out_path(config, CORPUS_ARTIFACT))
     with open(_out_path(config, INGEST_SUMMARY), "w", encoding="utf-8") as fh:
         fh.write(f"posts_ingested={len(raw)}\n")
         fh.write(f"posts_after_dedup={len(deduped)}\n")
-        fh.write(f"unique_users={deduped.user_count()}\n")
+        fh.write(f"unique_users={users}\n")
         fh.write(f"malformed_lines={len(warnings)}\n")
         for message in warnings:
             fh.write(f"warning={message}\n")
     print(f"ingested {len(raw)} posts -> {len(deduped)} after dedup "
-          f"({deduped.user_count()} unique users, {len(warnings)} warnings)")
+          f"({users} unique users, {len(warnings)} warnings)")
 
 
 def cmd_topics(config: RunConfig) -> None:
@@ -301,9 +308,8 @@ def cmd_events(config: RunConfig) -> None:
 def cmd_sentiment(config: RunConfig) -> None:
     from . import connotation, corpus, events
 
-    full = _read_corpus_artifact(config)
-    labels = corpus.ingest_labels(config.labels)
-    labeled, _ = corpus.attach_labels(full, labels)
+    labeled, _ = corpus.attach_labels(
+        _read_corpus_artifact(config), corpus.ingest_labels(config.labels))
     if not labeled:
         raise DataError("no label resolves to a corpus post")
     path = config.triples or config.out_dir / TRIPLES_ARTIFACT
@@ -317,10 +323,10 @@ def cmd_sentiment(config: RunConfig) -> None:
 
     settings = config.propagation
     scored = connotation.score_triples(
-        (t for lp in labeled for t in by_post.get(lp.post.post_id, ())),
+        (t for post_id in labeled for t in by_post.get(post_id, ())),
         lexicon, embeddings, settings.k, settings.min_similarity)
     coverage = len({post_id for post_id, _ in scored}) / len(labeled)
-    rows = connotation.aggregate(scored, labels)
+    rows = connotation.aggregate(scored, labeled)
     connotation.write_aggregate_report(
         rows, _out_path(config, SENTIMENT_REPORT), coverage=coverage)
     print(f"scored {len(scored)} events across {len(rows)} label groups "

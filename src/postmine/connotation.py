@@ -11,7 +11,11 @@ with Pr realized as cosine similarity clipped to [0, 1] and the result
 clamped to [-1, 1].  The 1/n average is applied exactly as stated even
 though it shrinks propagated magnitudes toward zero; all five frame
 dimensions propagate with the same weights.  Neighbor search has exact
-full-scan semantics.
+full-scan semantics.  A verb that is unannotated and has no embedding
+or no qualifying neighbor is unscorable: ``propagate`` returns None for
+it and ``score_triples`` drops its triples.  ``aggregate`` groups the
+scored records by the post_id -> label mapping that
+``corpus.attach_labels`` returns.
 
 Frames are named tuples that check their range when they are made.
 ``events`` is imported for type annotations only.
@@ -28,7 +32,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence, TextI
 import numpy as np
 
 from .corpus import HarassmentLabel, HarassmentType, Participant
-from .errors import DataError, NoEmbeddingError, UnscorableError
+from .errors import DataError, read_utf8
 
 if TYPE_CHECKING:
     from .events import EventTriple
@@ -76,26 +80,16 @@ class ConnotationFrame(_FrameFields):
     def _make(cls, iterable) -> "ConnotationFrame":
         return cls(*iterable)
 
-    def as_tuple(self) -> tuple[float, ...]:
-        return tuple(self)
-
 
 class ConnotationLexicon:
     def __init__(self, frames: Mapping[str, ConnotationFrame]):
         self.frames = frames
 
-    def __contains__(self, lemma: str) -> bool:
-        return lemma in self.frames
-
-    def __len__(self) -> int:
-        return len(self.frames)
-
 
 def load_lexicon(source: str | Path | TextIO) -> ConnotationLexicon:
     """Read tab-delimited rows: lemma then five reals in [-1, 1]."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            return load_lexicon(handle)
+        return read_utf8(source, load_lexicon)
     frames: dict[str, ConnotationFrame] = {}
     for lineno, raw in enumerate(source.read().splitlines(), start=1):
         line = raw.strip()
@@ -143,14 +137,9 @@ class EmbeddingStore:
     def __contains__(self, word: str) -> bool:
         return word in self._row
 
-    def __len__(self) -> int:
-        return len(self._row)
-
     def unit_vector(self, word: str) -> np.ndarray:
-        try:
-            return self._unit[self._row[word]]
-        except KeyError:
-            raise NoEmbeddingError(f"no embedding for {word!r}") from None
+        """The word's unit vector; KeyError when it has none."""
+        return self._unit[self._row[word]]
 
     def unit_rows(self, words: Iterable[str]) -> tuple[list[str], np.ndarray]:
         """The given words that have a vector, in the given order, and
@@ -165,8 +154,7 @@ def load_embeddings(source: str | Path | TextIO) -> EmbeddingStore:
     """Read text lines "word v1 v2 ... vD"; the first line fixes D, and a
     mismatched line or a nan/inf component is fatal with its line number."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            return load_embeddings(handle)
+        return read_utf8(source, load_embeddings)
     vectors: dict[str, list[float]] = {}
     dimension: int | None = None
     for lineno, raw in enumerate(source.read().splitlines(), start=1):
@@ -201,7 +189,8 @@ def nearest_annotated(
     k: int,
     min_similarity: float,
 ) -> list[tuple[str, float]]:
-    """The k annotated lemmas most cosine-similar to ``word``.
+    """The k annotated lemmas most cosine-similar to ``word``, which
+    must have a vector (KeyError otherwise).
 
     ``annotated`` is every lemma present in both the lexicon and the
     store with its unit row, ``embeddings.unit_rows(lexicon.frames)``.
@@ -230,24 +219,23 @@ def propagate(
     annotated: tuple[list[str], np.ndarray],
     k: int,
     min_similarity: float,
-) -> ConnotationFrame:
+) -> ConnotationFrame | None:
     """Frame for ``word``: the lexicon entry when annotated, otherwise
     the neighbor-weighted average described in the module docstring.
     ``annotated`` is ``embeddings.unit_rows(lexicon.frames)``, as
     ``nearest_annotated`` takes it.
 
-    Raises UnscorableError when the verb is unannotated and has no
-    embedding or no qualifying annotated neighbor.
+    None when the verb is unscorable: unannotated and with no embedding
+    or no qualifying annotated neighbor.
     """
     frame = lexicon.frames.get(word)
     if frame is not None:
         return frame
-    try:
-        neighbors = nearest_annotated(word, embeddings, annotated, k, min_similarity)
-    except NoEmbeddingError as exc:
-        raise UnscorableError(f"{word!r} is unannotated and unembedded") from exc
+    if word not in embeddings:
+        return None
+    neighbors = nearest_annotated(word, embeddings, annotated, k, min_similarity)
     if not neighbors:
-        raise UnscorableError(f"{word!r} has no qualifying annotated neighbor")
+        return None
     n = len(neighbors)
     values = []
     for dim in FRAME_DIMENSIONS:
@@ -279,11 +267,8 @@ def score_triples(
     for triple in triples:
         lemma = triple.verb_lemma
         if lemma not in frames:
-            try:
-                frames[lemma] = propagate(lemma, lexicon, embeddings, annotated,
-                                          k, min_similarity)
-            except UnscorableError:
-                frames[lemma] = None
+            frames[lemma] = propagate(lemma, lexicon, embeddings, annotated,
+                                      k, min_similarity)
         frame = frames[lemma]
         if frame is not None:
             scored.append((triple.source_post, frame))
@@ -300,9 +285,11 @@ class AggregateRow(NamedTuple):
 
 def aggregate(
     scored: Iterable[tuple[str, ConnotationFrame]],
-    labels: Iterable[HarassmentLabel],
+    labels: Mapping[str, HarassmentLabel],
 ) -> list[AggregateRow]:
-    """Group scored (post_id, frame) records by harassment label.
+    """Group scored (post_id, frame) records by harassment label, with
+    ``labels`` the post_id -> label mapping ``corpus.attach_labels``
+    returns.
 
     One row per nonempty (type, participant) group, in enum declaration
     order: mean verb sentiment, mean affected sentiment, and the group's
@@ -310,15 +297,10 @@ def aggregate(
     whose post has no label are excluded from both the rows and the
     denominator.
     """
-    by_post: dict[str, HarassmentLabel] = {}
-    for label in labels:
-        if label.post_id in by_post:
-            raise DataError(f"duplicate label for post_id {label.post_id!r}")
-        by_post[label.post_id] = label
     groups: dict[tuple[HarassmentType, Participant], list[ConnotationFrame]] = {}
     total = 0
     for post_id, frame in scored:
-        label = by_post.get(post_id)
+        label = labels.get(post_id)
         if label is None:
             continue
         groups.setdefault((label.harassment_type, label.participant), []).append(frame)
@@ -340,10 +322,10 @@ def aggregate(
 
 
 def write_aggregate_report(
-    rows: Sequence[AggregateRow], path: str | Path, coverage: float | None = None
+    rows: Sequence[AggregateRow], path: str | Path, coverage: float
 ) -> None:
-    """Comma-delimited aggregate table, optionally with a coverage
-    footer (fraction of labeled posts that produced a scorable triple)."""
+    """Comma-delimited aggregate table with a coverage footer (fraction
+    of labeled posts that produced a scorable triple)."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(AGGREGATE_HEADER)
@@ -355,5 +337,4 @@ def write_aggregate_report(
                 f"{row.affected_sentiment:.4f}",
                 f"{row.percentage:.2f}",
             ))
-        if coverage is not None:
-            handle.write(f"# coverage={coverage:.4f}\n")
+        handle.write(f"# coverage={coverage:.4f}\n")

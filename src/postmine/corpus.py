@@ -3,8 +3,10 @@
 Posts arrive as line-delimited JSON records (one object per line with
 fields post_id, user_id, institution_id, timestamp, text), institution
 metadata as a CSV table and harassment labels as a CSV table.  Malformed
-post lines never abort a run: they are counted, reported with their line
-number and skipped.  A run only fails when zero valid records survive.
+post lines, a line that is not valid UTF-8 included, never abort a run:
+they are counted, reported with their line number and skipped.  A run
+only fails when zero valid records survive.  ``attach_labels`` joins
+the labels onto the posts once, as a post_id -> label mapping.
 
 The records are immutable named tuples.  ``atomic_open`` writes the
 artifacts that later stages read, so a run that dies mid-write never
@@ -21,9 +23,9 @@ import os
 from contextlib import contextmanager
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
-from .errors import DataError, EmptyCorpusError
+from .errors import DataError, EmptyCorpusError, read_utf8
 
 logger = logging.getLogger(__name__)
 
@@ -94,13 +96,8 @@ class HarassmentLabel(NamedTuple):
     participant: Participant
 
 
-class LabeledPost(NamedTuple):
-    post: Post
-    label: HarassmentLabel
-
-
 class Corpus:
-    """Immutable ordered list of posts plus a user_id -> post indices map.
+    """Immutable ordered list of posts.
 
     A freshly ingested corpus may still contain duplicate post_ids;
     ``dedup`` establishes the one-post-per-id and one-post-per-(user,
@@ -109,21 +106,12 @@ class Corpus:
 
     def __init__(self, posts: Iterable[Post]):
         self.posts: tuple[Post, ...] = tuple(posts)
-        index: dict[str, list[int]] = {}
-        for i, post in enumerate(self.posts):
-            index.setdefault(post.user_id, []).append(i)
-        self.user_index: Mapping[str, tuple[int, ...]] = {
-            u: tuple(ix) for u, ix in index.items()
-        }
 
     def __len__(self) -> int:
         return len(self.posts)
 
-    def __iter__(self) -> Iterator[Post]:
-        return iter(self.posts)
-
     def user_count(self) -> int:
-        return len(self.user_index)
+        return len({post.user_id for post in self.posts})
 
 
 def normalized_text(text: str) -> str:
@@ -178,12 +166,14 @@ def ingest_posts(source: str | Path | TextIO) -> tuple[Corpus, list[str]]:
     """Read line-delimited post records.
 
     Returns the corpus (input order preserved) and the list of per-line
-    warnings for malformed records.  Raises EmptyCorpusError when no
-    valid record survives; an unreadable source raises the underlying
-    OSError.
+    warnings for malformed records, a line that is not valid UTF-8
+    among them.  Raises EmptyCorpusError when no valid record survives;
+    an unreadable source raises the underlying OSError.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
+        # bytes that do not decode become lone surrogates, which fail
+        # the line's re-encoding below
+        with open(source, "r", encoding="utf-8", errors="surrogateescape") as handle:
             return ingest_posts(handle)
     posts: list[Post] = []
     warnings: list[str] = []
@@ -192,7 +182,10 @@ def ingest_posts(source: str | Path | TextIO) -> tuple[Corpus, list[str]]:
             warnings.append(f"line {lineno}: blank line")
             continue
         try:
+            line.encode("utf-8")
             posts.append(_parse_post(json.loads(line)))
+        except UnicodeEncodeError:
+            warnings.append(f"line {lineno}: not valid UTF-8")
         except RecursionError:
             warnings.append(f"line {lineno}: JSON nested too deeply")
         except (ValueError, TypeError) as exc:
@@ -244,8 +237,7 @@ def ingest_institutions(source: str | Path | TextIO) -> list[InstitutionRecord]:
     number in the message.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            return ingest_institutions(handle)
+        return read_utf8(source, ingest_institutions, newline="")
     reader = csv.DictReader(source)
     if reader.fieldnames is None:
         raise DataError("institution table is empty")
@@ -295,8 +287,7 @@ def ingest_institutions(source: str | Path | TextIO) -> list[InstitutionRecord]:
 def ingest_labels(source: str | Path | TextIO) -> list[HarassmentLabel]:
     """Read the harassment label table (post_id,harassment_type,participant)."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            return ingest_labels(handle)
+        return read_utf8(source, ingest_labels, newline="")
     reader = csv.DictReader(source)
     if reader.fieldnames is None:
         raise DataError("label table is empty")
@@ -321,29 +312,23 @@ def ingest_labels(source: str | Path | TextIO) -> list[HarassmentLabel]:
 
 def attach_labels(
     corpus: Corpus, labels: Iterable[HarassmentLabel]
-) -> tuple[list[LabeledPost], list[str]]:
+) -> tuple[dict[str, HarassmentLabel], list[str]]:
     """Join labels onto corpus posts.
 
-    Two labels for one post_id are ambiguous ground truth and fatal.  A
-    label whose post_id is absent from the corpus produces a warning and
-    is excluded.  Returned rows follow corpus post order.
+    Returns the labeled posts' post_id -> label mapping, in corpus post
+    order, and the warnings.  Two labels for one post_id are ambiguous
+    ground truth and fatal.  A label whose post_id is absent from the
+    corpus produces a warning and is excluded.
     """
     by_post: dict[str, HarassmentLabel] = {}
     for label in labels:
         if label.post_id in by_post:
             raise DataError(f"duplicate label for post_id {label.post_id!r}")
         by_post[label.post_id] = label
-    warnings: list[str] = []
-    labeled: list[LabeledPost] = []
-    resolved: set[str] = set()
-    for post in corpus.posts:
-        label = by_post.get(post.post_id)
-        if label is not None and post.post_id not in resolved:
-            labeled.append(LabeledPost(post, label))
-            resolved.add(post.post_id)
-    for post_id in by_post:
-        if post_id not in resolved:
-            warnings.append(f"label references unknown post_id {post_id!r}")
+    labeled = {post.post_id: by_post[post.post_id]
+               for post in corpus.posts if post.post_id in by_post}
+    warnings = [f"label references unknown post_id {post_id!r}"
+                for post_id in by_post if post_id not in labeled]
     _log_warnings("attach_labels", warnings)
     return labeled, warnings
 

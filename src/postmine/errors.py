@@ -1,4 +1,5 @@
-"""Exception types shared across the pipeline.
+"""Exception types shared across the pipeline, and ``read_utf8``, which
+reads an input file so that bytes that are not UTF-8 are a data error.
 
 The CLI maps ConfigError to exit code 1 and DataError (with its
 subclasses) to exit code 2.
@@ -21,13 +22,15 @@ class EmptyVocabularyError(DataError):
     """Vocabulary pruning removed every term."""
 
 
-class NoEmbeddingError(DataError):
-    """Queried word has no vector in the embedding store."""
-
-
-class UnscorableError(DataError):
-    """Verb is unannotated and has no usable annotated neighbor."""
-
-
 class RankDeficientError(DataError):
     """Design matrix has linearly dependent columns."""
+
+
+def read_utf8(path, reader, newline=None):
+    """``reader`` applied to the open UTF-8 text file at ``path``; bytes
+    that do not decode raise a DataError that names the file."""
+    with open(path, "r", encoding="utf-8", newline=newline) as handle:
+        try:
+            return reader(handle)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not valid UTF-8: {exc.reason}") from None

@@ -23,7 +23,7 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, TextIO
 
-from .errors import DataError
+from .errors import DataError, read_utf8
 
 if TYPE_CHECKING:
     from .textprep import Token, TokenKind
@@ -80,8 +80,7 @@ class VerbInventory:
 def load_inventory(source: str | Path | TextIO) -> VerbInventory:
     """Read a tab-delimited inventory: lemma TAB comma-joined inflections."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            return load_inventory(handle)
+        return read_utf8(source, load_inventory)
     lemmas: list[str] = []
     inflections: dict[str, str] = {}
     for lineno, raw in enumerate(source.read().splitlines(), start=1):
@@ -301,8 +300,7 @@ def write_triples(triples: Iterable[EventTriple], path: str | Path) -> None:
 def read_triples(source: str | Path | TextIO) -> list[EventTriple]:
     """Import externally produced triples (the pluggable-extractor path)."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            return read_triples(handle)
+        return read_utf8(source, read_triples, newline="")
     reader = csv.reader(source, delimiter="\t")
     rows = list(reader)
     if not rows or tuple(rows[0]) != TRIPLE_HEADER:

@@ -49,7 +49,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping, NamedTuple, TextIO
 
-from .errors import DataError
+from .errors import DataError, read_utf8
 
 TAG_URL = "<url>"
 TAG_EMAIL = "<email>"
@@ -251,8 +251,7 @@ def load_correction_dictionary(
 
 def _read_lines(source: str | Path | TextIO) -> list[str]:
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            return handle.read().splitlines()
+        return read_utf8(source, _read_lines)
     return source.read().splitlines()
 
 

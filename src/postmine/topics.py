@@ -3,7 +3,7 @@
 Inference is variational Bayes rather than collapsed Gibbs: the
 documents carry fractional TF-IDF weights, and VB consumes fractional
 expected counts directly.  Per-topic word distributions get a symmetric
-Dirichlet prior eta = 0.01, per-document topic distributions a symmetric
+Dirichlet prior ETA = 0.01, per-document topic distributions a symmetric
 alpha = 1/K.  Fits are deterministic functions of (matrix, K, seed,
 iters): the only randomness is the seeded Gamma initialization of the
 topic-word variational parameters.
@@ -20,8 +20,8 @@ rows.  The update is scale-free: exp E[log theta] enters it and the
 expected counts only through ratios within a document, so the E-step
 uses exp(psi(gamma)) and never evaluates psi of the row sums.  A
 document stops after the iteration in which sum_k |change of gamma| <
-inner_tol * sum_k gamma (a relative form of the paper's mean-change
-threshold), or after ``inner_iters``; its topic weights are written
+INNER_RTOL * sum_k gamma (a relative form of the paper's mean-change
+threshold), or after INNER_ITERS; its topic weights are written
 back in that iteration.  Stopped documents leave the working arrays,
 with their nonzeros, once at most half of the working columns are still
 running, so compaction costs little and no document's arithmetic
@@ -51,7 +51,12 @@ orders by name each chain of sorted neighbours whose gap is at most
 profile, which converge to the same weight only up to rounding, rank by
 name and the report does not depend on the fit's last bits.
 ``select_k`` fits one model per candidate K and returns the coherence
-argmax, ties broken toward smaller K.
+argmax over each model's top 10 words, ties broken toward smaller K.
+
+The fit's fixed settings are module constants: ETA, the relative bound
+stop BOUND_RTOL, and the E-step's INNER_ITERS and INNER_RTOL.
+``save_model`` writes the selected model as text; no stage reads it
+back.
 """
 
 from __future__ import annotations
@@ -69,6 +74,10 @@ from .textprep import Token, TokenKind
 logger = logging.getLogger(__name__)
 
 COHERENCE_EPS = 1e-12
+ETA = 0.01             # symmetric Dirichlet prior on each topic's words
+BOUND_RTOL = 1e-6      # fit_lda stops once the bound moves by at most this, relative
+INNER_ITERS = 100      # E-step iterations per sweep, at most
+INNER_RTOL = 1e-6      # a document's E-step stops below this relative change of gamma
 # top_words ranks sorted neighbours this close, relative to the larger, by name
 TIE_RTOL = 1e-9
 
@@ -105,9 +114,6 @@ class WeightedMatrix:
         self.n_terms = n_terms
         self.terms = terms
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
 
 class TopicModel(NamedTuple):
     k: int
@@ -117,9 +123,9 @@ class TopicModel(NamedTuple):
     seed: int
     terms: tuple[str, ...] | None = None
     objective_trace: tuple[float, ...] = ()
-    converged: bool | None = None  # bound met tol before iters ran out; None if unknown
+    converged: bool | None = None  # bound met BOUND_RTOL before iters ran out; None if unknown
     inner_iterations: int | None = None  # E-step iterations over all sweeps; None if unknown
-    capped_documents: int | None = None  # documents cut off by inner_iters, over all sweeps
+    capped_documents: int | None = None  # documents cut off by INNER_ITERS, over all sweeps
 
 
 def content_terms(doc: Sequence[Token]) -> list[str]:
@@ -252,19 +258,11 @@ def _starts(lengths: np.ndarray) -> np.ndarray:
     return np.cumsum(lengths) - lengths
 
 
-def fit_lda(
-    matrix: WeightedMatrix,
-    k: int,
-    seed: int,
-    iters: int = 200,
-    eta: float = 0.01,
-    tol: float = 1e-6,
-    inner_iters: int = 100,
-    inner_tol: float = 1e-6,
-) -> TopicModel:
+def fit_lda(matrix: WeightedMatrix, k: int, seed: int, iters: int = 200) -> TopicModel:
     """Batch variational-Bayes LDA over (possibly fractional) weights.
 
-    Stops early when the relative change of the bound falls below tol.
+    Stops early when the relative change of the bound is at most
+    BOUND_RTOL.
     Documents with no nonzero weight are skipped with a warning and get
     a uniform doc_topic row.  Coherence is left NaN; ``coherence`` /
     ``select_k`` fill it in.
@@ -296,7 +294,7 @@ def fit_lda(
     inner_total = capped_total = 0
     for _ in range(iters):
         exp_elog_beta = np.take(np.exp(_dirichlet_expectation(lam)), nz.ids, axis=1)  # K x nnz
-        theta, inner, capped = _e_step(gamma, exp_elog_beta, nz, alpha, inner_iters, inner_tol)
+        theta, inner, capped = _e_step(gamma, exp_elog_beta, nz, alpha)
         inner_total += inner
         capped_total += capped
         weights = np.take(theta, nz.doc_of, axis=1)
@@ -305,12 +303,12 @@ def fit_lda(
         weights *= exp_elog_beta
         sstats = np.array([
             np.bincount(nz.ids, weights=row, minlength=n_terms) for row in weights])
-        lam = eta + sstats
-        bound = _elbo(nz, gamma, lam, alpha, eta)
+        lam = ETA + sstats
+        bound = _elbo(nz, gamma, lam, alpha)
         trace.append(bound)
         if len(trace) >= 2:
             prev = trace[-2]
-            if abs(bound - prev) <= tol * abs(prev):
+            if abs(bound - prev) <= BOUND_RTOL * abs(prev):
                 converged = True
                 break
 
@@ -332,23 +330,18 @@ def fit_lda(
 
 
 def _e_step(
-    gamma: np.ndarray,
-    exp_elog_beta: np.ndarray,
-    nz: _Nonzeros,
-    alpha: float,
-    inner_iters: int,
-    inner_tol: float,
+    gamma: np.ndarray, exp_elog_beta: np.ndarray, nz: _Nonzeros, alpha: float
 ) -> tuple[np.ndarray, int, int]:
     """Run the per-document fixed point for gamma (K x active) on every
     active document at once, updating ``gamma`` in place; returns the
     final exp(psi(gamma)) columns, the number of iterations run and the
-    number of documents still running when inner_iters ran out.
+    number of documents still running when INNER_ITERS ran out.
 
     exp(psi(gamma)) stands in for exp(E[log theta]): the two differ by
     a factor per document, which ``phinorm`` divides out of the update
     and of the expected counts.  A document stops after the iteration
-    in which sum_k |change of gamma| < inner_tol * sum_k gamma, or after
-    inner_iters; its columns are written back in that iteration.  They
+    in which sum_k |change of gamma| < INNER_RTOL * sum_k gamma, or after
+    INNER_ITERS; its columns are written back in that iteration.  They
     leave the working arrays, with its nonzeros, once at most half of
     the working columns are still running; until then they are updated
     and ignored, which leaves every other document's arithmetic as it
@@ -362,11 +355,11 @@ def _e_step(
     beta, cts, local, lengths = exp_elog_beta, nz.cts, nz.doc_of, nz.lengths
     starts = _starts(lengths)
     inner = 0
-    for inner in range(1, inner_iters + 1):
+    for inner in range(1, INNER_ITERS + 1):
         phinorm = np.einsum("kj,kj->j", np.take(theta, local, axis=1), beta) + 1e-100
         fresh = alpha + theta * np.add.reduceat(beta * (cts / phinorm), starts, axis=1)
         theta = np.exp(_digamma(fresh))
-        stop = np.abs(fresh - last).sum(axis=0) < inner_tol * fresh.sum(axis=0)
+        stop = np.abs(fresh - last).sum(axis=0) < INNER_RTOL * fresh.sum(axis=0)
         stop &= running
         last = fresh
         if not stop.any():
@@ -390,13 +383,7 @@ def _e_step(
     return exp_theta, inner, int(np.count_nonzero(running))
 
 
-def _elbo(
-    nz: _Nonzeros,
-    gamma: np.ndarray,
-    lam: np.ndarray,
-    alpha: float,
-    eta: float,
-) -> float:
+def _elbo(nz: _Nonzeros, gamma: np.ndarray, lam: np.ndarray, alpha: float) -> float:
     """Evidence lower bound with the per-token assignments optimized out
     (log-sum-exp over topics for every weighted term); ``gamma`` holds
     the active documents' columns."""
@@ -409,9 +396,9 @@ def _elbo(
     score += float(np.sum((alpha - gamma) * elog_theta))
     score += float(np.sum(_gammaln(gamma)) - np.sum(_gammaln(gamma.sum(axis=0))))
     score += gamma.shape[1] * (math.lgamma(alpha * k) - k * math.lgamma(alpha))
-    score += float(np.sum((eta - lam) * elog_beta))
+    score += float(np.sum((ETA - lam) * elog_beta))
     score += float(np.sum(_gammaln(lam)) - np.sum(_gammaln(lam.sum(axis=1))))
-    score += k * (math.lgamma(eta * n_terms) - n_terms * math.lgamma(eta))
+    score += k * (math.lgamma(ETA * n_terms) - n_terms * math.lgamma(ETA))
     return score
 
 
@@ -476,7 +463,6 @@ def select_k(
     k_candidates: Iterable[int],
     seed: int,
     iters: int = 200,
-    top_n: int = 10,
 ) -> TopicModel:
     """Fit one model per candidate K, return the coherence argmax.
 
@@ -490,7 +476,7 @@ def select_k(
     best: TopicModel | None = None
     for k in candidates:
         model = fit_lda(matrix, k, seed, iters=iters)
-        score = coherence(model, docs, top_n=top_n)
+        score = coherence(model, docs)
         model = model._replace(coherence=score)
         logger.info(
             "select_k: k=%d coherence=%.6f sweeps=%d inner=%d capped=%d bound=%.6f stop=%s",
@@ -505,7 +491,8 @@ def select_k(
 
 def save_model(model: TopicModel, path: str | Path) -> None:
     """Flat text serialization: a header line (K, vocab size, seed,
-    coherence) then dense topic_word and doc_topic rows."""
+    coherence) then dense topic_word and doc_topic rows, each value as
+    its shortest round-trip ``repr``."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(
             f"{model.k}\t{model.topic_word.shape[1]}\t{model.seed}\t"
@@ -518,42 +505,3 @@ def save_model(model: TopicModel, path: str | Path) -> None:
             handle.write("\t".join(repr(float(x)) for x in row))
             handle.write("\n")
 
-
-def _float_rows(path, lines: Sequence[str], width: int, first_line: int) -> np.ndarray:
-    out = np.empty((len(lines), width))
-    for i, line in enumerate(lines):
-        cells = line.split("\t")
-        if len(cells) != width:
-            raise DataError(f"model file {path} line {first_line + i}: "
-                            f"expected {width} values, got {len(cells)}")
-        try:
-            out[i] = [float(x) for x in cells]
-        except ValueError:
-            raise DataError(
-                f"model file {path} line {first_line + i}: non-numeric value") from None
-    return out
-
-
-def load_model(path: str | Path, terms: tuple[str, ...] | None = None) -> TopicModel:
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        raise DataError(f"model file {path} is empty")
-    try:  # a wrong field count fails the unpacking
-        k_s, n_terms_s, seed_s, coh_s = lines[0].split("\t")
-        k, n_terms, seed, coh = int(k_s), int(n_terms_s), int(seed_s), float(coh_s)
-    except ValueError:
-        raise DataError(f"model file {path}: bad header") from None
-    if k < 1 or n_terms < 1:
-        raise DataError(f"model file {path}: bad header")
-    body = lines[1:]
-    if len(body) < k:
-        raise DataError(f"model file {path}: truncated topic rows")
-    return TopicModel(
-        k=k,
-        topic_word=_float_rows(path, body[:k], n_terms, first_line=2),
-        doc_topic=_float_rows(path, body[k:], k, first_line=2 + k),
-        coherence=coh,
-        seed=seed,
-        terms=terms,
-    )

@@ -124,7 +124,7 @@ def test_criterion_4_propagation(demo_bundle):
         lexicon = load_lexicon(demo_bundle["lexicon"])
         embeddings = load_embeddings(demo_bundle["embeddings"])
         config = dict(k=10, min_similarity=0.0)
-        assert len(lexicon) == 950
+        assert len(lexicon.frames) == 950
         annotated_rows = embeddings.unit_rows(lexicon.frames)
         for lemma, frame in lexicon.frames.items():
             assert propagate(lemma, lexicon, embeddings, annotated_rows, **config) == frame

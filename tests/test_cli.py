@@ -83,7 +83,7 @@ class TestConfig:
         {"iters": 0}, {"iters": "8"}, {"min_df": 0}, {"top_words": 0},
         {"k_candidates": []}, {"k_candidates": [1]}, {"k_candidates": "abc"},
         {"k_candidates": [2, 2.5]}, {"k_candidates": [True, 3]},
-        {"seed": "x"}, {"seed": 1.5}, {"seed": True},
+        {"seed": "x"}, {"seed": 1.5}, {"seed": True}, {"seed": -1},
     ], ids=repr)
     def test_bad_topics_setting_exits_one(self, tmp_path, demo_bundle, capsys, setting):
         topics = {**json.loads(demo_bundle["config"].read_text())["topics"], **setting}
@@ -94,6 +94,31 @@ class TestConfig:
         assert main(["--config", str(config), "ingest"]) == 1
         assert "config error: topics." + key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags, overrides", [
+        ([], {"seed": -1}), (["--seed", "-1"], {}),
+    ], ids=["config", "flag"])
+    def test_negative_seed_exits_one(self, tmp_path, demo_bundle, capsys, flags,
+                                     overrides):
+        config = write_config(tmp_path, demo_bundle, **overrides)
+        assert main(["--config", str(config), *flags, "ingest"]) == 1
+        assert "config error: seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("posts", 7), ("labels", ""), ("censored", ["x"]), ("triples", False),
+        ("out_dir", 5), ("out_dir", ""),
+    ], ids=repr)
+    def test_path_value_not_a_string_exits_one(self, tmp_path, demo_bundle, capsys,
+                                               key, value):
+        config = write_config(tmp_path, demo_bundle, **{key: value})
+        assert main(["--config", str(config), "ingest"]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: config key '{key}' must be a non-empty string" in err
+
+    def test_optional_path_may_be_null(self, tmp_path, demo_bundle):
+        config = write_config(tmp_path, demo_bundle, censored=None, triples=None)
+        assert load_config(config).censored is None
 
     @pytest.mark.parametrize("setting", [
         {"k": 0}, {"k": 2.5}, {"k": True}, {"min_similarity": "x"},
@@ -286,6 +311,19 @@ class TestIngestCommand:
         for command in ("topics", "events", "sentiment", "regress", "report"):
             assert main(["--config", str(config), command]) == 0, command
 
+    def test_line_not_utf8_is_malformed(self, tmp_path, demo_bundle):
+        posts = tmp_path / "posts.jsonl"
+        good = demo_bundle["posts"].read_bytes()
+        bad = post_line("zz", text="caf\u00e9 bad byte").encode().replace(b"\\u00e9", b"\xe9")
+        posts.write_bytes(good + bad + b"\n")
+        config = write_config(tmp_path, demo_bundle, posts=str(posts))
+        assert main(["--config", str(config), "ingest"]) == 0
+        summary = (tmp_path / "out" / INGEST_SUMMARY).read_text()
+        kept = len(good.splitlines())
+        assert f"posts_ingested={kept}\n" in summary
+        assert "malformed_lines=1\n" in summary
+        assert f"warning=line {kept + 1}: not valid UTF-8\n" in summary
+
     def test_topics_requires_corpus_artifact(self, tmp_path, demo_bundle, capsys):
         config = write_config(tmp_path, demo_bundle)
         assert main(["--config", str(config), "topics"]) == 2
@@ -428,3 +466,13 @@ class TestRegressCommand:
         assert main(["--config", str(config), "ingest"]) == 0
         assert main(["--config", str(config), "regress"]) == 2
         assert "n=8, p=8" in capsys.readouterr().err
+
+    def test_institutions_not_utf8_exits_two(self, tmp_path, demo_bundle, capsys):
+        institutions = tmp_path / "institutions.csv"
+        institutions.write_bytes(demo_bundle["institutions"].read_bytes()
+                                 + b"u\xe9,1,1,public,west,1\n")
+        config = write_config(tmp_path, demo_bundle, institutions=str(institutions))
+        assert main(["--config", str(config), "ingest"]) == 0
+        assert main(["--config", str(config), "regress"]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {institutions} is not valid UTF-8" in err

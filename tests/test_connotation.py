@@ -19,7 +19,7 @@ from postmine.connotation import (
     write_aggregate_report,
 )
 from postmine.corpus import HarassmentLabel, HarassmentType, Participant
-from postmine.errors import DataError, NoEmbeddingError, UnscorableError
+from postmine.errors import DataError
 from postmine.events import EventTriple, TokenSpan
 
 
@@ -28,6 +28,10 @@ def frame(*values):
 
 
 HARASS_FRAME = frame(-0.8, -0.7, -0.9, -0.6, 0.5)
+
+
+def by_post(labels):
+    return {label.post_id: label for label in labels}
 
 
 class TestConnotationFrame:
@@ -42,7 +46,7 @@ class TestConnotationFrame:
             HARASS_FRAME._replace(**{HARASS_FRAME._fields[dim]: value})
 
     def test_bounds_are_inclusive(self):
-        assert ConnotationFrame(-1.0, 1.0, 0.0, 0.0, 0.0).as_tuple() == (-1.0, 1.0, 0.0, 0.0, 0.0)
+        assert ConnotationFrame(-1.0, 1.0, 0.0, 0.0, 0.0) == (-1.0, 1.0, 0.0, 0.0, 0.0)
 
 
 class TestLoadLexicon:
@@ -119,7 +123,7 @@ class TestNearestAnnotated:
 
     def test_absent_word_raises(self):
         lex, emb = small_world()
-        with pytest.raises(NoEmbeddingError):
+        with pytest.raises(KeyError):
             nearest_annotated("ghost", emb, emb.unit_rows(lex.frames), k=10,
                               min_similarity=0.0)
 
@@ -205,20 +209,19 @@ class TestPropagate:
     def test_unscorable_when_no_neighbors(self):
         lex, emb = small_world()
         cfg = dict(k=5, min_similarity=0.9)
-        with pytest.raises(UnscorableError):
-            propagate("orthogonal", lex, emb, emb.unit_rows(lex.frames), **cfg)
+        assert propagate("orthogonal", lex, emb, emb.unit_rows(lex.frames), **cfg) is None
 
     def test_unscorable_when_unembedded(self):
         lex, emb = small_world()
-        with pytest.raises(UnscorableError):
-            propagate("ghostverb", lex, emb, emb.unit_rows(lex.frames), k=10, min_similarity=0.0)
+        assert propagate("ghostverb", lex, emb, emb.unit_rows(lex.frames),
+                         k=10, min_similarity=0.0) is None
 
     def test_magnitude_bounded_by_annotated_max(self):
         lex, emb = small_world()
         out = propagate("pester", lex, emb, emb.unit_rows(lex.frames), k=3, min_similarity=0.0)
-        bound = max(max(abs(v) for v in f.as_tuple()) for f in lex.frames.values())
-        assert all(abs(v) <= bound + 1e-12 for v in out.as_tuple())
-        assert all(-1.0 <= v <= 1.0 for v in out.as_tuple())
+        bound = max(max(abs(v) for v in f) for f in lex.frames.values())
+        assert all(abs(v) <= bound + 1e-12 for v in out)
+        assert all(-1.0 <= v <= 1.0 for v in out)
 
     def test_monotone_in_neighbor_sentiment(self):
         def world(delta):
@@ -289,7 +292,7 @@ class TestAggregate:
                   ("p2", frame(-0.4, -0.3, 0, 0, 0))]
         labels = [HarassmentLabel("p1", HarassmentType.PHYSICAL, Participant.PEER),
                   HarassmentLabel("p2", HarassmentType.PHYSICAL, Participant.PEER)]
-        (row,) = aggregate(scored, labels)
+        (row,) = aggregate(scored, by_post(labels))
         assert row.event_sentiment == pytest.approx(-0.3)
         assert row.affected_sentiment == pytest.approx(-0.2)
         assert row.percentage == pytest.approx(100.0)
@@ -303,7 +306,7 @@ class TestAggregate:
             HarassmentLabel("p2", HarassmentType.VERBAL, Participant.FACULTY),
             HarassmentLabel("p3", HarassmentType.VERBAL, Participant.FACULTY),
         ]
-        rows = aggregate(scored, labels)
+        rows = aggregate(scored, by_post(labels))
         assert [r.percentage for r in rows] == [50.0, 50.0]
         assert rows[0].event_sentiment == rows[1].event_sentiment
 
@@ -316,7 +319,7 @@ class TestAggregate:
             HarassmentLabel("p2", HarassmentType.PHYSICAL, Participant.PEER),
             HarassmentLabel("p3", HarassmentType.VERBAL, Participant.PEER),
         ]
-        rows = aggregate(scored, labels)
+        rows = aggregate(scored, by_post(labels))
         assert [(r.harassment_type, r.participant) for r in rows] == [
             (HarassmentType.PHYSICAL, Participant.PEER),
             (HarassmentType.PHYSICAL, Participant.FACULTY),
@@ -325,13 +328,13 @@ class TestAggregate:
         ]
 
     def test_empty_input_empty_table(self):
-        assert aggregate([], []) == []
+        assert aggregate([], {}) == []
 
     def test_unlabeled_records_excluded_from_denominator(self):
         f = frame(-0.5, 0, 0, 0, 0)
         scored = [("p1", f), ("stray", f)]
         labels = [HarassmentLabel("p1", HarassmentType.PHYSICAL, Participant.PEER)]
-        (row,) = aggregate(scored, labels)
+        (row,) = aggregate(scored, by_post(labels))
         assert row.percentage == pytest.approx(100.0)
 
     def test_percentages_sum_to_hundred(self):
@@ -344,7 +347,7 @@ class TestAggregate:
             scored.append((f"p{i}", frame(float(rng.uniform(-1, 1)), 0, 0, 0, 0)))
             labels.append(HarassmentLabel(
                 f"p{i}", types[int(rng.integers(0, 3))], parts[int(rng.integers(0, 3))]))
-        rows = aggregate(scored, labels)
+        rows = aggregate(scored, by_post(labels))
         assert sum(r.percentage for r in rows) == pytest.approx(100.0, abs=0.01)
 
 
@@ -352,7 +355,7 @@ def test_aggregate_report_schema(tmp_path):
     scored = [("p1", frame(-0.2, -0.1, 0, 0, 0))]
     labels = [HarassmentLabel("p1", HarassmentType.PHYSICAL, Participant.FACULTY)]
     path = tmp_path / "sentiment.csv"
-    write_aggregate_report(aggregate(scored, labels), path, coverage=0.5)
+    write_aggregate_report(aggregate(scored, by_post(labels)), path, coverage=0.5)
     lines = path.read_text().splitlines()
     assert lines[0] == "harassment_type,participant,event_sentiment,affected_sentiment,percentage"
     assert lines[1].startswith("Physical,Faculty,")

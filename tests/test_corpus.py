@@ -176,13 +176,10 @@ class TestDedup:
         assert dedup(Corpus(shuffled)).posts == dedup(Corpus(base)).posts
 
 
-def test_user_index_round_trip():
+def test_user_count():
     posts = [Post(f"p{i}", f"u{i % 3}", "c1", i, f"text {i}") for i in range(10)]
-    corpus = Corpus(posts)
-    for user_id, indices in corpus.user_index.items():
-        assert all(corpus.posts[i].user_id == user_id for i in indices)
-        expected = [i for i, p in enumerate(posts) if p.user_id == user_id]
-        assert list(indices) == expected
+    assert Corpus(posts).user_count() == 3
+    assert Corpus(posts[:2]).user_count() == 2
 
 
 INSTITUTION_HEADER = "institution_id,enrollment,mf_ratio,sector,region,reported_cases\n"
@@ -238,17 +235,18 @@ class TestLabels:
 
     def test_attach_resolving_labels(self):
         labels = [
-            HarassmentLabel("p0", HarassmentType.PHYSICAL, Participant.PEER),
             HarassmentLabel("p2", HarassmentType.VERBAL, Participant.FACULTY),
+            HarassmentLabel("p0", HarassmentType.PHYSICAL, Participant.PEER),
         ]
         labeled, warnings = attach_labels(self._corpus(), labels)
-        assert [lp.post.post_id for lp in labeled] == ["p0", "p2"]
+        assert labeled == {"p0": labels[1], "p2": labels[0]}
+        assert list(labeled) == ["p0", "p2"]   # corpus post order
         assert warnings == []
 
     def test_unresolved_label_warns_and_is_excluded(self):
         labels = [HarassmentLabel("p9", HarassmentType.VISUAL, Participant.PEER)]
         labeled, warnings = attach_labels(self._corpus(), labels)
-        assert labeled == []
+        assert labeled == {}
         assert len(warnings) == 1 and "p9" in warnings[0]
 
     def test_unresolved_labels_logged_as_one_line(self, caplog):
