@@ -2,8 +2,9 @@
 ``out_dir`` files.
 
 Runs every stage of each bundle below once per tree, each stage as a
-fresh ``python -m postmine.cli`` subprocess, and compares each stage's
-exit code and stdout, then the two output directories file by file:
+fresh ``python -m postmine.cli`` subprocess (``topics`` with ``-v``, so
+its per-K lines are compared too), and compares each stage's exit code,
+stdout and stderr, then the two output directories file by file:
 
 - the demo bundle (``postmine.demo``, seed 42), all six stages;
 - ``perfbench/generate.py``'s ``topics-small`` and ``hostile-mix``
@@ -59,9 +60,10 @@ def run_stages(src: Path, bundle: Path, out: Path,
     env = {**os.environ, "PYTHONPATH": str(src)}
     runs = []
     for stage in stages:
+        verbose = ["-v"] if stage == "topics" else []
         runs.append(subprocess.run(
             [sys.executable, "-m", "postmine.cli", "--config", "config.json",
-             "--out", str(out), stage],
+             "--out", str(out), *verbose, stage],
             cwd=bundle, env=env, capture_output=True, text=True))
         if runs[-1].returncode != 0:
             break
@@ -90,14 +92,16 @@ def main(argv: list[str] | None = None) -> int:
                     same = False
             for i, stage in enumerate(stages[:max(map(len, runs))]):
                 a, b = (tree_runs[i] if i < len(tree_runs) else None for tree_runs in runs)
-                if a is None or b is None:
-                    verdict = f"DIFFERS (only {'A' if a else 'B'} ran it)"
-                elif (a.returncode, a.stdout) == (b.returncode, b.stdout):
-                    verdict = "identical"
-                else:
-                    verdict = "DIFFERS"
-                same = same and verdict == "identical"
-                print(f"{name}/{stage} (exit code, stdout): {verdict}")
+                for part, key in (("exit code, stdout", lambda r: (r.returncode, r.stdout)),
+                                  ("stderr", lambda r: r.stderr)):
+                    if a is None or b is None:
+                        verdict = f"DIFFERS (only {'A' if a else 'B'} ran it)"
+                    elif key(a) == key(b):
+                        verdict = "identical"
+                    else:
+                        verdict = "DIFFERS"
+                    same = same and verdict == "identical"
+                    print(f"{name}/{stage} ({part}): {verdict}")
             files = sorted({p.name for out in outs if out.is_dir() for p in out.iterdir()})
             for file in files:
                 a, b = (out / file for out in outs)

@@ -8,17 +8,23 @@ files, config, seed), and report bodies carry no timestamps, so reruns
 are byte-identical.  Exit codes: 0 success, 1 usage or configuration
 error, 2 data error.
 
+Only this module writes to stderr: the stage functions return their
+warnings and diagnostics, and the commands print them (``-v`` adds the
+per-K lines of ``topics``).
+
 A stage pays little to start and to stop.  It imports only the modules
 it runs: every stage module, ``corpus`` included, is imported inside
 the commands that use it, since numpy and the text-processing tables
-are most of a stage's start-up time and ``report`` needs none of them.  And ``run``, the entry point of ``python -m
-postmine.cli`` and of the ``postmine`` script, ends the process with
-``os._exit`` once ``main`` has returned and logging and the standard
-streams are flushed, skipping the interpreter's teardown.  That is safe
-only while every file the package writes is opened in a ``with`` block,
-so it is closed before ``main`` returns, and nothing in the package
-relies on ``atexit``, ``tempfile``, ``weakref`` or ``__del__``; keep it
-that way.
+are most of a stage's start-up time and ``report`` needs none of them.
+And ``run``, the entry point of ``python -m postmine.cli`` and of the
+``postmine`` script, ends the process with ``os._exit`` once ``main``
+has returned and the standard streams are flushed, skipping the
+interpreter's teardown; under a profiler or a tracer, which save their
+results at exit, it takes the normal exit.  ``os._exit`` is safe only
+while every file the package writes is opened in a ``with`` block, so
+it is closed before ``main`` returns, and nothing in the package relies
+on ``atexit``, ``tempfile``, ``weakref`` or ``__del__``; keep it that
+way.
 """
 
 from __future__ import annotations
@@ -26,18 +32,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
 import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, EmptyCorpusError
 
 if TYPE_CHECKING:
-    from . import corpus, textprep
-
-logger = logging.getLogger(__name__)
+    from . import corpus, textprep, topics
 
 CORPUS_ARTIFACT = "corpus.jsonl"
 INGEST_SUMMARY = "ingest_summary.txt"
@@ -219,6 +222,16 @@ def load_config(
     )
 
 
+def _warn(module: str, message: str) -> None:
+    print(f"WARNING postmine.{module}: {message}", file=sys.stderr)
+
+
+def _warn_batch(source: str, warnings: list[str]) -> None:
+    if warnings:
+        _warn("corpus", f"{source}: {len(warnings)} warning(s), "
+                        f"first: {'; '.join(warnings[:3])}")
+
+
 def _out_path(config: RunConfig, name: str) -> Path:
     config.out_dir.mkdir(parents=True, exist_ok=True)
     return config.out_dir / name
@@ -247,7 +260,12 @@ def _preprocessed(config: RunConfig, posts) -> list[list[textprep.Token]]:
 def cmd_ingest(config: RunConfig) -> None:
     from . import corpus
 
-    raw, warnings = corpus.ingest_posts(config.posts)
+    try:
+        raw, warnings = corpus.ingest_posts(config.posts)
+    except EmptyCorpusError as exc:
+        _warn_batch("ingest_posts", exc.warnings)
+        raise
+    _warn_batch("ingest_posts", warnings)
     deduped = corpus.dedup(raw)
     users = deduped.user_count()
     corpus.write_corpus(deduped, _out_path(config, CORPUS_ARTIFACT))
@@ -262,7 +280,8 @@ def cmd_ingest(config: RunConfig) -> None:
           f"({users} unique users, {len(warnings)} warnings)")
 
 
-def cmd_topics(config: RunConfig) -> None:
+def cmd_topics(config: RunConfig) -> list[str]:
+    """Returns the ``-v`` lines: one per candidate K."""
     from . import textprep, topics
 
     posts = _read_corpus_artifact(config).posts
@@ -270,23 +289,24 @@ def cmd_topics(config: RunConfig) -> None:
     vocab = topics.build_vocab(
         docs, min_df=config.topics.min_df, stopwords=textprep.bundled_stopwords())
     matrix = topics.tfidf(docs, vocab)
+    skipped = sum(1 for ids, _ in matrix.rows if not len(ids))
+    if skipped:
+        _warn("topics", f"fit_lda: skipping {skipped} document(s) with no weighted terms")
     model = topics.select_k(
         matrix, docs, config.topics.k_candidates, seed=config.topics_seed,
         iters=config.topics.iters)
     topics.save_model(model, _out_path(config, TOPIC_MODEL))
-    with open(_out_path(config, VOCAB_ARTIFACT), "w", encoding="utf-8") as fh:
-        for term, df in zip(vocab.terms, vocab.doc_freq):
-            fh.write(f"{term}\t{df}\n")
-    with open(_out_path(config, TOPIC_REPORT), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("topic", "keywords"))
-        for t in range(model.k):
-            words = [w for w, _ in topics.top_words(model, t, config.topics.top_words)]
-            writer.writerow((t + 1, " ".join(words)))
-        fh.write(f"# selected_k={model.k} coherence={model.coherence:.6f} "
-                 f"seed={config.topics_seed}\n")
+    topics.write_vocab(vocab, _out_path(config, VOCAB_ARTIFACT))
+    topics.write_topic_report(model, _out_path(config, TOPIC_REPORT), config.topics.top_words)
     print(f"selected k={model.k} (coherence {model.coherence:.6f}) "
           f"over candidates {list(config.topics.k_candidates)}")
+    return [_candidate_line(fit) for fit in model.fits]
+
+
+def _candidate_line(fit: topics.FitSummary) -> str:
+    return (f"INFO postmine.topics: select_k: k={fit.k} coherence={fit.coherence:.6f} "
+            f"sweeps={fit.sweeps} inner={fit.inner} capped={fit.capped} "
+            f"bound={fit.bound:.6f} stop={'tol' if fit.converged else 'iters'}")
 
 
 def cmd_events(config: RunConfig) -> None:
@@ -294,8 +314,11 @@ def cmd_events(config: RunConfig) -> None:
 
     posts = _read_corpus_artifact(config).posts
     docs = _preprocessed(config, posts)
-    inventory = (events.load_inventory(config.verb_inventory)
-                 if config.verb_inventory is not None else events.bundled_inventory())
+    inventory, warnings = (events.load_inventory(config.verb_inventory)
+                           if config.verb_inventory is not None
+                           else (events.bundled_inventory(), []))
+    for message in warnings:
+        _warn("events", message)
     stopwords = textprep.bundled_stopwords()
     triples: list[events.EventTriple] = []
     for post, doc in zip(posts, docs):
@@ -308,8 +331,9 @@ def cmd_events(config: RunConfig) -> None:
 def cmd_sentiment(config: RunConfig) -> None:
     from . import connotation, corpus, events
 
-    labeled, _ = corpus.attach_labels(
+    labeled, warnings = corpus.attach_labels(
         _read_corpus_artifact(config), corpus.ingest_labels(config.labels))
+    _warn_batch("attach_labels", warnings)
     if not labeled:
         raise DataError("no label resolves to a corpus post")
     path = config.triples or config.out_dir / TRIPLES_ARTIFACT
@@ -336,12 +360,9 @@ def cmd_sentiment(config: RunConfig) -> None:
 def cmd_regress(config: RunConfig) -> None:
     from . import corpus, stats
 
-    full = _read_corpus_artifact(config)
+    posts = _read_corpus_artifact(config).posts
     institutions = corpus.ingest_institutions(config.institutions)
-    users_by_inst: dict[str, set[str]] = {}
-    for post in full.posts:
-        users_by_inst.setdefault(post.institution_id, set()).add(post.user_id)
-    rates = stats.unique_user_rates(users_by_inst, institutions)
+    rates = stats.unique_user_rates(posts, institutions)
     design = stats.build_design(institutions, rates)
     result = stats.ols_fit(design)
     stats.write_regression_report(result, _out_path(config, REGRESSION_REPORT))
@@ -425,13 +446,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except SystemExit as exc:   # --help
         return int(exc.code or 0)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s")
     try:
         config = load_config(args.config, seed_override=args.seed,
                              out_override=args.out)
-        _COMMANDS[args.command](config)
+        details = _COMMANDS[args.command](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -441,15 +459,19 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    if args.verbose and details:
+        print("\n".join(details), file=sys.stderr)
     return 0
 
 
 def run() -> None:
     """Run ``main`` on the command line and exit with its code, without
     the interpreter's teardown (see the module docstring).  An exception
-    that escapes ``main`` takes the normal exit path."""
+    that escapes ``main``, a profiler and a tracer take the normal exit
+    path."""
     code = main()
-    logging.shutdown()
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        sys.exit(code)
     sys.stdout.flush()
     sys.stderr.flush()
     os._exit(code)

@@ -24,7 +24,6 @@ Frames are named tuples that check their range when they are made.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence, TextIO
@@ -36,8 +35,6 @@ from .errors import DataError, read_utf8
 
 if TYPE_CHECKING:
     from .events import EventTriple
-
-logger = logging.getLogger(__name__)
 
 FRAME_DIMENSIONS = (
     "sentiment_verb",
@@ -81,13 +78,9 @@ class ConnotationFrame(_FrameFields):
         return cls(*iterable)
 
 
-class ConnotationLexicon:
-    def __init__(self, frames: Mapping[str, ConnotationFrame]):
-        self.frames = frames
-
-
-def load_lexicon(source: str | Path | TextIO) -> ConnotationLexicon:
-    """Read tab-delimited rows: lemma then five reals in [-1, 1]."""
+def load_lexicon(source: str | Path | TextIO) -> dict[str, ConnotationFrame]:
+    """Read tab-delimited rows: lemma then five reals in [-1, 1]; returns
+    the lemma -> frame mapping."""
     if isinstance(source, (str, Path)):
         return read_utf8(source, load_lexicon)
     frames: dict[str, ConnotationFrame] = {}
@@ -111,7 +104,7 @@ def load_lexicon(source: str | Path | TextIO) -> ConnotationLexicon:
             raise DataError(f"lexicon row {lineno}: {exc}") from None
     if not frames:
         raise DataError("lexicon is empty")
-    return ConnotationLexicon(frames)
+    return frames
 
 
 class EmbeddingStore:
@@ -124,7 +117,6 @@ class EmbeddingStore:
         dims = {len(v) for v in vectors.values()}
         if len(dims) != 1:
             raise DataError(f"inconsistent embedding dimensions: {sorted(dims)}")
-        self.dimension = dims.pop()
         words = list(vectors)
         matrix = np.array([vectors[word] for word in words], dtype=np.float64)
         norms = np.linalg.norm(matrix, axis=1)
@@ -193,7 +185,7 @@ def nearest_annotated(
     must have a vector (KeyError otherwise).
 
     ``annotated`` is every lemma present in both the lexicon and the
-    store with its unit row, ``embeddings.unit_rows(lexicon.frames)``.
+    store with its unit row, ``embeddings.unit_rows(lexicon)``.
     Full scan over them, filtered by min_similarity, sorted by
     similarity descending with lexicographic tie-breaking.
     """
@@ -214,7 +206,7 @@ def nearest_annotated(
 
 def propagate(
     word: str,
-    lexicon: ConnotationLexicon,
+    lexicon: Mapping[str, ConnotationFrame],
     embeddings: EmbeddingStore,
     annotated: tuple[list[str], np.ndarray],
     k: int,
@@ -222,13 +214,13 @@ def propagate(
 ) -> ConnotationFrame | None:
     """Frame for ``word``: the lexicon entry when annotated, otherwise
     the neighbor-weighted average described in the module docstring.
-    ``annotated`` is ``embeddings.unit_rows(lexicon.frames)``, as
+    ``annotated`` is ``embeddings.unit_rows(lexicon)``, as
     ``nearest_annotated`` takes it.
 
     None when the verb is unscorable: unannotated and with no embedding
     or no qualifying annotated neighbor.
     """
-    frame = lexicon.frames.get(word)
+    frame = lexicon.get(word)
     if frame is not None:
         return frame
     if word not in embeddings:
@@ -241,14 +233,14 @@ def propagate(
     for dim in FRAME_DIMENSIONS:
         total = 0.0
         for lemma, sim in neighbors:
-            total += max(0.0, sim) * getattr(lexicon.frames[lemma], dim)
+            total += max(0.0, sim) * getattr(lexicon[lemma], dim)
         values.append(max(-1.0, min(1.0, total / n)))
     return ConnotationFrame(*values)
 
 
 def score_triples(
     triples: Iterable[EventTriple],
-    lexicon: ConnotationLexicon,
+    lexicon: Mapping[str, ConnotationFrame],
     embeddings: EmbeddingStore,
     k: int,
     min_similarity: float,
@@ -261,7 +253,7 @@ def score_triples(
     unscorable are dropped.  Passive triples use the same frame: the
     extractor already swapped the roles.
     """
-    annotated = embeddings.unit_rows(lexicon.frames)
+    annotated = embeddings.unit_rows(lexicon)
     frames: dict[str, ConnotationFrame | None] = {}
     scored: list[tuple[str, ConnotationFrame]] = []
     for triple in triples:

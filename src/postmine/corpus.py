@@ -6,7 +6,9 @@ metadata as a CSV table and harassment labels as a CSV table.  Malformed
 post lines, a line that is not valid UTF-8 included, never abort a run:
 they are counted, reported with their line number and skipped.  A run
 only fails when zero valid records survive.  ``attach_labels`` joins
-the labels onto the posts once, as a post_id -> label mapping.
+the labels onto the posts once, as a post_id -> label mapping.  Both
+return their warnings (and ``EmptyCorpusError`` carries them) rather
+than printing them; the CLI reports them.
 
 The records are immutable named tuples.  ``atomic_open`` writes the
 artifacts that later stages read, so a run that dies mid-write never
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import math
 import os
 from contextlib import contextmanager
@@ -26,8 +27,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import DataError, EmptyCorpusError, read_utf8
-
-logger = logging.getLogger(__name__)
 
 POST_FIELDS = ("post_id", "user_id", "institution_id", "timestamp", "text")
 
@@ -155,20 +154,14 @@ def _parse_post(obj: object) -> Post:
     return Post(post_id, user_id, institution_id, timestamp, text)
 
 
-def _log_warnings(source: str, warnings: list[str]) -> None:
-    """Log a batch of warnings as one line: the count and the first three."""
-    if warnings:
-        logger.warning("%s: %d warning(s), first: %s",
-                       source, len(warnings), "; ".join(warnings[:3]))
-
-
 def ingest_posts(source: str | Path | TextIO) -> tuple[Corpus, list[str]]:
     """Read line-delimited post records.
 
     Returns the corpus (input order preserved) and the list of per-line
     warnings for malformed records, a line that is not valid UTF-8
-    among them.  Raises EmptyCorpusError when no valid record survives;
-    an unreadable source raises the underlying OSError.
+    among them.  Raises EmptyCorpusError, which carries the warnings,
+    when no valid record survives; an unreadable source raises the
+    underlying OSError.
     """
     if isinstance(source, (str, Path)):
         # bytes that do not decode become lone surrogates, which fail
@@ -190,9 +183,8 @@ def ingest_posts(source: str | Path | TextIO) -> tuple[Corpus, list[str]]:
             warnings.append(f"line {lineno}: JSON nested too deeply")
         except (ValueError, TypeError) as exc:
             warnings.append(f"line {lineno}: {exc}")
-    _log_warnings("ingest_posts", warnings)
     if not posts:
-        raise EmptyCorpusError("no valid post records in input")
+        raise EmptyCorpusError("no valid post records in input", warnings)
     return Corpus(posts), warnings
 
 
@@ -329,7 +321,6 @@ def attach_labels(
                for post in corpus.posts if post.post_id in by_post}
     warnings = [f"label references unknown post_id {post_id!r}"
                 for post_id in by_post if post_id not in labeled]
-    _log_warnings("attach_labels", warnings)
     return labeled, warnings
 
 

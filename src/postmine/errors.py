@@ -15,7 +15,11 @@ class DataError(Exception):
 
 
 class EmptyCorpusError(DataError):
-    """No valid post survived ingestion."""
+    """No valid post survived ingestion; ``warnings`` says why."""
+
+    def __init__(self, message: str, warnings: list[str]):
+        super().__init__(message)
+        self.warnings = warnings
 
 
 class EmptyVocabularyError(DataError):

@@ -12,13 +12,13 @@ cross a boundary.
 Only the functions that read token kinds (``extract_triples`` and
 ``split_sentences``) import ``textprep``, once per call, and only
 ``write_triples`` imports ``corpus``, so importing this module to read
-triple files loads neither.
+triple files loads neither.  ``load_inventory`` returns its warnings
+with the inventory; the CLI reports them.
 """
 
 from __future__ import annotations
 
 import csv
-import logging
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, TextIO
@@ -27,8 +27,6 @@ from .errors import DataError, read_utf8
 
 if TYPE_CHECKING:
     from .textprep import Token, TokenKind
-
-logger = logging.getLogger(__name__)
 
 PRONOUN_CANDIDATES = frozenset(
     ("i", "me", "he", "she", "they", "him", "her", "them", "we", "us", "you")
@@ -77,12 +75,16 @@ class VerbInventory:
         return lemma in self.lemmas
 
 
-def load_inventory(source: str | Path | TextIO) -> VerbInventory:
-    """Read a tab-delimited inventory: lemma TAB comma-joined inflections."""
+def load_inventory(source: str | Path | TextIO) -> tuple[VerbInventory, list[str]]:
+    """Read a tab-delimited inventory: lemma TAB comma-joined inflections.
+
+    Returns the inventory and one warning per inflection that a later
+    line maps to a second lemma; the first mapping is kept."""
     if isinstance(source, (str, Path)):
         return read_utf8(source, load_inventory)
     lemmas: list[str] = []
     inflections: dict[str, str] = {}
+    warnings: list[str] = []
     for lineno, raw in enumerate(source.read().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -98,19 +100,17 @@ def load_inventory(source: str | Path | TextIO) -> VerbInventory:
                 if not surface:
                     continue
                 if surface in inflections and inflections[surface] != lemma:
-                    logger.warning(
-                        "inventory line %d: %r already maps to %r; keeping the first",
-                        lineno, surface, inflections[surface],
-                    )
+                    warnings.append(f"inventory line {lineno}: {surface!r} already maps "
+                                    f"to {inflections[surface]!r}; keeping the first")
                     continue
                 inflections[surface] = lemma
-    return VerbInventory(lemmas, inflections)
+    return VerbInventory(lemmas, inflections), warnings
 
 
 def bundled_inventory() -> VerbInventory:
     text = resources.files("postmine.data").joinpath("verbs.tsv").read_text("utf-8")
     import io
-    return load_inventory(io.StringIO(text))
+    return load_inventory(io.StringIO(text))[0]
 
 
 def lemmatize(surface: str, inventory: VerbInventory) -> str | None:

@@ -21,7 +21,7 @@ from operator import mul
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import InstitutionRecord, Region
+from .corpus import InstitutionRecord, Post, Region
 from .errors import DataError, RankDeficientError
 
 RANK_TOLERANCE = 1e-10
@@ -371,15 +371,16 @@ def write_regression_report(result: RegressionResult, path: str | Path) -> None:
 
 
 def unique_user_rates(
-    posts_by_institution: Mapping[str, set[str]],
+    posts: Iterable[Post],
     institutions: Iterable[InstitutionRecord],
 ) -> dict[str, float]:
-    """Response rates: unique posting users per enrolled student, zero
+    """Response rates: distinct posting users per enrolled student, zero
     for institutions with no posts."""
+    users: dict[str, set[str]] = {}
+    for post in posts:
+        users.setdefault(post.institution_id, set()).add(post.user_id)
     return {
         inst.institution_id: normalize_rate(
-            len(posts_by_institution.get(inst.institution_id, set())),
-            inst.enrollment,
-        )
+            len(users.get(inst.institution_id, ())), inst.enrollment)
         for inst in institutions
     }

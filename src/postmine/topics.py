@@ -51,17 +51,18 @@ orders by name each chain of sorted neighbours whose gap is at most
 profile, which converge to the same weight only up to rounding, rank by
 name and the report does not depend on the fit's last bits.
 ``select_k`` fits one model per candidate K and returns the coherence
-argmax over each model's top 10 words, ties broken toward smaller K.
+argmax over each model's top 10 words, ties broken toward smaller K,
+with every candidate's ``FitSummary`` for the CLI to report.
 
 The fit's fixed settings are module constants: ETA, the relative bound
 stop BOUND_RTOL, and the E-step's INNER_ITERS and INNER_RTOL.
-``save_model`` writes the selected model as text; no stage reads it
-back.
+``save_model``, ``write_vocab`` and ``write_topic_report`` write the
+stage's three files; no stage reads the model back.
 """
 
 from __future__ import annotations
 
-import logging
+import csv
 import math
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -70,8 +71,6 @@ import numpy as np
 
 from .errors import DataError, EmptyVocabularyError
 from .textprep import Token, TokenKind
-
-logger = logging.getLogger(__name__)
 
 COHERENCE_EPS = 1e-12
 ETA = 0.01             # symmetric Dirichlet prior on each topic's words
@@ -115,17 +114,27 @@ class WeightedMatrix:
         self.terms = terms
 
 
+class FitSummary(NamedTuple):
+    """The scalars of one fit, kept after its arrays are dropped."""
+
+    k: int
+    coherence: float   # NaN until ``select_k`` scores the fit
+    sweeps: int
+    inner: int         # E-step iterations over all sweeps
+    capped: int        # documents cut off by INNER_ITERS, over all sweeps
+    bound: float       # the last sweep's bound
+    converged: bool    # the bound met BOUND_RTOL before iters ran out
+
+
 class TopicModel(NamedTuple):
     k: int
     topic_word: np.ndarray        # K x V, rows sum to 1
     doc_topic: np.ndarray         # D x K, rows sum to 1
     coherence: float
     seed: int
-    terms: tuple[str, ...] | None = None
-    objective_trace: tuple[float, ...] = ()
-    converged: bool | None = None  # bound met BOUND_RTOL before iters ran out; None if unknown
-    inner_iterations: int | None = None  # E-step iterations over all sweeps; None if unknown
-    capped_documents: int | None = None  # documents cut off by INNER_ITERS, over all sweeps
+    terms: tuple[str, ...] | None
+    objective_trace: tuple[float, ...]
+    fits: tuple[FitSummary, ...]  # this fit's; from ``select_k``, every candidate's by K
 
 
 def content_terms(doc: Sequence[Token]) -> list[str]:
@@ -263,8 +272,8 @@ def fit_lda(matrix: WeightedMatrix, k: int, seed: int, iters: int = 200) -> Topi
 
     Stops early when the relative change of the bound is at most
     BOUND_RTOL.
-    Documents with no nonzero weight are skipped with a warning and get
-    a uniform doc_topic row.  Coherence is left NaN; ``coherence`` /
+    Documents with no nonzero weight are skipped and get a uniform
+    doc_topic row.  Coherence is left NaN; ``coherence`` /
     ``select_k`` fill it in.
     """
     if k < 2:
@@ -278,9 +287,6 @@ def fit_lda(matrix: WeightedMatrix, k: int, seed: int, iters: int = 200) -> Topi
     n_terms = matrix.n_terms
     alpha = 1.0 / k
     active = [d for d, (ids, _) in enumerate(matrix.rows) if len(ids) > 0]
-    skipped = n_docs - len(active)
-    if skipped:
-        logger.warning("fit_lda: skipping %d document(s) with no weighted terms", skipped)
     nz = _Nonzeros.from_rows([matrix.rows[d] for d in active])
 
     rng = np.random.default_rng(seed)
@@ -323,9 +329,8 @@ def fit_lda(matrix: WeightedMatrix, k: int, seed: int, iters: int = 200) -> Topi
         seed=seed,
         terms=matrix.terms,
         objective_trace=tuple(trace),
-        converged=converged,
-        inner_iterations=inner_total,
-        capped_documents=capped_total,
+        fits=(FitSummary(k, float("nan"), len(trace), inner_total, capped_total,
+                         trace[-1], converged),),
     )
 
 
@@ -464,7 +469,8 @@ def select_k(
     seed: int,
     iters: int = 200,
 ) -> TopicModel:
-    """Fit one model per candidate K, return the coherence argmax.
+    """Fit one model per candidate K, return the coherence argmax with
+    ``fits`` holding every candidate's ``FitSummary``.
 
     Candidates are scanned in ascending order and a strictly higher
     coherence is required to displace the incumbent, so exact ties go to
@@ -474,19 +480,16 @@ def select_k(
     if not candidates:
         raise ValueError("k_candidates is empty")
     best: TopicModel | None = None
+    fits = []
     for k in candidates:
         model = fit_lda(matrix, k, seed, iters=iters)
         score = coherence(model, docs)
         model = model._replace(coherence=score)
-        logger.info(
-            "select_k: k=%d coherence=%.6f sweeps=%d inner=%d capped=%d bound=%.6f stop=%s",
-            k, score, len(model.objective_trace), model.inner_iterations,
-            model.capped_documents, model.objective_trace[-1],
-            "tol" if model.converged else "iters")
+        fits.append(model.fits[0]._replace(coherence=score))
         if best is None or score > best.coherence:
             best = model
     assert best is not None
-    return best
+    return best._replace(fits=tuple(fits))
 
 
 def save_model(model: TopicModel, path: str | Path) -> None:
@@ -505,3 +508,21 @@ def save_model(model: TopicModel, path: str | Path) -> None:
             handle.write("\t".join(repr(float(x)) for x in row))
             handle.write("\n")
 
+
+def write_vocab(vocab: Vocabulary, path: str | Path) -> None:
+    """One line per term: the term, a tab and its document frequency."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for term, df in zip(vocab.terms, vocab.doc_freq):
+            handle.write(f"{term}\t{df}\n")
+
+
+def write_topic_report(model: TopicModel, path: str | Path, n_words: int) -> None:
+    """Comma-delimited table of each topic's ``n_words`` top words, with
+    a footer naming the selected K, its coherence and the seed."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(("topic", "keywords"))
+        for t in range(model.k):
+            writer.writerow((t + 1, " ".join(w for w, _ in top_words(model, t, n_words))))
+        handle.write(f"# selected_k={model.k} coherence={model.coherence:.6f} "
+                     f"seed={model.seed}\n")

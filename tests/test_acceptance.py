@@ -124,24 +124,23 @@ def test_criterion_4_propagation(demo_bundle):
         lexicon = load_lexicon(demo_bundle["lexicon"])
         embeddings = load_embeddings(demo_bundle["embeddings"])
         config = dict(k=10, min_similarity=0.0)
-        assert len(lexicon.frames) == 950
-        annotated_rows = embeddings.unit_rows(lexicon.frames)
-        for lemma, frame in lexicon.frames.items():
+        assert len(lexicon) == 950
+        annotated_rows = embeddings.unit_rows(lexicon)
+        for lemma, frame in lexicon.items():
             assert propagate(lemma, lexicon, embeddings, annotated_rows, **config) == frame
 
         # hand-computed two-neighbor case: (1/2)(0.6*-0.5 + 0.4*-0.7) = -0.29
-        from postmine.connotation import ConnotationFrame, ConnotationLexicon, \
-            EmbeddingStore
-        tiny_lex = ConnotationLexicon({
+        from postmine.connotation import ConnotationFrame, EmbeddingStore
+        tiny_lex = {
             "near": ConnotationFrame(-0.5, 0, 0, 0, 0),
             "far": ConnotationFrame(-0.7, 0, 0, 0, 0),
-        })
+        }
         tiny_emb = EmbeddingStore({
             "near": [0.6, 0.8, 0.0],
             "far": [0.4, 0.0, float(np.sqrt(1 - 0.16))],
             "query": [1.0, 0.0, 0.0],
         })
-        out = propagate("query", tiny_lex, tiny_emb, tiny_emb.unit_rows(tiny_lex.frames),
+        out = propagate("query", tiny_lex, tiny_emb, tiny_emb.unit_rows(tiny_lex),
                         k=2, min_similarity=0.0)
         assert out.sentiment_verb == pytest.approx(-0.29, abs=1e-12)
 
@@ -152,7 +151,7 @@ def test_criterion_4_propagation(demo_bundle):
             parts = line.split()
             vectors[parts[0]] = [float(v) for v in parts[1:]]
         assert len(vectors) == 1000
-        annotated = set(lexicon.frames)
+        annotated = set(lexicon)
         rng = random.Random(777)
         queries = rng.sample(sorted(vectors), 100)
         for word in queries:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -147,9 +148,9 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 
 # Modules each stage must never load, as top-level packages or full
 # module names: numpy and the text-processing tables are most of a
-# stage's start-up time, and dataclasses (with inspect, ast and dis)
-# and scipy are used by no stage.
-_NOWHERE = {"scipy", "dataclasses"}
+# stage's start-up time, and dataclasses (with inspect, ast and dis),
+# logging and scipy are used by no stage.
+_NOWHERE = {"scipy", "dataclasses", "logging"}
 _HEAVY_MODULES = _NOWHERE | {"numpy", "postmine.textprep", "postmine.events"}
 _NOT_LOADED = {
     "ingest": _HEAVY_MODULES,
@@ -201,6 +202,11 @@ def test_no_module_imports_dataclasses():
     assert [name for name, top in _imports_of_package() if top == "dataclasses"] == []
 
 
+def test_no_module_imports_logging():
+    # the stages return their warnings and diagnostics; cli prints them
+    assert [name for name, top in _imports_of_package() if top == "logging"] == []
+
+
 def _run_module(config: Path, command: str) -> subprocess.CompletedProcess:
     """``python -m postmine.cli`` as a fresh process.  PYTHONUNBUFFERED is
     dropped so that stdout is block-buffered into the pipe, as it is for
@@ -225,6 +231,20 @@ def test_module_entry_point_keeps_exit_codes_and_output(tmp_path, demo_bundle):
         proc = _run_module(config, command)
         assert proc.returncode == 0, (command, proc.stderr)
     # stdout is flushed before the process exits without teardown
+    assert proc.stdout == (tmp_path / "out" / COMBINED_REPORT).read_text("utf-8") + "\n"
+
+
+def test_profiler_run_writes_its_profile(tmp_path, demo_bundle):
+    config = write_config(tmp_path, demo_bundle)
+    assert main(["--config", str(config), "ingest"]) == 0
+    profile = tmp_path / "report.prof"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-o", str(profile), "-m", "postmine.cli",
+         "--config", str(config), "report"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert profile.is_file() and profile.stat().st_size > 0
     assert proc.stdout == (tmp_path / "out" / COMBINED_REPORT).read_text("utf-8") + "\n"
 
 
@@ -324,6 +344,35 @@ class TestIngestCommand:
         assert "malformed_lines=1\n" in summary
         assert f"warning=line {kept + 1}: not valid UTF-8\n" in summary
 
+    def test_malformed_lines_reported_on_stderr(self, tmp_path, demo_bundle, capsys):
+        posts = tmp_path / "posts.jsonl"
+        posts.write_text(demo_bundle["posts"].read_text() + "garbage\n")
+        config = write_config(tmp_path, demo_bundle, posts=str(posts))
+        assert main(["--config", str(config), "ingest"]) == 0
+        kept = len(demo_bundle["posts"].read_text().splitlines())
+        assert capsys.readouterr().err == (
+            "WARNING postmine.corpus: ingest_posts: 1 warning(s), first: "
+            f"line {kept + 1}: Expecting value: line 1 column 1 (char 0)\n")
+        posts.write_text("garbage\n\n")
+        assert main(["--config", str(config), "ingest"]) == 2
+        assert capsys.readouterr().err == (
+            "WARNING postmine.corpus: ingest_posts: 2 warning(s), first: "
+            "line 1: Expecting value: line 1 column 1 (char 0); line 2: blank line\n"
+            "data error: no valid post records in input\n")
+
+    def test_corrupt_corpus_artifact_exits_two(self, tmp_path, demo_bundle):
+        config = write_config(tmp_path, demo_bundle)
+        assert main(["--config", str(config), "ingest"]) == 0
+        artifact = tmp_path / "out" / CORPUS_ARTIFACT
+        lines = len(artifact.read_text().splitlines())
+        with open(artifact, "a", encoding="utf-8") as fh:
+            fh.write("garbage\n")
+        proc = _run_module(config, "events")     # a fresh process, as users run it
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"data error: corpus artifact {artifact} is corrupt: line {lines + 1}: "
+            "Expecting value: line 1 column 1 (char 0)\n")
+
     def test_topics_requires_corpus_artifact(self, tmp_path, demo_bundle, capsys):
         config = write_config(tmp_path, demo_bundle)
         assert main(["--config", str(config), "topics"]) == 2
@@ -339,6 +388,51 @@ def pipeline_out(tmp_path_factory, demo_bundle):
     for command in ("ingest", "topics", "events", "sentiment", "regress", "report"):
         assert main(["--config", str(config), command]) == 0
     return tmp_path / "out"
+
+
+_CANDIDATE_LINE = re.compile(
+    r"INFO postmine\.topics: select_k: k=(\d+) coherence=-?\d+\.\d{6} sweeps=\d+ "
+    r"inner=\d+ capped=\d+ bound=-?\d+\.\d{6} stop=(tol|iters)")
+
+
+class TestTopicsCommand:
+    def test_verbose_prints_one_line_per_candidate(self, tmp_path, demo_bundle, capsys):
+        config = write_config(tmp_path, demo_bundle)
+        assert main(["--config", str(config), "ingest"]) == 0
+        capsys.readouterr()
+        assert main(["--config", str(config), "topics"]) == 0
+        quiet = capsys.readouterr()
+        assert quiet.err == ""
+        assert main(["--config", str(config), "-v", "topics"]) == 0
+        verbose = capsys.readouterr()
+        assert verbose.out == quiet.out
+        lines = verbose.err.splitlines()
+        assert [_CANDIDATE_LINE.fullmatch(line).group(1) for line in lines] == ["2", "3", "4"]
+
+    def test_document_without_terms_warned_once(self, tmp_path, demo_bundle, capsys):
+        posts = tmp_path / "posts.jsonl"
+        posts.write_text(demo_bundle["posts"].read_text()
+                         + post_line("blank", user_id="ux", text="!!! ???") + "\n")
+        config = write_config(tmp_path, demo_bundle, posts=str(posts))
+        assert main(["--config", str(config), "ingest"]) == 0
+        capsys.readouterr()
+        assert main(["--config", str(config), "topics"]) == 0
+        assert capsys.readouterr().err == (
+            "WARNING postmine.topics: fit_lda: skipping 1 document(s) "
+            "with no weighted terms\n")
+
+
+class TestEventsCommand:
+    def test_conflicting_inflection_warns(self, tmp_path, demo_bundle, capsys):
+        inventory = tmp_path / "verbs.tsv"
+        inventory.write_text("harass\tharassed,hit\nstrike\thit,struck\n")
+        config = write_config(tmp_path, demo_bundle, verb_inventory=str(inventory))
+        assert main(["--config", str(config), "ingest"]) == 0
+        capsys.readouterr()
+        assert main(["--config", str(config), "events"]) == 0
+        assert capsys.readouterr().err == (
+            "WARNING postmine.events: inventory line 2: 'hit' already maps to "
+            "'harass'; keeping the first\n")
 
 
 class TestPipelineArtifacts:
@@ -416,7 +510,12 @@ class TestSentimentCommand:
                           "zzz,physical,peer\n")
         config = write_config(tmp_path, demo_bundle, labels=str(labels))
         assert main(["--config", str(config), "ingest"]) == 0
+        capsys.readouterr()
         assert main(["--config", str(config), "sentiment"]) == 2
+        assert capsys.readouterr().err == (
+            "WARNING postmine.corpus: attach_labels: 1 warning(s), first: "
+            "label references unknown post_id 'zzz'\n"
+            "data error: no label resolves to a corpus post\n")
 
     def test_imported_triples_path(self, tmp_path, demo_bundle):
         config = write_config(tmp_path, demo_bundle)

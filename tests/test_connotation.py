@@ -8,7 +8,6 @@ import pytest
 from oracles import brute_force_neighbors
 from postmine.connotation import (
     ConnotationFrame,
-    ConnotationLexicon,
     EmbeddingStore,
     aggregate,
     load_embeddings,
@@ -52,7 +51,7 @@ class TestConnotationFrame:
 class TestLoadLexicon:
     def test_row_stored_under_lemma(self):
         lex = load_lexicon(io.StringIO("harass\t-0.8\t-0.7\t-0.9\t-0.6\t0.5\n"))
-        assert lex.frames["harass"] == HARASS_FRAME
+        assert lex["harass"] == HARASS_FRAME
 
     def test_out_of_range_score_fatal_with_row(self):
         src = io.StringIO("ok\t0\t0\t0\t0\t0\nbad\t1.5\t0\t0\t0\t0\n")
@@ -72,7 +71,8 @@ class TestLoadLexicon:
 class TestLoadEmbeddings:
     def test_dimension_from_first_line(self):
         emb = load_embeddings(io.StringIO("a 1 0 0\nb 0 1 0\n"))
-        assert emb.dimension == 3
+        assert emb.unit_vector("a").tolist() == [1.0, 0.0, 0.0]
+        assert emb.unit_vector("b").tolist() == [0.0, 1.0, 0.0]
 
     def test_mismatched_line_fatal_with_number(self):
         with pytest.raises(DataError, match="line 2"):
@@ -93,11 +93,11 @@ class TestLoadEmbeddings:
 
 
 def small_world():
-    lex = ConnotationLexicon({
+    lex = {
         "harass": HARASS_FRAME,
         "help": frame(0.5, 0.6, 0.4, 0.3, 0.2),
         "mock": frame(-0.5, -0.4, -0.6, -0.3, 0.4),
-    })
+    }
     emb = EmbeddingStore({
         "harass": [1.0, 0.0, 0.0],
         "help": [0.0, 1.0, 0.0],
@@ -112,24 +112,24 @@ class TestNearestAnnotated:
     def test_self_neighbor_ranks_first_with_similarity_one(self):
         lex, emb = small_world()
         cfg = dict(k=3, min_similarity=0.0)
-        neighbors = nearest_annotated("harass", emb, emb.unit_rows(lex.frames), **cfg)
+        neighbors = nearest_annotated("harass", emb, emb.unit_rows(lex), **cfg)
         assert neighbors[0][0] == "harass"
         assert neighbors[0][1] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_word_filtered_to_empty(self):
         lex, emb = small_world()
         cfg = dict(k=5, min_similarity=0.2)
-        assert nearest_annotated("orthogonal", emb, emb.unit_rows(lex.frames), **cfg) == []
+        assert nearest_annotated("orthogonal", emb, emb.unit_rows(lex), **cfg) == []
 
     def test_absent_word_raises(self):
         lex, emb = small_world()
         with pytest.raises(KeyError):
-            nearest_annotated("ghost", emb, emb.unit_rows(lex.frames), k=10,
+            nearest_annotated("ghost", emb, emb.unit_rows(lex), k=10,
                               min_similarity=0.0)
 
     def test_k_caps_result(self):
         lex, emb = small_world()
-        assert len(nearest_annotated("pester", emb, emb.unit_rows(lex.frames),
+        assert len(nearest_annotated("pester", emb, emb.unit_rows(lex),
                                      k=2, min_similarity=0.0)) == 2
 
     def test_matches_brute_force_on_random_store(self):
@@ -137,10 +137,10 @@ class TestNearestAnnotated:
         vectors = {f"w{i:03d}": [float(x) for x in rng.normal(size=8)]
                    for i in range(120)}
         annotated = {f"w{i:03d}" for i in range(0, 120, 3)}
-        lex = ConnotationLexicon({w: frame(0, 0, 0, 0, 0) for w in annotated})
+        lex = {w: frame(0, 0, 0, 0, 0) for w in annotated}
         emb = EmbeddingStore(vectors)
         cfg = dict(k=7, min_similarity=0.0)
-        rows = emb.unit_rows(lex.frames)
+        rows = emb.unit_rows(lex)
         for i in range(0, 120, 11):
             word = f"w{i:03d}"
             mine = nearest_annotated(word, emb, rows, **cfg)
@@ -167,11 +167,11 @@ class TestNearestAnnotated:
         vectors["below"] = [3.0, 4.0000001] + [0.0] * 23
         vectors["axis"] = [2.0] + [0.0] * 24
         vectors["query"] = [x + 0.5 * float(y) for x, y in zip(shared, rng.normal(size=25))]
-        lex = ConnotationLexicon({w: frame(0, 0, 0, 0, 0) for w in annotated})
+        lex = {w: frame(0, 0, 0, 0, 0) for w in annotated}
         emb = EmbeddingStore(vectors)
         cases = [("query", 3, 0.0), ("query", 5, 0.0), ("query", 7, 0.0),
                  ("query", 20, -1.0), ("tie_c", 4, 0.0), ("axis", 10, 0.6)]
-        rows = emb.unit_rows(lex.frames)
+        rows = emb.unit_rows(lex)
         for word, k, min_sim in cases:
             mine = nearest_annotated(word, emb, rows, k=k, min_similarity=min_sim)
             ref = brute_force_neighbors(word, vectors, set(annotated), k, min_sim)
@@ -188,50 +188,50 @@ class TestNearestAnnotated:
 class TestPropagate:
     def test_annotated_identity(self):
         lex, emb = small_world()
-        out = propagate("harass", lex, emb, emb.unit_rows(lex.frames), k=10, min_similarity=0.0)
+        out = propagate("harass", lex, emb, emb.unit_rows(lex), k=10, min_similarity=0.0)
         assert out == HARASS_FRAME
 
     def test_hand_computed_two_neighbor_average(self):
         # Two neighbors with cosines 0.6 and 0.4 and verb sentiments
         # -0.5 and -0.7: (1/2)(0.6*-0.5 + 0.4*-0.7) = -0.29.
-        lex = ConnotationLexicon({
+        lex = {
             "near": frame(-0.5, 0.0, 0.0, 0.0, 0.0),
             "far": frame(-0.7, 0.0, 0.0, 0.0, 0.0),
-        })
+        }
         emb = EmbeddingStore({
             "near": [0.6, 0.8, 0.0],
             "far": [0.4, 0.0, np.sqrt(1 - 0.16)],
             "query": [1.0, 0.0, 0.0],
         })
-        out = propagate("query", lex, emb, emb.unit_rows(lex.frames), k=2, min_similarity=0.0)
+        out = propagate("query", lex, emb, emb.unit_rows(lex), k=2, min_similarity=0.0)
         assert out.sentiment_verb == pytest.approx(-0.29, abs=1e-12)
 
     def test_unscorable_when_no_neighbors(self):
         lex, emb = small_world()
         cfg = dict(k=5, min_similarity=0.9)
-        assert propagate("orthogonal", lex, emb, emb.unit_rows(lex.frames), **cfg) is None
+        assert propagate("orthogonal", lex, emb, emb.unit_rows(lex), **cfg) is None
 
     def test_unscorable_when_unembedded(self):
         lex, emb = small_world()
-        assert propagate("ghostverb", lex, emb, emb.unit_rows(lex.frames),
+        assert propagate("ghostverb", lex, emb, emb.unit_rows(lex),
                          k=10, min_similarity=0.0) is None
 
     def test_magnitude_bounded_by_annotated_max(self):
         lex, emb = small_world()
-        out = propagate("pester", lex, emb, emb.unit_rows(lex.frames), k=3, min_similarity=0.0)
-        bound = max(max(abs(v) for v in f) for f in lex.frames.values())
+        out = propagate("pester", lex, emb, emb.unit_rows(lex), k=3, min_similarity=0.0)
+        bound = max(max(abs(v) for v in f) for f in lex.values())
         assert all(abs(v) <= bound + 1e-12 for v in out)
         assert all(-1.0 <= v <= 1.0 for v in out)
 
     def test_monotone_in_neighbor_sentiment(self):
         def world(delta):
-            lex = ConnotationLexicon({
+            lex = {
                 "a": frame(-0.5 + delta, 0, 0, 0, 0),
                 "b": frame(-0.2 + delta, 0, 0, 0, 0),
-            })
+            }
             emb = EmbeddingStore({
                 "a": [0.9, 0.1], "b": [0.7, 0.3], "q": [1.0, 0.0]})
-            out = propagate("q", lex, emb, emb.unit_rows(lex.frames), k=2, min_similarity=0.0)
+            out = propagate("q", lex, emb, emb.unit_rows(lex), k=2, min_similarity=0.0)
             return out.sentiment_verb
 
         assert world(0.3) >= world(0.0) >= world(-0.3)
@@ -281,7 +281,7 @@ class TestScoreEvent:
         cfg = dict(k=3, min_similarity=0.0)
         scored = score_triples(triples, lex, emb, **cfg)
         assert calls == ["pester", "ghostverb", "harass"]
-        pester = propagate("pester", lex, emb, emb.unit_rows(lex.frames), **cfg)
+        pester = propagate("pester", lex, emb, emb.unit_rows(lex), **cfg)
         assert scored == [("p1", pester), ("p2", HARASS_FRAME),
                           ("p3", pester), ("p1", HARASS_FRAME)]
 

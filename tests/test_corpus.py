@@ -2,12 +2,12 @@ from __future__ import annotations
 
 import io
 import json
-import logging
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from postmine import cli
 from postmine.corpus import (
     Corpus,
     HarassmentLabel,
@@ -88,15 +88,22 @@ class TestIngestPosts:
         assert [p.post_id for p in corpus.posts] == ["p1"]
         assert warnings == [f"line 2: field {field!r} is not valid UTF-8"]
 
-    def test_warnings_logged_as_one_line(self, caplog):
+    def test_warnings_logged_as_one_line(self, capsys):
         src = io.StringIO(post_line() + "\n" + "garbage\n" * 5)
-        with caplog.at_level(logging.WARNING, logger="postmine.corpus"):
-            _, warnings = ingest_posts(src)
-        assert len(warnings) == 5
-        [record] = caplog.records
-        message = record.getMessage()
-        assert "ingest_posts: 5 warning(s)" in message
-        assert "; ".join(warnings[:3]) in message and warnings[3] not in message
+        _, warnings = ingest_posts(src)
+        assert warnings == [f"line {n}: Expecting value: line 1 column 1 (char 0)"
+                            for n in range(2, 7)]
+        assert capsys.readouterr().err == ""     # the CLI reports them
+        cli._warn_batch("ingest_posts", warnings)
+        assert capsys.readouterr().err == (
+            "WARNING postmine.corpus: ingest_posts: 5 warning(s), first: "
+            + "; ".join(warnings[:3]) + "\n")
+
+    def test_empty_corpus_error_carries_warnings(self):
+        with pytest.raises(EmptyCorpusError) as caught:
+            ingest_posts(io.StringIO("garbage\n\n"))
+        assert caught.value.warnings == [
+            "line 1: Expecting value: line 1 column 1 (char 0)", "line 2: blank line"]
 
     def test_empty_text_rejected(self):
         src = io.StringIO(post_line(text="   ") + "\n" + post_line(post_id="p2"))
@@ -249,15 +256,17 @@ class TestLabels:
         assert labeled == {}
         assert len(warnings) == 1 and "p9" in warnings[0]
 
-    def test_unresolved_labels_logged_as_one_line(self, caplog):
+    def test_unresolved_labels_logged_as_one_line(self, capsys):
         labels = [HarassmentLabel(f"x{i}", HarassmentType.VISUAL, Participant.PEER)
                   for i in range(4)]
-        with caplog.at_level(logging.WARNING, logger="postmine.corpus"):
-            _, warnings = attach_labels(self._corpus(), labels)
-        assert len(warnings) == 4
-        [record] = caplog.records
-        assert record.getMessage().startswith("attach_labels: 4 warning(s)")
-        assert "'x2'" in record.getMessage() and "'x3'" not in record.getMessage()
+        _, warnings = attach_labels(self._corpus(), labels)
+        assert warnings == [f"label references unknown post_id 'x{i}'" for i in range(4)]
+        assert capsys.readouterr().err == ""     # the CLI reports them
+        cli._warn_batch("attach_labels", warnings)
+        assert capsys.readouterr().err == (
+            "WARNING postmine.corpus: attach_labels: 4 warning(s), first: "
+            "label references unknown post_id 'x0'; label references unknown post_id "
+            "'x1'; label references unknown post_id 'x2'\n")
 
     def test_conflicting_duplicate_labels_fatal(self):
         labels = [

@@ -171,10 +171,21 @@ def test_split_sentences():
 
 class TestInventoryIO:
     def test_load_inventory(self):
-        inv = load_inventory(io.StringIO("harass\tharasses,harassed\nhelp\n"))
+        inv, warnings = load_inventory(io.StringIO("harass\tharasses,harassed\nhelp\n"))
         assert "harass" in inv and "help" in inv
         assert inv.inflections["harassed"] == "harass"
         assert inv.inflections["help"] == "help"
+        assert warnings == []
+
+    def test_conflicting_inflection_warns_and_keeps_the_first(self):
+        inv, warnings = load_inventory(io.StringIO(
+            "harass\tharassed,hit\nstrike\thit,struck\nbeat\thit\n"))
+        assert inv.inflections["hit"] == "harass"
+        assert inv.inflections["struck"] == "strike"
+        assert warnings == [
+            "inventory line 2: 'hit' already maps to 'harass'; keeping the first",
+            "inventory line 3: 'hit' already maps to 'harass'; keeping the first",
+        ]
 
     def test_empty_inventory_fatal(self):
         with pytest.raises(DataError):

@@ -14,7 +14,7 @@ from oracles import (
     t_tail_mpmath,
     t_tail_quadrature,
 )
-from postmine.corpus import InstitutionRecord, Region
+from postmine.corpus import InstitutionRecord, Post, Region
 from postmine.errors import DataError, RankDeficientError
 from postmine.stats import (
     DESIGN_COLUMNS,
@@ -425,7 +425,9 @@ class TestTPValue:
 def test_unique_user_rates_defaults_to_zero():
     institutions = [make_institution("u1", enrollment=100),
                     make_institution("u2", enrollment=200)]
-    rates = unique_user_rates({"u1": {"a", "b"}}, institutions)
+    posts = [Post(f"p{i}", user, "u1", 0, "text")
+             for i, user in enumerate(["a", "b", "a"])]
+    rates = unique_user_rates(posts, institutions)
     assert rates == {"u1": 0.02, "u2": 0.0}
 
 

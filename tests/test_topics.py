@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 
 import numpy as np
@@ -10,12 +9,13 @@ from scipy.special import digamma, gammaln
 
 from conftest import words
 from oracles import per_document_lda
-from postmine import topics
+from postmine import cli, topics
 from postmine.errors import DataError, EmptyVocabularyError
 from postmine.textprep import Token, TokenKind
 from postmine.topics import (
     COHERENCE_EPS,
     TIE_RTOL,
+    FitSummary,
     TopicModel,
     WeightedMatrix,
     build_vocab,
@@ -26,6 +26,10 @@ from postmine.topics import (
     tfidf,
     top_words,
 )
+
+
+# a model built by hand has no fit behind it
+UNFITTED = dict(objective_trace=(), fits=())
 
 
 def planted_corpus(seed=7, n_docs=300, doc_len=20):
@@ -156,6 +160,9 @@ class TestFitLda:
         assert len(trace) >= 2
         for earlier, later in zip(trace, trace[1:]):
             assert later >= earlier - 1e-8
+        [fit] = model.fits
+        assert (fit.k, fit.sweeps, fit.bound) == (3, len(trace), trace[-1])
+        assert math.isnan(fit.coherence) and fit.converged
 
     def test_empty_documents_get_uniform_rows(self):
         docs = [words("alpha beta gamma"), [], words("alpha delta beta")]
@@ -221,6 +228,7 @@ class TestCoherence:
             coherence=float("nan"),
             seed=0,
             terms=("a", "b", "w", "x", "y", "z"),
+            **UNFITTED,
         )
         value = coherence(model, docs, top_n=2)
         # topic 0 pair (b after a): ln(eps / doc(a)) with doc(a) = 2;
@@ -244,42 +252,57 @@ class TestCoherence:
             coherence=float("nan"),
             seed=0,
             terms=("a", "b", "ghost"),
+            **UNFITTED,
         )
         with pytest.raises(DataError, match="ghost"):
             coherence(model, docs, top_n=2)
 
 
 class TestSelectK:
-    def test_logs_convergence_per_candidate(self, caplog):
+    def test_logs_convergence_per_candidate(self):
         docs, _ = planted_corpus(seed=13, n_docs=40)
         matrix = tfidf(docs, build_vocab(docs, min_df=1))
-        with caplog.at_level(logging.INFO, logger="postmine.topics"):
-            one = select_k(matrix, docs, [2], seed=0, iters=1)
-            full = select_k(matrix, docs, [2], seed=0, iters=200)
-        capped, converged = [r.getMessage() for r in caplog.records]
-        assert capped.startswith("select_k: k=2 coherence=")
-        assert (f" sweeps=1 inner={one.inner_iterations} "
-                f"capped={one.capped_documents} bound=") in capped
-        assert capped.endswith(" stop=iters")
-        assert converged.endswith(" stop=tol")
+        one = select_k(matrix, docs, [2], seed=0, iters=1)
+        full = select_k(matrix, docs, [2], seed=0, iters=200)
+        [capped] = one.fits
+        [converged] = full.fits
         sweeps = len(full.objective_trace)
-        assert (f" sweeps={sweeps} inner={full.inner_iterations} "
-                f"capped={full.capped_documents} bound=") in converged
+        assert capped == FitSummary(2, one.coherence, 1, capped.inner, capped.capped,
+                                    one.objective_trace[-1], False)
+        assert converged == FitSummary(2, full.coherence, sweeps, converged.inner,
+                                       converged.capped, full.objective_trace[-1], True)
+        # the line ``-v`` prints for each candidate
+        assert cli._candidate_line(capped) == (
+            f"INFO postmine.topics: select_k: k=2 coherence={one.coherence:.6f} "
+            f"sweeps=1 inner={capped.inner} capped={capped.capped} "
+            f"bound={one.objective_trace[-1]:.6f} stop=iters")
+        assert cli._candidate_line(converged).endswith(
+            f" sweeps={sweeps} inner={converged.inner} capped={converged.capped} "
+            f"bound={full.objective_trace[-1]:.6f} stop=tol")
         # each sweep runs at least one and at most INNER_ITERS (100) E-step iterations
-        assert 1 <= one.inner_iterations <= 100
-        assert sweeps <= full.inner_iterations <= 100 * sweeps
+        assert 1 <= capped.inner <= 100
+        assert sweeps <= converged.inner <= 100 * sweeps
         # a document is cut off at most once per sweep, and only by a
         # sweep that ran all INNER_ITERS; the random start leaves the
         # first sweep short of the tolerance
-        assert 0 < one.capped_documents <= len(docs)
-        assert one.inner_iterations == 100
-        assert one.capped_documents <= full.capped_documents <= len(docs) * sweeps
+        assert 0 < capped.capped <= len(docs)
+        assert capped.inner == 100
+        assert capped.capped <= converged.capped <= len(docs) * sweeps
 
     def test_singleton_candidate(self):
         docs, _ = planted_corpus(seed=13, n_docs=40)
         vocab = build_vocab(docs, min_df=1)
         model = select_k(tfidf(docs, vocab), docs, [3], seed=0, iters=40)
         assert model.k == 3
+
+    def test_fits_list_every_candidate_by_k(self):
+        docs, _ = planted_corpus(seed=17, n_docs=60)
+        matrix = tfidf(docs, build_vocab(docs, min_df=1))
+        model = select_k(matrix, docs, [6, 2, 3], seed=4, iters=40)
+        assert [fit.k for fit in model.fits] == [2, 3, 6]
+        assert model.coherence == max(fit.coherence for fit in model.fits)
+        # scalars only: no candidate's arrays are kept
+        assert all(not isinstance(value, np.ndarray) for fit in model.fits for value in fit)
 
     def test_planted_corpus_selects_three(self):
         docs, themes = planted_corpus()
@@ -311,7 +334,7 @@ class TestTopWords:
     def _model(self, probs, terms):
         return TopicModel(
             k=1, topic_word=np.array([probs]), doc_topic=np.ones((1, 1)),
-            coherence=float("nan"), seed=0, terms=terms)
+            coherence=float("nan"), seed=0, terms=terms, **UNFITTED)
 
     def test_degenerate_single_word(self):
         model = self._model([1.0], ("a",))
