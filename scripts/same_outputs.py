@@ -3,17 +3,24 @@
 
 Runs every stage of each bundle below once per tree, each stage as a
 fresh ``python -m postmine.cli`` subprocess (``topics`` with ``-v``, so
-its per-K lines are compared too), and compares each stage's exit code,
-stdout and stderr, then the two output directories file by file:
+its per-K lines are compared too) whether or not an earlier stage
+failed, and compares each stage's exit code, stdout and stderr, then the
+two output directories file by file:
 
 - the demo bundle (``postmine.demo``, seed 42), all six stages;
 - ``perfbench/generate.py``'s ``topics-small`` and ``hostile-mix``
-  recipes at seeds 1-4, each with its workload's stages.
+  recipes at seeds 1-4, each with its workload's stages;
+- for each input file of the demo config, a copy of the demo bundle
+  whose file ends with the byte 0xff, all six stages: the malformed-line
+  warning for ``posts``, the "is not valid UTF-8" data error of the
+  loader for every other file.
 
-The bundles are built from this checkout, as ``scripts/time_topics.py``
-builds its bundle.  Prints "identical" or "DIFFERS" for every stage and
-every file, and exits 1 on any difference, a stage or file that only one
-tree ran or wrote, or a stage that fails.
+Both trees write to the same output path in turn, so paths in messages
+match.  The bundles are built from this checkout, as
+``scripts/time_topics.py`` builds its bundle.  Prints "identical" or
+"DIFFERS" for every stage and every file, and exits 1 on any difference,
+a file that only one tree wrote, or a stage that fails on a bundle that
+is not corrupted.
 
     python3 scripts/same_outputs.py OLD/src NEW/src
 
@@ -33,10 +40,13 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMO_SEED = 42
 RECIPES = ("topics-small", "hostile-mix")
 SEEDS = (1, 2, 3, 4)
+CORRUPTED_KEYS = ("posts", "institutions", "labels", "lexicon", "embeddings",
+                  "language_model", "abbreviations", "wordlist", "censored")
 
 
-def build_bundles(directory: Path) -> list[tuple[str, Path, tuple[str, ...]]]:
-    """(name, bundle directory, stages) for every bundle of the check."""
+def build_bundles(directory: Path) -> list[tuple[str, Path, tuple[str, ...], bool]]:
+    """(name, bundle directory, stages, whether an input is corrupted) for
+    every bundle of the check."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import generate
     from postmine import demo
@@ -44,30 +54,29 @@ def build_bundles(directory: Path) -> list[tuple[str, Path, tuple[str, ...]]]:
     bundles = []
     path = directory / f"demo-{DEMO_SEED}"
     demo.write_demo_bundle(path, DEMO_SEED)
-    bundles.append((path.name, path, generate.ALL_STAGES))
+    bundles.append((path.name, path, generate.ALL_STAGES, False))
     for name in RECIPES:
         workload = generate.WORKLOADS[name]
         for seed in SEEDS:
             path = directory / f"{name}-{seed}"
             generate.write_bundle(path, workload, seed)
-            bundles.append((path.name, path, workload.stages))
+            bundles.append((path.name, path, workload.stages, False))
+    for key in CORRUPTED_KEYS:
+        path = directory / f"demo-{DEMO_SEED}-bad-{key}"
+        with open(demo.write_demo_bundle(path, DEMO_SEED)[key], "ab") as handle:
+            handle.write(b"\xff")
+        bundles.append((path.name, path, generate.ALL_STAGES, True))
     return bundles
 
 
 def run_stages(src: Path, bundle: Path, out: Path,
                stages: tuple[str, ...]) -> list[subprocess.CompletedProcess]:
-    """Run ``stages`` in order, up to and including the first that fails."""
+    """Run every one of ``stages`` in order."""
     env = {**os.environ, "PYTHONPATH": str(src)}
-    runs = []
-    for stage in stages:
-        verbose = ["-v"] if stage == "topics" else []
-        runs.append(subprocess.run(
-            [sys.executable, "-m", "postmine.cli", "--config", "config.json",
-             "--out", str(out), *verbose, stage],
-            cwd=bundle, env=env, capture_output=True, text=True))
-        if runs[-1].returncode != 0:
-            break
-    return runs
+    return [subprocess.run(
+        [sys.executable, "-m", "postmine.cli", "--config", "config.json",
+         "--out", str(out), *(["-v"] if stage == "topics" else []), stage],
+        cwd=bundle, env=env, capture_output=True, text=True) for stage in stages]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -81,25 +90,24 @@ def main(argv: list[str] | None = None) -> int:
 
     same = True
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
-        for name, bundle, stages in build_bundles(Path(tmp)):
+        for name, bundle, stages, corrupted in build_bundles(Path(tmp)):
+            work = Path(tmp) / f"{name}-out"
             outs = [Path(tmp) / f"{name}-out{i}" for i in range(len(trees))]
-            runs = [run_stages(src, bundle, out, stages) for src, out in zip(trees, outs)]
+            runs = []
+            for src, out in zip(trees, outs):
+                runs.append(run_stages(src, bundle, work, stages))
+                if work.exists():
+                    work.rename(out)
             for label, tree_runs in zip("AB", runs):
-                failed = tree_runs[-1]
-                if failed.returncode != 0:
-                    print(f"{name}: {label} {failed.args[-1]} exited {failed.returncode}: "
-                          f"{failed.stderr.strip()}")
-                    same = False
-            for i, stage in enumerate(stages[:max(map(len, runs))]):
-                a, b = (tree_runs[i] if i < len(tree_runs) else None for tree_runs in runs)
+                for failed in tree_runs:
+                    if failed.returncode != 0 and not corrupted:
+                        print(f"{name}: {label} {failed.args[-1]} exited "
+                              f"{failed.returncode}: {failed.stderr.strip()}")
+                        same = False
+            for stage, a, b in zip(stages, *runs):
                 for part, key in (("exit code, stdout", lambda r: (r.returncode, r.stdout)),
                                   ("stderr", lambda r: r.stderr)):
-                    if a is None or b is None:
-                        verdict = f"DIFFERS (only {'A' if a else 'B'} ran it)"
-                    elif key(a) == key(b):
-                        verdict = "identical"
-                    else:
-                        verdict = "DIFFERS"
+                    verdict = "identical" if key(a) == key(b) else "DIFFERS"
                     same = same and verdict == "identical"
                     print(f"{name}/{stage} ({part}): {verdict}")
             files = sorted({p.name for out in outs if out.is_dir() for p in out.iterdir()})

@@ -237,7 +237,7 @@ def _out_path(config: RunConfig, name: str) -> Path:
     return config.out_dir / name
 
 
-def _read_corpus_artifact(config: RunConfig) -> corpus.Corpus:
+def _read_corpus_artifact(config: RunConfig) -> tuple[corpus.Post, ...]:
     from . import corpus
 
     path = config.out_dir / CORPUS_ARTIFACT
@@ -267,7 +267,7 @@ def cmd_ingest(config: RunConfig) -> None:
         raise
     _warn_batch("ingest_posts", warnings)
     deduped = corpus.dedup(raw)
-    users = deduped.user_count()
+    users = len({post.user_id for post in deduped})
     corpus.write_corpus(deduped, _out_path(config, CORPUS_ARTIFACT))
     with open(_out_path(config, INGEST_SUMMARY), "w", encoding="utf-8") as fh:
         fh.write(f"posts_ingested={len(raw)}\n")
@@ -284,7 +284,7 @@ def cmd_topics(config: RunConfig) -> list[str]:
     """Returns the ``-v`` lines: one per candidate K."""
     from . import textprep, topics
 
-    posts = _read_corpus_artifact(config).posts
+    posts = _read_corpus_artifact(config)
     docs = _preprocessed(config, posts)
     vocab = topics.build_vocab(
         docs, min_df=config.topics.min_df, stopwords=textprep.bundled_stopwords())
@@ -312,7 +312,7 @@ def _candidate_line(fit: topics.FitSummary) -> str:
 def cmd_events(config: RunConfig) -> None:
     from . import events, textprep
 
-    posts = _read_corpus_artifact(config).posts
+    posts = _read_corpus_artifact(config)
     docs = _preprocessed(config, posts)
     inventory, warnings = (events.load_inventory(config.verb_inventory)
                            if config.verb_inventory is not None
@@ -360,7 +360,7 @@ def cmd_sentiment(config: RunConfig) -> None:
 def cmd_regress(config: RunConfig) -> None:
     from . import corpus, stats
 
-    posts = _read_corpus_artifact(config).posts
+    posts = _read_corpus_artifact(config)
     institutions = corpus.ingest_institutions(config.institutions)
     rates = stats.unique_user_rates(posts, institutions)
     design = stats.build_design(institutions, rates)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,13 +78,11 @@ class ConnotationFrame(_FrameFields):
         return cls(*iterable)
 
 
-def load_lexicon(source: str | Path | TextIO) -> dict[str, ConnotationFrame]:
+def load_lexicon(path: str | Path) -> dict[str, ConnotationFrame]:
     """Read tab-delimited rows: lemma then five reals in [-1, 1]; returns
     the lemma -> frame mapping."""
-    if isinstance(source, (str, Path)):
-        return read_utf8(source, load_lexicon)
     frames: dict[str, ConnotationFrame] = {}
-    for lineno, raw in enumerate(source.read().splitlines(), start=1):
+    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -142,14 +140,12 @@ class EmbeddingStore:
         return kept, self._unit[rows]
 
 
-def load_embeddings(source: str | Path | TextIO) -> EmbeddingStore:
+def load_embeddings(path: str | Path) -> EmbeddingStore:
     """Read text lines "word v1 v2 ... vD"; the first line fixes D, and a
     mismatched line or a nan/inf component is fatal with its line number."""
-    if isinstance(source, (str, Path)):
-        return read_utf8(source, load_embeddings)
     vectors: dict[str, list[float]] = {}
     dimension: int | None = None
-    for lineno, raw in enumerate(source.read().splitlines(), start=1):
+    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
         if not raw.strip():
             continue
         parts = raw.split()

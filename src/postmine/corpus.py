@@ -10,7 +10,8 @@ the labels onto the posts once, as a post_id -> label mapping.  Both
 return their warnings (and ``EmptyCorpusError`` carries them) rather
 than printing them; the CLI reports them.
 
-The records are immutable named tuples.  ``atomic_open`` writes the
+The records are immutable named tuples and a corpus is a tuple of
+``Post``; every loader takes a path.  ``atomic_open`` writes the
 artifacts that later stages read, so a run that dies mid-write never
 leaves a truncated one.
 """
@@ -24,7 +25,7 @@ import os
 from contextlib import contextmanager
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import DataError, EmptyCorpusError, read_utf8
 
@@ -95,24 +96,6 @@ class HarassmentLabel(NamedTuple):
     participant: Participant
 
 
-class Corpus:
-    """Immutable ordered list of posts.
-
-    A freshly ingested corpus may still contain duplicate post_ids;
-    ``dedup`` establishes the one-post-per-id and one-post-per-(user,
-    normalized text) invariants.
-    """
-
-    def __init__(self, posts: Iterable[Post]):
-        self.posts: tuple[Post, ...] = tuple(posts)
-
-    def __len__(self) -> int:
-        return len(self.posts)
-
-    def user_count(self) -> int:
-        return len({post.user_id for post in self.posts})
-
-
 def normalized_text(text: str) -> str:
     """Casefold and collapse whitespace runs; the textual dedup key."""
     return " ".join(text.casefold().split())
@@ -154,41 +137,39 @@ def _parse_post(obj: object) -> Post:
     return Post(post_id, user_id, institution_id, timestamp, text)
 
 
-def ingest_posts(source: str | Path | TextIO) -> tuple[Corpus, list[str]]:
+def ingest_posts(path: str | Path) -> tuple[tuple[Post, ...], list[str]]:
     """Read line-delimited post records.
 
-    Returns the corpus (input order preserved) and the list of per-line
-    warnings for malformed records, a line that is not valid UTF-8
-    among them.  Raises EmptyCorpusError, which carries the warnings,
-    when no valid record survives; an unreadable source raises the
-    underlying OSError.
+    Returns the posts (input order kept, duplicates included) and the
+    per-line warnings for malformed records, a line that is not valid
+    UTF-8 among them.  Raises EmptyCorpusError, which carries the
+    warnings, when no valid record survives; an unreadable file raises
+    the underlying OSError.
     """
-    if isinstance(source, (str, Path)):
-        # bytes that do not decode become lone surrogates, which fail
-        # the line's re-encoding below
-        with open(source, "r", encoding="utf-8", errors="surrogateescape") as handle:
-            return ingest_posts(handle)
     posts: list[Post] = []
     warnings: list[str] = []
-    for lineno, line in enumerate(source, start=1):
-        if not line.strip():
-            warnings.append(f"line {lineno}: blank line")
-            continue
-        try:
-            line.encode("utf-8")
-            posts.append(_parse_post(json.loads(line)))
-        except UnicodeEncodeError:
-            warnings.append(f"line {lineno}: not valid UTF-8")
-        except RecursionError:
-            warnings.append(f"line {lineno}: JSON nested too deeply")
-        except (ValueError, TypeError) as exc:
-            warnings.append(f"line {lineno}: {exc}")
+    # bytes that do not decode become lone surrogates, which fail the
+    # line's re-encoding below
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                warnings.append(f"line {lineno}: blank line")
+                continue
+            try:
+                line.encode("utf-8")
+                posts.append(_parse_post(json.loads(line)))
+            except UnicodeEncodeError:
+                warnings.append(f"line {lineno}: not valid UTF-8")
+            except RecursionError:
+                warnings.append(f"line {lineno}: JSON nested too deeply")
+            except (ValueError, TypeError) as exc:
+                warnings.append(f"line {lineno}: {exc}")
     if not posts:
         raise EmptyCorpusError("no valid post records in input", warnings)
-    return Corpus(posts), warnings
+    return tuple(posts), warnings
 
 
-def dedup(corpus: Corpus) -> Corpus:
+def dedup(posts: Iterable[Post]) -> tuple[Post, ...]:
     """Drop duplicate posts.
 
     Two posts are duplicates when they share a post_id, or when they
@@ -200,7 +181,7 @@ def dedup(corpus: Corpus) -> Corpus:
     order.
     """
     by_id: dict[str, Post] = {}
-    for post in corpus.posts:
+    for post in posts:
         kept = by_id.get(post.post_id)
         if kept is None or _id_rank(post) < _id_rank(kept):
             by_id[post.post_id] = post
@@ -210,8 +191,7 @@ def dedup(corpus: Corpus) -> Corpus:
         key = (post.user_id, normalized_text(post.text))
         if key not in by_key:
             by_key[key] = post
-    result = sorted(by_key.values(), key=lambda p: (p.timestamp, p.post_id))
-    return Corpus(result)
+    return tuple(sorted(by_key.values(), key=lambda p: (p.timestamp, p.post_id)))
 
 
 def _id_rank(post: Post) -> tuple:
@@ -220,7 +200,7 @@ def _id_rank(post: Post) -> tuple:
     return (post.timestamp, post.user_id, post.text)
 
 
-def ingest_institutions(source: str | Path | TextIO) -> list[InstitutionRecord]:
+def ingest_institutions(path: str | Path) -> list[InstitutionRecord]:
     """Read the institution metadata table.
 
     Rejects the whole file on the first bad row: unknown region,
@@ -228,9 +208,7 @@ def ingest_institutions(source: str | Path | TextIO) -> list[InstitutionRecord]:
     counts or a duplicate institution_id are all fatal, with the row
     number in the message.
     """
-    if isinstance(source, (str, Path)):
-        return read_utf8(source, ingest_institutions, newline="")
-    reader = csv.DictReader(source)
+    reader = csv.DictReader(read_utf8(path, list, newline=""))
     if reader.fieldnames is None:
         raise DataError("institution table is empty")
     missing = [c for c in INSTITUTION_HEADER if c not in reader.fieldnames]
@@ -276,11 +254,9 @@ def ingest_institutions(source: str | Path | TextIO) -> list[InstitutionRecord]:
     return records
 
 
-def ingest_labels(source: str | Path | TextIO) -> list[HarassmentLabel]:
+def ingest_labels(path: str | Path) -> list[HarassmentLabel]:
     """Read the harassment label table (post_id,harassment_type,participant)."""
-    if isinstance(source, (str, Path)):
-        return read_utf8(source, ingest_labels, newline="")
-    reader = csv.DictReader(source)
+    reader = csv.DictReader(read_utf8(path, list, newline=""))
     if reader.fieldnames is None:
         raise DataError("label table is empty")
     missing = [c for c in LABEL_HEADER if c not in reader.fieldnames]
@@ -303,7 +279,7 @@ def ingest_labels(source: str | Path | TextIO) -> list[HarassmentLabel]:
 
 
 def attach_labels(
-    corpus: Corpus, labels: Iterable[HarassmentLabel]
+    posts: Iterable[Post], labels: Iterable[HarassmentLabel]
 ) -> tuple[dict[str, HarassmentLabel], list[str]]:
     """Join labels onto corpus posts.
 
@@ -318,14 +294,14 @@ def attach_labels(
             raise DataError(f"duplicate label for post_id {label.post_id!r}")
         by_post[label.post_id] = label
     labeled = {post.post_id: by_post[post.post_id]
-               for post in corpus.posts if post.post_id in by_post}
+               for post in posts if post.post_id in by_post}
     warnings = [f"label references unknown post_id {post_id!r}"
                 for post_id in by_post if post_id not in labeled]
     return labeled, warnings
 
 
 @contextmanager
-def atomic_open(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+def atomic_open(path: str | Path, newline: str | None = None) -> Iterator[IO[str]]:
     """Open a UTF-8 text file to write in place of ``path``.
 
     The text goes to ``<path>.part`` beside it, which replaces ``path``
@@ -344,17 +320,17 @@ def atomic_open(path: str | Path, newline: str | None = None) -> Iterator[TextIO
         raise
 
 
-def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write the corpus as line-delimited JSON with a fixed key order,
+def write_corpus(posts: Iterable[Post], path: str | Path) -> None:
+    """Write the posts as line-delimited JSON with a fixed key order,
     replacing ``path`` atomically."""
     with atomic_open(path) as handle:
-        for post in corpus.posts:
+        for post in posts:
             handle.write(json.dumps(post._asdict(), ensure_ascii=True, sort_keys=False))
             handle.write("\n")
 
 
-def read_corpus(path: str | Path) -> Corpus:
-    corpus, warnings = ingest_posts(path)
+def read_corpus(path: str | Path) -> tuple[Post, ...]:
+    posts, warnings = ingest_posts(path)
     if warnings:
         raise DataError(f"corpus artifact {path} is corrupt: {warnings[0]}")
-    return corpus
+    return posts

@@ -1,5 +1,6 @@
 """Exception types shared across the pipeline, and ``read_utf8``, which
-reads an input file so that bytes that are not UTF-8 are a data error.
+reads an input file so that bytes that are not UTF-8 are a data error;
+every loader but the posts one, which skips such a line, reads through it.
 
 The CLI maps ConfigError to exit code 1 and DataError (with its
 subclasses) to exit code 2.
@@ -30,9 +31,10 @@ class RankDeficientError(DataError):
     """Design matrix has linearly dependent columns."""
 
 
-def read_utf8(path, reader, newline=None):
-    """``reader`` applied to the open UTF-8 text file at ``path``; bytes
-    that do not decode raise a DataError that names the file."""
+def read_utf8(path, reader=lambda handle: handle.read(), newline=None):
+    """``reader`` applied to the open UTF-8 text file at ``path`` (by
+    default, its whole text); bytes that do not decode raise a DataError
+    that names the file."""
     with open(path, "r", encoding="utf-8", newline=newline) as handle:
         try:
             return reader(handle)

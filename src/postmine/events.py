@@ -9,11 +9,11 @@ passive-voice rule that swaps the roles and looks for a "by" phrase.
 Sentences are split on sentence-final punctuation and windows never
 cross a boundary.
 
-Only the functions that read token kinds (``extract_triples`` and
-``split_sentences``) import ``textprep``, once per call, and only
+A triple's agent and affected are token surfaces, or None.  Only
+``extract_triples`` imports ``textprep``, once per call, and only
 ``write_triples`` imports ``corpus``, so importing this module to read
-triple files loads neither.  ``load_inventory`` returns its warnings
-with the inventory; the CLI reports them.
+triple files loads neither.  The loaders take a path; ``load_inventory``
+returns its warnings with the inventory, and the CLI reports them.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DataError, read_utf8
 
@@ -39,18 +39,10 @@ AFFECTED_WINDOW = 5
 AUX_WINDOW = 3
 
 
-class TokenSpan(NamedTuple):
-    """A single-token argument span; index refers to the source token
-    list (None for triples imported from a file)."""
-
-    text: str
-    index: int | None = None
-
-
 class EventTriple(NamedTuple):
     verb_lemma: str
-    agent: TokenSpan | None
-    affected: TokenSpan | None
+    agent: str | None
+    affected: str | None
     passive: bool
     source_post: str = ""
 
@@ -71,21 +63,18 @@ class VerbInventory:
         # surface -> lemma or None; filled by ``lemmatize``
         self.lemmatized: dict[str, str | None] = {}
 
-    def __contains__(self, lemma: str) -> bool:
-        return lemma in self.lemmas
 
-
-def load_inventory(source: str | Path | TextIO) -> tuple[VerbInventory, list[str]]:
+def load_inventory(path: str | Path) -> tuple[VerbInventory, list[str]]:
     """Read a tab-delimited inventory: lemma TAB comma-joined inflections.
 
-    Returns the inventory and one warning per inflection that a later
-    line maps to a second lemma; the first mapping is kept."""
-    if isinstance(source, (str, Path)):
-        return read_utf8(source, load_inventory)
+    Returns the inventory and its warnings: one per inflection that a
+    later line maps to a second lemma (the first mapping is kept), then
+    one per inflection that is also declared as a lemma, in either line
+    order (the lemma is kept)."""
     lemmas: list[str] = []
     inflections: dict[str, str] = {}
     warnings: list[str] = []
-    for lineno, raw in enumerate(source.read().splitlines(), start=1):
+    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -104,13 +93,17 @@ def load_inventory(source: str | Path | TextIO) -> tuple[VerbInventory, list[str
                                     f"to {inflections[surface]!r}; keeping the first")
                     continue
                 inflections[surface] = lemma
+    declared = set(lemmas)
+    warnings.extend(f"inventory: {surface!r} is a lemma and also an inflection of "
+                    f"{lemma!r}; keeping the lemma"
+                    for surface, lemma in inflections.items()
+                    if surface in declared and surface != lemma)
     return VerbInventory(lemmas, inflections), warnings
 
 
 def bundled_inventory() -> VerbInventory:
-    text = resources.files("postmine.data").joinpath("verbs.tsv").read_text("utf-8")
-    import io
-    return load_inventory(io.StringIO(text))[0]
+    with resources.as_file(resources.files("postmine.data") / "verbs.tsv") as path:
+        return load_inventory(path)[0]
 
 
 def lemmatize(surface: str, inventory: VerbInventory) -> str | None:
@@ -155,14 +148,8 @@ def _suffix_candidates(surface: str) -> list[str]:
     return out
 
 
-def split_sentences(tokens: Sequence[Token]) -> list[list[int]]:
+def _sentences(tokens: Sequence[Token], punct: TokenKind) -> list[list[int]]:
     """Index lists per sentence, split on sentence-final punctuation."""
-    from .textprep import TokenKind
-
-    return _split_sentences(tokens, TokenKind.PUNCT)
-
-
-def _split_sentences(tokens: Sequence[Token], punct: TokenKind) -> list[list[int]]:
     sentences: list[list[int]] = []
     current: list[int] = []
     for i, token in enumerate(tokens):
@@ -213,7 +200,7 @@ def extract_triples(
         return surface not in stopwords and lemmatize(surface, inventory) is None
 
     triples: list[EventTriple] = []
-    for sentence in _split_sentences(tokens, TokenKind.PUNCT):
+    for sentence in _sentences(tokens, TokenKind.PUNCT):
         for pos, tok_index in enumerate(sentence):
             token = tokens[tok_index]
             if token.kind is not word:
@@ -253,11 +240,10 @@ def _nearest_candidate(
     sentence: list[int],
     is_candidate: Callable[[int], bool],
     positions: range,
-) -> TokenSpan | None:
+) -> str | None:
     for p in positions:
         if 0 <= p < len(sentence) and is_candidate(sentence[p]):
-            idx = sentence[p]
-            return TokenSpan(tokens[idx].surface, idx)
+            return tokens[sentence[p]].surface
     return None
 
 
@@ -266,7 +252,7 @@ def _by_object(
     sentence: list[int],
     is_candidate: Callable[[int], bool],
     verb_pos: int,
-) -> TokenSpan | None:
+) -> str | None:
     for p in range(verb_pos + 1, min(len(sentence), verb_pos + AFFECTED_WINDOW + 1)):
         if tokens[sentence[p]].surface == "by":
             return _nearest_candidate(
@@ -292,17 +278,14 @@ def write_triples(triples: Iterable[EventTriple], path: str | Path) -> None:
                 t.source_post,
                 t.verb_lemma,
                 "1" if t.passive else "0",
-                t.agent.text if t.agent else "",
-                t.affected.text if t.affected else "",
+                t.agent or "",
+                t.affected or "",
             ))
 
 
-def read_triples(source: str | Path | TextIO) -> list[EventTriple]:
+def read_triples(path: str | Path) -> list[EventTriple]:
     """Import externally produced triples (the pluggable-extractor path)."""
-    if isinstance(source, (str, Path)):
-        return read_utf8(source, read_triples, newline="")
-    reader = csv.reader(source, delimiter="\t")
-    rows = list(reader)
+    rows = list(csv.reader(read_utf8(path, list, newline=""), delimiter="\t"))
     if not rows or tuple(rows[0]) != TRIPLE_HEADER:
         raise DataError("triple file: missing or bad header")
     triples = []
@@ -314,8 +297,8 @@ def read_triples(source: str | Path | TextIO) -> list[EventTriple]:
             raise DataError(f"triple file row {rownum}: empty verb_lemma")
         triples.append(EventTriple(
             verb_lemma=lemma,
-            agent=TokenSpan(agent) if agent else None,
-            affected=TokenSpan(affected) if affected else None,
+            agent=agent or None,
+            affected=affected or None,
             passive=passive == "1",
             source_post=post_id,
         ))

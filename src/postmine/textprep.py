@@ -47,7 +47,7 @@ import re
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, NamedTuple, TextIO
+from typing import Mapping, NamedTuple
 
 from .errors import DataError, read_utf8
 
@@ -211,9 +211,9 @@ class CorrectionDictionary:
 
 
 def load_correction_dictionary(
-    abbreviations: str | Path | TextIO,
-    wordlist: str | Path | TextIO,
-    censored: str | Path | TextIO | None = None,
+    abbreviations: str | Path,
+    wordlist: str | Path,
+    censored: str | Path | None = None,
 ) -> CorrectionDictionary:
     """Load the correction dictionary from its file parts.
 
@@ -221,12 +221,12 @@ def load_correction_dictionary(
     ``wordlist`` one valid word per line, ``censored`` (optional, else
     the bundled list) one surface per line.
     """
-    words = frozenset(w.strip().lower() for w in _read_lines(wordlist) if w.strip())
+    words = _word_set(wordlist)
     abbrev: dict[str, str] = {}
-    for lineno, line in enumerate(_read_lines(abbreviations), start=1):
+    for lineno, line in enumerate(read_utf8(abbreviations).splitlines(), start=1):
         if not line.strip():
             continue
-        parts = line.rstrip("\n").split("\t")
+        parts = line.split("\t")
         if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
             raise DataError(f"abbreviations line {lineno}: expected 'key<TAB>expansion'")
         key = parts[0].strip().lower()
@@ -242,17 +242,12 @@ def load_correction_dictionary(
                 + ", ".join(bad)
             )
         abbrev[key] = expansion
-    censored_set = (
-        frozenset(w.strip().lower() for w in _read_lines(censored) if w.strip())
-        if censored is not None else bundled_censored()
-    )
+    censored_set = _word_set(censored) if censored is not None else bundled_censored()
     return CorrectionDictionary(abbrev, censored_set, words)
 
 
-def _read_lines(source: str | Path | TextIO) -> list[str]:
-    if isinstance(source, (str, Path)):
-        return read_utf8(source, _read_lines)
-    return source.read().splitlines()
+def _word_set(path: str | Path) -> frozenset[str]:
+    return frozenset(w.strip().lower() for w in read_utf8(path).splitlines() if w.strip())
 
 
 _ELONGATION_RE = re.compile(r"([^\W\d_])\1{2,}")
@@ -354,14 +349,13 @@ class LanguageModel:
         return cls(dict(unigrams), bigrams, sum(unigrams.values()))
 
 
-def load_language_model(source: str | Path | TextIO) -> LanguageModel:
-    """Read the tab-delimited model file with UNIGRAM and BIGRAM sections."""
-    lines = _read_lines(source)
+def load_language_model(path: str | Path) -> LanguageModel:
+    """Read the tab-delimited model file with UNIGRAM and BIGRAM sections;
+    words are lowercased, and a word or pair listed twice is fatal."""
     unigrams: dict[str, int] = {}
     bigrams: dict[tuple[str, str], int] = {}
     section: str | None = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
         if not line.strip():
             continue
         if line.strip() in ("UNIGRAM", "BIGRAM"):
@@ -372,11 +366,17 @@ def load_language_model(source: str | Path | TextIO) -> LanguageModel:
             if section == "UNIGRAM":
                 if len(parts) != 2:
                     raise ValueError("expected 'word<TAB>count'")
-                unigrams[parts[0].lower()] = int(parts[1])
+                word = parts[0].lower()
+                if word in unigrams:
+                    raise ValueError(f"duplicate unigram {word!r}")
+                unigrams[word] = int(parts[1])
             elif section == "BIGRAM":
                 if len(parts) != 3:
                     raise ValueError("expected 'word1<TAB>word2<TAB>count'")
-                bigrams[(parts[0].lower(), parts[1].lower())] = int(parts[2])
+                pair = (parts[0].lower(), parts[1].lower())
+                if pair in bigrams:
+                    raise ValueError(f"duplicate bigram {pair!r}")
+                bigrams[pair] = int(parts[2])
             else:
                 raise ValueError("line before any UNIGRAM/BIGRAM section header")
         except ValueError as exc:

@@ -108,7 +108,7 @@ class WeightedMatrix:
     """
 
     def __init__(self, rows: tuple[tuple[np.ndarray, np.ndarray], ...], n_terms: int,
-                 terms: tuple[str, ...] | None = None):
+                 terms: tuple[str, ...]):
         self.rows = rows
         self.n_terms = n_terms
         self.terms = terms
@@ -132,7 +132,7 @@ class TopicModel(NamedTuple):
     doc_topic: np.ndarray         # D x K, rows sum to 1
     coherence: float
     seed: int
-    terms: tuple[str, ...] | None
+    terms: tuple[str, ...]
     objective_trace: tuple[float, ...]
     fits: tuple[FitSummary, ...]  # this fit's; from ``select_k``, every candidate's by K
 
@@ -416,8 +416,6 @@ def top_words(model: TopicModel, topic: int, n: int) -> list[tuple[str, float]]:
     the two forms one chain, which is ordered by name.  So terms whose
     weights differ only by rounding rank by name, and the ranking does
     not depend on the last bits of the fit."""
-    if model.terms is None:
-        raise ValueError("model carries no vocabulary terms")
     if not 0 <= topic < model.k:
         raise ValueError(f"topic {topic} out of range for k={model.k}")
     row = model.topic_word[topic]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,21 @@ def toy_lm() -> LanguageModel:
 @pytest.fixture(scope="session")
 def demo_bundle(tmp_path_factory) -> dict[str, Path]:
     return write_demo_bundle(tmp_path_factory.mktemp("demo_bundle"), seed=42)
+
+
+@pytest.fixture
+def input_file(tmp_path):
+    """A function that writes its argument to a new file under
+    ``tmp_path`` (text as UTF-8, bytes as they are) and returns the path,
+    for the loaders, which take a path."""
+    names = itertools.count()
+
+    def write(content: str | bytes) -> Path:
+        path = tmp_path / f"input{next(names)}"
+        path.write_bytes(content.encode("utf-8") if isinstance(content, str) else content)
+        return path
+
+    return write
 
 
 def word(surface: str) -> Token:

@@ -30,7 +30,7 @@ from postmine.connotation import (
     nearest_annotated,
     propagate,
 )
-from postmine.corpus import Corpus, Post, dedup, normalized_text
+from postmine.corpus import Post, dedup, normalized_text
 from postmine.events import bundled_inventory, extract_triples
 from postmine.stats import DesignMatrix, ols_fit, t_pvalue
 from postmine.textprep import segment, tokenize, bundled_stopwords
@@ -224,14 +224,13 @@ def test_criterion_7_dedup_idempotence_and_conservation():
                         "unique %d" % rng.randint(0, 20), "SAME STORY",
                     ]),
                 ))
-            corpus = Corpus(posts)
-            once = dedup(corpus)
+            once = dedup(posts)
             twice = dedup(once)
-            assert list(twice.posts) == list(once.posts)
-            assert set(once.posts) <= set(posts)
-            ids = [p.post_id for p in once.posts]
+            assert twice == once
+            assert set(once) <= set(posts)
+            ids = [p.post_id for p in once]
             assert len(ids) == len(set(ids))
-            keys = [(p.user_id, normalized_text(p.text)) for p in once.posts]
+            keys = [(p.user_id, normalized_text(p.text)) for p in once]
             assert len(keys) == len(set(keys))
 
 
@@ -242,18 +241,12 @@ def test_criterion_8_event_extraction_fixture():
         gold_entries = load_event_gold()
         assert len(gold_entries) == 50
 
-        def triple_key(verb, agent, affected, passive):
-            return (verb, agent, affected, passive)
-
         extracted_by_id = {}
         for entry in gold_entries:
             triples = extract_triples(
                 tokenize(entry["text"]), inventory, stopwords=stopwords)
             extracted_by_id[entry["id"]] = [
-                triple_key(t.verb_lemma,
-                           t.agent.text if t.agent else None,
-                           t.affected.text if t.affected else None,
-                           t.passive)
+                (t.verb_lemma, t.agent, t.affected, t.passive)
                 for t in triples
             ]
 

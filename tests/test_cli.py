@@ -8,7 +8,6 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -288,10 +287,9 @@ class TestAtomicArtifacts:
         assert main(["--config", str(config), "ingest"]) == 0
         earlier = (out / CORPUS_ARTIFACT).read_bytes()
         before = sorted(os.listdir(out))
-        posts = corpus.read_corpus(out / CORPUS_ARTIFACT).posts
+        posts = corpus.read_corpus(out / CORPUS_ARTIFACT)
         with pytest.raises(RuntimeError, match="writer died"):
-            corpus.write_corpus(SimpleNamespace(posts=_dies_after(posts[:3])),
-                                out / CORPUS_ARTIFACT)
+            corpus.write_corpus(_dies_after(posts[:3]), out / CORPUS_ARTIFACT)
         assert (out / CORPUS_ARTIFACT).read_bytes() == earlier
         assert sorted(os.listdir(out)) == before
 
@@ -433,6 +431,17 @@ class TestEventsCommand:
         assert capsys.readouterr().err == (
             "WARNING postmine.events: inventory line 2: 'hit' already maps to "
             "'harass'; keeping the first\n")
+
+    def test_inflection_declared_as_lemma_warns(self, tmp_path, demo_bundle, capsys):
+        inventory = tmp_path / "verbs.tsv"
+        inventory.write_text("harass\tharassed,hit\nhit\thits\n")
+        config = write_config(tmp_path, demo_bundle, verb_inventory=str(inventory))
+        assert main(["--config", str(config), "ingest"]) == 0
+        capsys.readouterr()
+        assert main(["--config", str(config), "events"]) == 0
+        assert capsys.readouterr().err == (
+            "WARNING postmine.events: inventory: 'hit' is a lemma and also an "
+            "inflection of 'harass'; keeping the lemma\n")
 
 
 class TestPipelineArtifacts:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from postmine.connotation import (
 )
 from postmine.corpus import HarassmentLabel, HarassmentType, Participant
 from postmine.errors import DataError
-from postmine.events import EventTriple, TokenSpan
+from postmine.events import EventTriple
 
 
 def frame(*values):
@@ -49,47 +48,47 @@ class TestConnotationFrame:
 
 
 class TestLoadLexicon:
-    def test_row_stored_under_lemma(self):
-        lex = load_lexicon(io.StringIO("harass\t-0.8\t-0.7\t-0.9\t-0.6\t0.5\n"))
+    def test_row_stored_under_lemma(self, input_file):
+        lex = load_lexicon(input_file("harass\t-0.8\t-0.7\t-0.9\t-0.6\t0.5\n"))
         assert lex["harass"] == HARASS_FRAME
 
-    def test_out_of_range_score_fatal_with_row(self):
-        src = io.StringIO("ok\t0\t0\t0\t0\t0\nbad\t1.5\t0\t0\t0\t0\n")
+    def test_out_of_range_score_fatal_with_row(self, input_file):
+        src = input_file("ok\t0\t0\t0\t0\t0\nbad\t1.5\t0\t0\t0\t0\n")
         with pytest.raises(DataError, match="row 2"):
             load_lexicon(src)
 
-    def test_duplicate_lemma_fatal(self):
-        src = io.StringIO("harass\t0\t0\t0\t0\t0\nharass\t0.1\t0\t0\t0\t0\n")
+    def test_duplicate_lemma_fatal(self, input_file):
+        src = input_file("harass\t0\t0\t0\t0\t0\nharass\t0.1\t0\t0\t0\t0\n")
         with pytest.raises(DataError, match="duplicate"):
             load_lexicon(src)
 
-    def test_empty_file_fatal(self):
+    def test_empty_file_fatal(self, input_file):
         with pytest.raises(DataError):
-            load_lexicon(io.StringIO(""))
+            load_lexicon(input_file(""))
 
 
 class TestLoadEmbeddings:
-    def test_dimension_from_first_line(self):
-        emb = load_embeddings(io.StringIO("a 1 0 0\nb 0 1 0\n"))
+    def test_dimension_from_first_line(self, input_file):
+        emb = load_embeddings(input_file("a 1 0 0\nb 0 1 0\n"))
         assert emb.unit_vector("a").tolist() == [1.0, 0.0, 0.0]
         assert emb.unit_vector("b").tolist() == [0.0, 1.0, 0.0]
 
-    def test_mismatched_line_fatal_with_number(self):
+    def test_mismatched_line_fatal_with_number(self, input_file):
         with pytest.raises(DataError, match="line 2"):
-            load_embeddings(io.StringIO("a 1 0 0\nb 0 1\n"))
+            load_embeddings(input_file("a 1 0 0\nb 0 1\n"))
 
-    def test_zero_norm_rejected(self):
+    def test_zero_norm_rejected(self, input_file):
         with pytest.raises(DataError, match="zero-norm"):
-            load_embeddings(io.StringIO("a 0 0 0\n"))
+            load_embeddings(input_file("a 0 0 0\n"))
 
-    def test_duplicate_word_rejected(self):
+    def test_duplicate_word_rejected(self, input_file):
         with pytest.raises(DataError, match="duplicate"):
-            load_embeddings(io.StringIO("a 1 0\na 0 1\n"))
+            load_embeddings(input_file("a 1 0\na 0 1\n"))
 
     @pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
-    def test_nonfinite_component_fatal_with_number(self, component):
+    def test_nonfinite_component_fatal_with_number(self, component, input_file):
         with pytest.raises(DataError, match="line 2: non-finite"):
-            load_embeddings(io.StringIO(f"a 1 0\nbad {component} 0\n"))
+            load_embeddings(input_file(f"a 1 0\nbad {component} 0\n"))
 
 
 def small_world():
@@ -240,8 +239,7 @@ class TestPropagate:
 class TestScoreEvent:
     def test_sign_pattern_for_aggressive_verb(self):
         lex, emb = small_world()
-        triple = EventTriple("harass", TokenSpan("he", 0), TokenSpan("me", 2),
-                             False, "p1")
+        triple = EventTriple("harass", "he", "me", False, "p1")
         [(post_id, out)] = score_triples([triple], lex, emb, k=10, min_similarity=0.0)
         assert post_id == "p1"
         assert out.sentiment_verb < 0
@@ -252,8 +250,8 @@ class TestScoreEvent:
 
     def test_passive_uses_same_frame(self):
         lex, emb = small_world()
-        active = EventTriple("harass", TokenSpan("he"), TokenSpan("me"), False, "p1")
-        passive = EventTriple("harass", TokenSpan("boss"), TokenSpan("i"), True, "p2")
+        active = EventTriple("harass", "he", "me", False, "p1")
+        passive = EventTriple("harass", "boss", "i", True, "p2")
         [(_, a), (_, b)] = score_triples([active, passive], lex, emb,
                                          k=10, min_similarity=0.0)
         assert a == b

@@ -1,25 +1,22 @@
 from __future__ import annotations
 
-import io
-
 import pytest
 
 from conftest import load_event_gold
 from postmine.errors import DataError
 from postmine.events import (
     EventTriple,
-    TokenSpan,
     VerbInventory,
+    _sentences,
     _suffix_candidates,
     bundled_inventory,
     extract_triples,
     lemmatize,
     load_inventory,
     read_triples,
-    split_sentences,
     write_triples,
 )
-from postmine.textprep import bundled_stopwords, tokenize
+from postmine.textprep import TokenKind, bundled_stopwords, tokenize
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +59,7 @@ class TestLemmatize:
     def test_result_always_in_inventory(self, inventory):
         for surface in ("harassed", "running", "tables", "xyzzy", "mocked"):
             lemma = lemmatize(surface, inventory)
-            assert lemma is None or lemma in inventory
+            assert lemma is None or lemma in inventory.lemmas
 
     def test_memo_gives_the_rule_lemma(self):
         def rule_lemma(surface, inventory):
@@ -90,15 +87,15 @@ class TestExtractTriples:
     def test_simple_active(self, inventory, stopwords):
         (triple,) = self.extract("he harassed me", inventory, stopwords)
         assert triple.verb_lemma == "harass"
-        assert triple.agent == TokenSpan("he", 0)
-        assert triple.affected == TokenSpan("me", 2)
+        assert triple.agent == "he"
+        assert triple.affected == "me"
         assert triple.passive is False
 
     def test_passive_with_by_agent(self, inventory, stopwords):
         (triple,) = self.extract("i was harassed by my boss", inventory, stopwords)
         assert triple.verb_lemma == "harass"
-        assert triple.agent is not None and triple.agent.text == "boss"
-        assert triple.affected is not None and triple.affected.text == "i"
+        assert triple.agent == "boss"
+        assert triple.affected == "i"
         assert triple.passive is True
 
     def test_no_inventory_verb(self, inventory, stopwords):
@@ -108,14 +105,14 @@ class TestExtractTriples:
         (triple,) = self.extract("i was followed", inventory, stopwords)
         assert triple.passive is True
         assert triple.agent is None
-        assert triple.affected is not None and triple.affected.text == "i"
+        assert triple.affected == "i"
 
     def test_passive_never_uses_pre_verb_agent(self, inventory, stopwords):
         triples = self.extract("she was mocked because reasons", inventory, stopwords)
         (triple,) = triples
         assert triple.passive is True
         assert triple.agent is None
-        assert triple.affected is not None and triple.affected.text == "she"
+        assert triple.affected == "she"
 
     def test_sentence_boundary_blocks_arguments(self, inventory, stopwords):
         triples = self.extract("the boss left. harassed me", inventory, stopwords)
@@ -126,8 +123,8 @@ class TestExtractTriples:
         triples = self.extract("he grabbed her and she slapped him",
                                inventory, stopwords)
         assert [t.verb_lemma for t in triples] == ["grab", "slap"]
-        assert triples[0].agent.text == "he"
-        assert triples[1].agent.text == "she"
+        assert triples[0].agent == "he"
+        assert triples[1].agent == "she"
 
     def test_window_limit(self, inventory, stopwords):
         # agent sits six tokens before the verb, outside the window
@@ -137,14 +134,12 @@ class TestExtractTriples:
 
     def test_spans_never_point_at_verbs(self, inventory, stopwords):
         # Argument candidates exclude inventory verbs entirely, which
-        # implies a span can never overlap the verb token.
+        # implies an argument can never be the verb token.
         for entry in load_event_gold():
             tokens = tokenize(entry["text"])
             for triple in extract_triples(tokens, inventory, stopwords=stopwords):
-                for span in (triple.agent, triple.affected):
-                    if span is not None:
-                        assert span.index is not None
-                        surface = tokens[span.index].surface
+                for surface in (triple.agent, triple.affected):
+                    if surface is not None:
                         assert (surface in {"i", "me", "he", "she", "they", "him",
                                             "her", "them", "we", "us", "you"}
                                 or lemmatize(surface, inventory) is None)
@@ -159,26 +154,26 @@ class TestExtractTriples:
         for entry in load_event_gold():
             for triple in extract_triples(
                     tokenize(entry["text"]), inventory, stopwords=stopwords):
-                assert triple.verb_lemma in inventory
+                assert triple.verb_lemma in inventory.lemmas
 
 
 def test_split_sentences():
     tokens = tokenize("one two. three! four? five")
-    groups = split_sentences(tokens)
+    groups = _sentences(tokens, TokenKind.PUNCT)
     assert len(groups) == 4
     assert [len(g) for g in groups] == [2, 1, 1, 1]
 
 
 class TestInventoryIO:
-    def test_load_inventory(self):
-        inv, warnings = load_inventory(io.StringIO("harass\tharasses,harassed\nhelp\n"))
-        assert "harass" in inv and "help" in inv
+    def test_load_inventory(self, input_file):
+        inv, warnings = load_inventory(input_file("harass\tharasses,harassed\nhelp\n"))
+        assert inv.lemmas == {"harass", "help"}
         assert inv.inflections["harassed"] == "harass"
         assert inv.inflections["help"] == "help"
         assert warnings == []
 
-    def test_conflicting_inflection_warns_and_keeps_the_first(self):
-        inv, warnings = load_inventory(io.StringIO(
+    def test_conflicting_inflection_warns_and_keeps_the_first(self, input_file):
+        inv, warnings = load_inventory(input_file(
             "harass\tharassed,hit\nstrike\thit,struck\nbeat\thit\n"))
         assert inv.inflections["hit"] == "harass"
         assert inv.inflections["struck"] == "strike"
@@ -186,6 +181,21 @@ class TestInventoryIO:
             "inventory line 2: 'hit' already maps to 'harass'; keeping the first",
             "inventory line 3: 'hit' already maps to 'harass'; keeping the first",
         ]
+
+    @pytest.mark.parametrize("text", [
+        "harass\tharassed,hit\nhit\thits\n",
+        "hit\thits\nharass\tharassed,hit\n",
+    ])
+    def test_inflection_declared_as_lemma_warns_and_keeps_the_lemma(self, input_file, text):
+        inv, warnings = load_inventory(input_file(text))
+        assert lemmatize("hit", inv) == "hit"
+        assert inv.inflections["harassed"] == "harass"
+        assert warnings == [
+            "inventory: 'hit' is a lemma and also an inflection of 'harass'; keeping the lemma"]
+
+    def test_lemma_listed_as_its_own_inflection_is_quiet(self, input_file):
+        _, warnings = load_inventory(input_file("hit\thit,hits\n"))
+        assert warnings == []
 
     def test_empty_inventory_fatal(self):
         with pytest.raises(DataError):
@@ -199,18 +209,13 @@ class TestInventoryIO:
 class TestTripleFileInterface:
     def test_round_trip(self, tmp_path):
         triples = [
-            EventTriple("harass", TokenSpan("he", 0), TokenSpan("me", 2),
-                        False, "p1"),
-            EventTriple("follow", None, TokenSpan("i", 0), True, "p2"),
+            EventTriple("harass", "he", "me", False, "p1"),
+            EventTriple("follow", None, "i", True, "p2"),
         ]
         path = tmp_path / "triples.tsv"
         write_triples(triples, path)
         again = read_triples(path)
-        assert [t.verb_lemma for t in again] == ["harass", "follow"]
-        assert again[0].agent.text == "he" and again[0].agent.index is None
-        assert again[1].agent is None
-        assert again[1].passive is True
-        assert again[1].source_post == "p2"
+        assert again == triples
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 import random
 import re
 import string
@@ -225,44 +224,56 @@ class TestCorrectSpelling:
 
 
 class TestDictionaryLoader:
-    def test_expansion_words_must_be_valid(self):
+    def test_expansion_words_must_be_valid(self, input_file):
         with pytest.raises(DataError, match="expansion word"):
             load_correction_dictionary(
-                io.StringIO("idk\ti do not know\n"), io.StringIO("i\ndo\nnot\n"))
+                input_file("idk\ti do not know\n"), input_file("i\ndo\nnot\n"))
 
-    def test_key_may_not_be_a_valid_word(self):
+    def test_key_may_not_be_a_valid_word(self, input_file):
         with pytest.raises(DataError, match="valid word"):
             load_correction_dictionary(
-                io.StringIO("so\tso obviously\n"), io.StringIO("so\nobviously\n"))
+                input_file("so\tso obviously\n"), input_file("so\nobviously\n"))
 
-    def test_round_trip(self):
+    def test_round_trip(self, input_file):
         d = load_correction_dictionary(
-            io.StringIO("u\tyou\n"), io.StringIO("you\nreally\n"),
-            io.StringIO("s**t\n"))
+            input_file("u\tyou\n"), input_file("you\nreally\n"),
+            input_file("s**t\n"))
         assert d.abbreviations == {"u": "you"}
         assert "s**t" in d.censored
         assert "really" in d.valid_words
 
 
 class TestLanguageModelLoader:
-    def test_sections(self):
-        lm = load_language_model(io.StringIO(
+    def test_sections(self, input_file):
+        lm = load_language_model(input_file(
             "UNIGRAM\nme\t10\ntoo\t8\nBIGRAM\nme\ttoo\t3\n"))
         assert lm.unigram_counts["me"] == 10
         assert lm.bigram_counts[("me", "too")] == 3
         assert lm.total_unigrams == 18
 
-    def test_bigram_constituent_must_exist(self):
+    def test_bigram_constituent_must_exist(self, input_file):
         with pytest.raises(DataError):
-            load_language_model(io.StringIO("UNIGRAM\nme\t10\nBIGRAM\nme\tzzz\t3\n"))
+            load_language_model(input_file("UNIGRAM\nme\t10\nBIGRAM\nme\tzzz\t3\n"))
 
-    def test_nonpositive_count_rejected(self):
+    def test_nonpositive_count_rejected(self, input_file):
         with pytest.raises(DataError):
-            load_language_model(io.StringIO("UNIGRAM\nme\t0\n"))
+            load_language_model(input_file("UNIGRAM\nme\t0\n"))
 
-    def test_line_outside_section_rejected(self):
+    def test_line_outside_section_rejected(self, input_file):
         with pytest.raises(DataError, match="line 1"):
-            load_language_model(io.StringIO("me\t10\n"))
+            load_language_model(input_file("me\t10\n"))
+
+    def test_duplicate_unigram_differing_in_case_rejected(self, input_file):
+        with pytest.raises(DataError) as caught:
+            load_language_model(input_file("UNIGRAM\nme\t10\nMe\t3\n"))
+        assert str(caught.value) == "language model line 3: duplicate unigram 'me'"
+
+    def test_duplicate_bigram_rejected(self, input_file):
+        with pytest.raises(DataError) as caught:
+            load_language_model(input_file(
+                "UNIGRAM\nme\t10\ntoo\t8\nBIGRAM\nme\ttoo\t3\nme\tToo\t4\n"))
+        assert str(caught.value) == (
+            "language model line 6: duplicate bigram ('me', 'too')")
 
 
 class TestSegment:
