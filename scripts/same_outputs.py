@@ -13,7 +13,12 @@ two output directories file by file:
 - for each input file of the demo config, a copy of the demo bundle
   whose file ends with the byte 0xff, all six stages: the malformed-line
   warning for ``posts``, the "is not valid UTF-8" data error of the
-  loader for every other file.
+  loader for every other file;
+- a copy of the demo bundle whose config key ``triples`` names a copy
+  of the ``triples.tsv`` that ``events`` writes for it, with the data
+  rows shuffled by ``random.Random(0)``; stages ``ingest``,
+  ``sentiment`` and ``report``.  It is the one bundle that imports
+  triples, and their order must not show in the sentiment report.
 
 Both trees write to the same output path in turn, so paths in messages
 match.  The bundles are built from this checkout, as
@@ -30,7 +35,9 @@ The bundles live in a temporary directory that is removed on exit.
 from __future__ import annotations
 
 import argparse
+import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -66,7 +73,31 @@ def build_bundles(directory: Path) -> list[tuple[str, Path, tuple[str, ...], boo
         with open(demo.write_demo_bundle(path, DEMO_SEED)[key], "ab") as handle:
             handle.write(b"\xff")
         bundles.append((path.name, path, generate.ALL_STAGES, True))
+    path = directory / f"demo-{DEMO_SEED}-imported-triples"
+    bundles.append((path.name, imported_triples_bundle(path),
+                    ("ingest", "sentiment", "report"), False))
     return bundles
+
+
+def imported_triples_bundle(path: Path) -> Path:
+    """The demo bundle at ``path``, its config's ``triples`` pointing at
+    a row-shuffled copy of its own ``events`` output made with this
+    checkout's source."""
+    from postmine import demo
+
+    config = demo.write_demo_bundle(path, DEMO_SEED)["config"]
+    out = path / "events-out"
+    for run in run_stages(ROOT / "src", path, out, ("ingest", "events")):
+        if run.returncode != 0:
+            raise SystemExit(f"{path.name}: {run.args[-1]} failed: {run.stderr.strip()}")
+    header, *rows = (out / "triples.tsv").read_bytes().splitlines(keepends=True)
+    random.Random(0).shuffle(rows)
+    triples = path / "triples-shuffled.tsv"
+    triples.write_bytes(b"".join([header, *rows]))
+    settings = json.loads(config.read_text("utf-8"))
+    settings["triples"] = str(triples)
+    config.write_text(json.dumps(settings, indent=2), "utf-8")
+    return path
 
 
 def run_stages(src: Path, bundle: Path, out: Path,

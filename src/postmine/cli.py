@@ -8,9 +8,11 @@ files, config, seed), and report bodies carry no timestamps, so reruns
 are byte-identical.  Exit codes: 0 success, 1 usage or configuration
 error, 2 data error.
 
-Only this module writes to stderr: the stage functions return their
-warnings and diagnostics, and the commands print them (``-v`` adds the
-per-K lines of ``topics``).
+The commands hold the config, the paths, the exit codes and the
+printing; the stage modules compute, write the artifacts and return
+plain values.  Only this module writes to stderr: the stage functions
+return their warnings and diagnostics, and the commands print them
+(``-v`` adds the per-K lines of ``topics``).
 
 A stage pays little to start and to stop.  It imports only the modules
 it runs: every stage module, ``corpus`` included, is imported inside
@@ -37,7 +39,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ConfigError, DataError, EmptyCorpusError
+from .errors import ConfigError, DataError
 
 if TYPE_CHECKING:
     from . import corpus, textprep, topics
@@ -203,23 +205,8 @@ def load_config(
     except TypeError as exc:
         raise ConfigError(f"bad propagation settings: {exc}") from None
 
-    return RunConfig(
-        posts=paths["posts"],               # type: ignore[arg-type]
-        institutions=paths["institutions"],  # type: ignore[arg-type]
-        labels=paths["labels"],             # type: ignore[arg-type]
-        lexicon=paths["lexicon"],           # type: ignore[arg-type]
-        embeddings=paths["embeddings"],     # type: ignore[arg-type]
-        language_model=paths["language_model"],  # type: ignore[arg-type]
-        abbreviations=paths["abbreviations"],    # type: ignore[arg-type]
-        wordlist=paths["wordlist"],         # type: ignore[arg-type]
-        censored=paths["censored"],
-        verb_inventory=paths["verb_inventory"],
-        triples=paths["triples"],
-        topics=topics_settings,
-        propagation=propagation,
-        seed=seed,
-        out_dir=_path("out_dir", out_dir),
-    )
+    return RunConfig(**paths, topics=topics_settings, propagation=propagation,
+                     seed=seed, out_dir=_path("out_dir", out_dir))
 
 
 def _warn(module: str, message: str) -> None:
@@ -260,22 +247,15 @@ def _preprocessed(config: RunConfig, posts) -> list[list[textprep.Token]]:
 def cmd_ingest(config: RunConfig) -> None:
     from . import corpus
 
-    try:
-        raw, warnings = corpus.ingest_posts(config.posts)
-    except EmptyCorpusError as exc:
-        _warn_batch("ingest_posts", exc.warnings)
-        raise
+    raw, warnings = corpus.ingest_posts(config.posts)
     _warn_batch("ingest_posts", warnings)
+    if not raw:
+        raise DataError(corpus.NO_POSTS)
     deduped = corpus.dedup(raw)
     users = len({post.user_id for post in deduped})
     corpus.write_corpus(deduped, _out_path(config, CORPUS_ARTIFACT))
-    with open(_out_path(config, INGEST_SUMMARY), "w", encoding="utf-8") as fh:
-        fh.write(f"posts_ingested={len(raw)}\n")
-        fh.write(f"posts_after_dedup={len(deduped)}\n")
-        fh.write(f"unique_users={users}\n")
-        fh.write(f"malformed_lines={len(warnings)}\n")
-        for message in warnings:
-            fh.write(f"warning={message}\n")
+    corpus.write_ingest_summary(_out_path(config, INGEST_SUMMARY), len(raw),
+                                len(deduped), users, warnings)
     print(f"ingested {len(raw)} posts -> {len(deduped)} after dedup "
           f"({users} unique users, {len(warnings)} warnings)")
 
@@ -331,26 +311,22 @@ def cmd_events(config: RunConfig) -> None:
 def cmd_sentiment(config: RunConfig) -> None:
     from . import connotation, corpus, events
 
-    labeled, warnings = corpus.attach_labels(
+    labels, warnings = corpus.attach_labels(
         _read_corpus_artifact(config), corpus.ingest_labels(config.labels))
     _warn_batch("attach_labels", warnings)
-    if not labeled:
+    if not labels:
         raise DataError("no label resolves to a corpus post")
     path = config.triples or config.out_dir / TRIPLES_ARTIFACT
     if not path.is_file():
         raise DataError(f"triples artifact {path} not found; run 'events' first")
-    by_post: dict[str, list[events.EventTriple]] = {}
-    for triple in events.read_triples(path):
-        by_post.setdefault(triple.source_post, []).append(triple)
+    triples = events.read_triples(path)
     lexicon = connotation.load_lexicon(config.lexicon)
     embeddings = connotation.load_embeddings(config.embeddings)
 
     settings = config.propagation
-    scored = connotation.score_triples(
-        (t for post_id in labeled for t in by_post.get(post_id, ())),
-        lexicon, embeddings, settings.k, settings.min_similarity)
-    coverage = len({post_id for post_id, _ in scored}) / len(labeled)
-    rows = connotation.aggregate(scored, labeled)
+    scored = connotation.score_triples(triples, labels, lexicon, embeddings,
+                                       settings.k, settings.min_similarity)
+    rows, coverage = connotation.aggregate(scored, labels)
     connotation.write_aggregate_report(
         rows, _out_path(config, SENTIMENT_REPORT), coverage=coverage)
     print(f"scored {len(scored)} events across {len(rows)} label groups "

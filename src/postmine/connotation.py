@@ -13,9 +13,15 @@ though it shrinks propagated magnitudes toward zero; all five frame
 dimensions propagate with the same weights.  Neighbor search has exact
 full-scan semantics.  A verb that is unannotated and has no embedding
 or no qualifying neighbor is unscorable: ``propagate`` returns None for
-it and ``score_triples`` drops its triples.  ``aggregate`` groups the
-scored records by the post_id -> label mapping that
-``corpus.attach_labels`` returns.
+it and ``score_triples`` drops its triples.
+
+Only labeled posts count.  ``score_triples`` drops the triples of a post
+that the post_id -> label mapping of ``corpus.attach_labels`` does not
+hold, and ``aggregate`` groups the scored records by that mapping and
+returns the coverage with the rows: the share of labeled posts with at
+least one scored triple.  Its means are correctly rounded sums
+(``math.fsum``), so the report depends on which triples the file holds,
+not on their order.
 
 Frames are named tuples that check their range when they are made.
 ``events`` is imported for type annotations only.
@@ -236,23 +242,27 @@ def propagate(
 
 def score_triples(
     triples: Iterable[EventTriple],
+    labels: Mapping[str, HarassmentLabel],
     lexicon: Mapping[str, ConnotationFrame],
     embeddings: EmbeddingStore,
     k: int,
     min_similarity: float,
 ) -> list[tuple[str, ConnotationFrame]]:
-    """Score each triple by its verb, as (source_post, frame) records in
-    input order.
+    """Score each triple of a labeled post by its verb, as (source_post,
+    frame) records in input order; ``labels`` is the post_id -> label
+    mapping ``corpus.attach_labels`` returns.
 
     Each distinct lemma is propagated once, and the annotated lemmas'
-    unit rows are gathered once for all of them.  Triples whose verb is
-    unscorable are dropped.  Passive triples use the same frame: the
-    extractor already swapped the roles.
+    unit rows are gathered once for all of them.  Triples whose post has
+    no label or whose verb is unscorable are dropped.  Passive triples
+    use the same frame: the extractor already swapped the roles.
     """
     annotated = embeddings.unit_rows(lexicon)
     frames: dict[str, ConnotationFrame | None] = {}
     scored: list[tuple[str, ConnotationFrame]] = []
     for triple in triples:
+        if triple.source_post not in labels:
+            continue
         lemma = triple.verb_lemma
         if lemma not in frames:
             frames[lemma] = propagate(lemma, lexicon, embeddings, annotated,
@@ -274,25 +284,23 @@ class AggregateRow(NamedTuple):
 def aggregate(
     scored: Iterable[tuple[str, ConnotationFrame]],
     labels: Mapping[str, HarassmentLabel],
-) -> list[AggregateRow]:
-    """Group scored (post_id, frame) records by harassment label, with
-    ``labels`` the post_id -> label mapping ``corpus.attach_labels``
-    returns.
+) -> tuple[list[AggregateRow], float]:
+    """Group scored (post_id, frame) records of labeled posts, as
+    ``score_triples`` returns them, by harassment label.
 
-    One row per nonempty (type, participant) group, in enum declaration
-    order: mean verb sentiment, mean affected sentiment, and the group's
-    share of all labeled-and-scored records as a percentage.  Records
-    whose post has no label are excluded from both the rows and the
-    denominator.
+    Returns one row per nonempty (type, participant) group, in enum
+    declaration order: mean verb sentiment, mean affected sentiment, and
+    the group's share of all records as a percentage.  And the coverage:
+    the fraction of the posts in ``labels`` with a scored record (0.0
+    for an empty ``labels``).
     """
     groups: dict[tuple[HarassmentType, Participant], list[ConnotationFrame]] = {}
-    total = 0
+    posts: set[str] = set()
     for post_id, frame in scored:
-        label = labels.get(post_id)
-        if label is None:
-            continue
+        label = labels[post_id]
         groups.setdefault((label.harassment_type, label.participant), []).append(frame)
-        total += 1
+        posts.add(post_id)
+    total = sum(map(len, groups.values()))
     rows: list[AggregateRow] = []
     for htype in HarassmentType:
         for participant in Participant:
@@ -302,11 +310,12 @@ def aggregate(
             rows.append(AggregateRow(
                 harassment_type=htype,
                 participant=participant,
-                event_sentiment=sum(f.sentiment_verb for f in frames) / len(frames),
-                affected_sentiment=sum(f.sentiment_affected for f in frames) / len(frames),
+                event_sentiment=math.fsum(f.sentiment_verb for f in frames) / len(frames),
+                affected_sentiment=math.fsum(
+                    f.sentiment_affected for f in frames) / len(frames),
                 percentage=100.0 * len(frames) / total,
             ))
-    return rows
+    return rows, len(posts) / len(labels) if labels else 0.0
 
 
 def write_aggregate_report(

@@ -4,16 +4,17 @@ Posts arrive as line-delimited JSON records (one object per line with
 fields post_id, user_id, institution_id, timestamp, text), institution
 metadata as a CSV table and harassment labels as a CSV table.  Malformed
 post lines, a line that is not valid UTF-8 included, never abort a run:
-they are counted, reported with their line number and skipped.  A run
-only fails when zero valid records survive.  ``attach_labels`` joins
-the labels onto the posts once, as a post_id -> label mapping.  Both
-return their warnings (and ``EmptyCorpusError`` carries them) rather
-than printing them; the CLI reports them.
+they are counted, reported with their line number and skipped.
+``ingest_posts`` returns the posts and the warnings even when no post
+survives; the CLI then fails the run.  ``attach_labels`` joins the
+labels onto the posts once, as a post_id -> label mapping.  Both return
+their warnings rather than printing them; the CLI reports them.
 
 The records are immutable named tuples and a corpus is a tuple of
 ``Post``; every loader takes a path.  ``atomic_open`` writes the
 artifacts that later stages read, so a run that dies mid-write never
-leaves a truncated one.
+leaves a truncated one.  ``write_ingest_summary`` writes the counts of
+an ingest run.
 """
 
 from __future__ import annotations
@@ -27,9 +28,11 @@ from enum import Enum
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
 
-from .errors import DataError, EmptyCorpusError, read_utf8
+from .errors import DataError, read_utf8
 
 POST_FIELDS = ("post_id", "user_id", "institution_id", "timestamp", "text")
+
+NO_POSTS = "no valid post records in input"
 
 INSTITUTION_HEADER = (
     "institution_id",
@@ -140,11 +143,10 @@ def _parse_post(obj: object) -> Post:
 def ingest_posts(path: str | Path) -> tuple[tuple[Post, ...], list[str]]:
     """Read line-delimited post records.
 
-    Returns the posts (input order kept, duplicates included) and the
-    per-line warnings for malformed records, a line that is not valid
-    UTF-8 among them.  Raises EmptyCorpusError, which carries the
-    warnings, when no valid record survives; an unreadable file raises
-    the underlying OSError.
+    Returns the posts (input order kept, duplicates included; empty
+    when no valid record survives) and the per-line warnings for
+    malformed records, a line that is not valid UTF-8 among them.  An
+    unreadable file raises the underlying OSError.
     """
     posts: list[Post] = []
     warnings: list[str] = []
@@ -164,8 +166,6 @@ def ingest_posts(path: str | Path) -> tuple[tuple[Post, ...], list[str]]:
                 warnings.append(f"line {lineno}: JSON nested too deeply")
             except (ValueError, TypeError) as exc:
                 warnings.append(f"line {lineno}: {exc}")
-    if not posts:
-        raise EmptyCorpusError("no valid post records in input", warnings)
     return tuple(posts), warnings
 
 
@@ -329,8 +329,23 @@ def write_corpus(posts: Iterable[Post], path: str | Path) -> None:
             handle.write("\n")
 
 
+def write_ingest_summary(path: str | Path, ingested: int, kept: int, users: int,
+                         warnings: list[str]) -> None:
+    """Write the counts of an ingest run, one ``key=value`` line each,
+    then one ``warning=`` line per malformed input line."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(f"posts_ingested={ingested}\n")
+        handle.write(f"posts_after_dedup={kept}\n")
+        handle.write(f"unique_users={users}\n")
+        handle.write(f"malformed_lines={len(warnings)}\n")
+        for message in warnings:
+            handle.write(f"warning={message}\n")
+
+
 def read_corpus(path: str | Path) -> tuple[Post, ...]:
     posts, warnings = ingest_posts(path)
+    if not posts:
+        raise DataError(NO_POSTS)
     if warnings:
         raise DataError(f"corpus artifact {path} is corrupt: {warnings[0]}")
     return posts

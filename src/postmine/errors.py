@@ -2,8 +2,8 @@
 reads an input file so that bytes that are not UTF-8 are a data error;
 every loader but the posts one, which skips such a line, reads through it.
 
-The CLI maps ConfigError to exit code 1 and DataError (with its
-subclasses) to exit code 2.
+The CLI maps ConfigError to exit code 1 and DataError to exit code 2;
+the message says what went wrong, so no stage needs a subclass.
 """
 
 
@@ -13,22 +13,6 @@ class ConfigError(Exception):
 
 class DataError(Exception):
     """Input data violates a contract of the stage consuming it."""
-
-
-class EmptyCorpusError(DataError):
-    """No valid post survived ingestion; ``warnings`` says why."""
-
-    def __init__(self, message: str, warnings: list[str]):
-        super().__init__(message)
-        self.warnings = warnings
-
-
-class EmptyVocabularyError(DataError):
-    """Vocabulary pruning removed every term."""
-
-
-class RankDeficientError(DataError):
-    """Design matrix has linearly dependent columns."""
 
 
 def read_utf8(path, reader=lambda handle: handle.read(), newline=None):

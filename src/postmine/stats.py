@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import InstitutionRecord, Post, Region
-from .errors import DataError, RankDeficientError
+from .errors import DataError
 
 RANK_TOLERANCE = 1e-10
 _EPS = 2.0 ** -52          # float64 machine epsilon
@@ -238,7 +238,7 @@ def ols_fit(design: DesignMatrix) -> RegressionResult:
     singular = _singular_values(r)
     if singular[-1] <= RANK_TOLERANCE * singular[0]:
         name = _first_dependent_column(r, design.feature_names)
-        raise RankDeficientError(f"design matrix is rank deficient at column {name!r}")
+        raise DataError(f"design matrix is rank deficient at column {name!r}")
 
     beta = _back_substitute(r, qty[:p])
     residuals = [v - sum(map(mul, row, beta)) for v, row in zip(y, rows)]

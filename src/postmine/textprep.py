@@ -19,9 +19,9 @@ The stages, applied in order by ``preprocess``:
    unigram/bigram language model with stupid-backoff-style weighting.
    O(n^2 log n) at worst in the body length n, and O(n^2) unless a
    known bigram or a tie after rounding makes it sort the entries that
-   end at some position; memoised per body on the model.  A body over
-   SEGMENT_MAX_CHARS (280, a tweet's length limit) characters is not
-   segmented and stays one word, so the cost per hashtag is bounded.
+   end at some position.  A body over SEGMENT_MAX_CHARS (280, a tweet's
+   length limit) characters is not segmented and stays one word, so the
+   cost per hashtag is bounded.
 
 ``preprocess`` applies them to each whitespace-separated chunk of a
 text (``\\S+``, the regex engine's whitespace class) on its own.  That
@@ -30,12 +30,14 @@ anchor or a lookaround or can match whitespace (no emoticon or
 designated tag contains any), so no token crosses a chunk boundary,
 and the later stages work on one token at a time.  A memo dict passed
 to every ``preprocess`` call of a run maps each distinct chunk to its
-tokens, so repeated chunks are processed once per run.
+tokens, so repeated chunks are processed once per run; it is the only
+cache, and a hashtag body is segmented once for each distinct chunk
+that holds it.
 
 All operations are pure given an immutable dictionary and language
-model, so corpus-level preprocessing can fan out per document.  A
-``Token`` is an immutable named tuple that checks its surface and kind
-when it is made.
+model (nothing is stored on either once loaded), so corpus-level
+preprocessing can fan out per document.  A ``Token`` is an immutable
+named tuple that checks its surface and kind when it is made.
 """
 
 from __future__ import annotations
@@ -328,8 +330,6 @@ class LanguageModel:
         self.predecessors: Mapping[str, tuple[str, ...]] = {
             w2: tuple(w1s) for w2, w1s in predecessors.items()}
         self.longest_word = max(map(len, unigram_counts), default=0)
-        # hashtag body -> its segmentation; one memo per loaded model
-        self.segmentations: dict[str, tuple[str, ...]] = {}
 
     @classmethod
     def from_counts(
@@ -420,27 +420,23 @@ def segment(body: str, lm: LanguageModel) -> list[str]:
     lexicographically smallest word sequence.  So when two prefix sums
     that differ in the last bit round to the same total after the next
     word, the dropped prefix never takes part in the tie.  The output
-    concatenates back to the input body.  Results are memoised per body
-    on ``lm``.  A body longer than SEGMENT_MAX_CHARS is returned whole,
-    as one word.
+    concatenates back to the input body.  A body longer than
+    SEGMENT_MAX_CHARS is returned whole, as one word.
     """
     if not body:
         return []
     if len(body) > SEGMENT_MAX_CHARS:
         return [body]
-    words = lm.segmentations.get(body)
-    if words is None:
-        words = lm.segmentations[body] = _viterbi(body, lm)
-    return list(words)
+    return _viterbi(body, lm)
 
 
-def _viterbi(body: str, lm: LanguageModel) -> tuple[str, ...]:
+def _viterbi(body: str, lm: LanguageModel) -> list[str]:
     # Entry (start, end) is the best segmentation of body[:end] whose
     # last word is body[start:end].  Row ``start`` of score, back and
     # tie holds the entries for end = start + 1 .. n: the score, the
     # start of the previous word (-1 for none) and a tie-break key, the
-    # sum of 2^(n - e) over the word ends e before ``end``.  Two
-    # segmentations of one prefix first differ where one of them ends a
+    # sum of 2^(n - e) over the word ends e before ``end``.  Two splits
+    # of one prefix into words first differ where one of them ends a
     # word earlier; that one is lexicographically smaller and has the
     # larger key, so exact score ties go to the larger key.
     #
@@ -511,7 +507,7 @@ def _viterbi(body: str, lm: LanguageModel) -> tuple[str, ...]:
     while end:
         words.append(body[start:end])
         start, end = back[start][end - start - 1], start
-    return tuple(reversed(words))
+    return words[::-1]
 
 
 def _rank(scores: list[float], ties: list[int]) -> tuple[list[int], list[int]]:

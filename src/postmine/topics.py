@@ -69,7 +69,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError, EmptyVocabularyError
+from .errors import DataError
 from .textprep import Token, TokenKind
 
 COHERENCE_EPS = 1e-12
@@ -158,7 +158,7 @@ def build_vocab(
                 df[term] = df.get(term, 0) + 1
     terms = tuple(sorted(t for t, n in df.items() if n >= min_df))
     if not terms:
-        raise EmptyVocabularyError(
+        raise DataError(
             "no term satisfies min_df=%d after stopword removal" % min_df
         )
     return Vocabulary(

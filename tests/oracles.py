@@ -27,7 +27,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import betainc, digamma, gammaln
 
-from postmine.errors import RankDeficientError
+from postmine.errors import DataError
 from postmine.textprep import (
     _HASHTAG_BODY_RE,
     Token,
@@ -64,16 +64,16 @@ def _decode_splits(body: str, splits: int) -> tuple[str, ...]:
 
 
 def exhaustive_segment(body: str, lm) -> list[str]:
-    """Argmax over every one of the 2^(len-1) segmentations, scored
+    """Argmax over every one of the 2^(len-1) splits into words, scored
     left to right; ties broken by the lexicographically smallest word
     sequence.
 
-    All segmentations are enumerated at once with numpy: walking
-    positions 1..len-1, every partial segmentation either continues its
+    All splits are enumerated at once with numpy: walking positions
+    1..len-1, every partial segmentation either continues its
     current word or splits there, which doubles the arrays of (running
     score, current word start, previous word start).  Transition scores
     are precomputed per (previous span, span); words are decoded only
-    for the segmentations that reach the best score."""
+    for the splits that reach the best score."""
     if not body:
         return []
     n = len(body)
@@ -231,7 +231,7 @@ def lapack_ols(x, y, names):
                 name = names[j]
                 break
             rank = new_rank
-        raise RankDeficientError(f"design matrix is rank deficient at column {name!r}")
+        raise DataError(f"design matrix is rank deficient at column {name!r}")
     q, r = np.linalg.qr(x)
     beta = np.linalg.solve(r, q.T @ y)
     residuals = y - x @ beta

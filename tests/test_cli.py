@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -370,6 +371,10 @@ class TestIngestCommand:
         assert proc.stderr == (
             f"data error: corpus artifact {artifact} is corrupt: line {lines + 1}: "
             "Expecting value: line 1 column 1 (char 0)\n")
+        artifact.write_bytes(b"")
+        proc = _run_module(config, "events")
+        assert proc.returncode == 2
+        assert proc.stderr == "data error: no valid post records in input\n"
 
     def test_topics_requires_corpus_artifact(self, tmp_path, demo_bundle, capsys):
         config = write_config(tmp_path, demo_bundle)
@@ -538,6 +543,20 @@ class TestSentimentCommand:
                                 triples=str(copy))
         assert main(["--config", str(imported), "sentiment"]) == 0
         assert (tmp_path / "out" / SENTIMENT_REPORT).read_bytes() == default
+
+    def test_report_does_not_depend_on_triple_order(self, tmp_path, demo_bundle):
+        config = write_config(tmp_path, demo_bundle)
+        for command in ("ingest", "events", "sentiment"):
+            assert main(["--config", str(config), command]) == 0
+        in_order = (tmp_path / "out" / SENTIMENT_REPORT).read_bytes()
+        header, *rows = (tmp_path / "out" / TRIPLES_ARTIFACT).read_text().splitlines()
+        random.Random(0).shuffle(rows)
+        shuffled = tmp_path / "shuffled.tsv"
+        shuffled.write_text("\n".join([header, *rows]) + "\n")
+        config = write_config(tmp_path, demo_bundle, name="shuffled.json",
+                              triples=str(shuffled))
+        assert main(["--config", str(config), "sentiment"]) == 0
+        assert (tmp_path / "out" / SENTIMENT_REPORT).read_bytes() == in_order
 
     def test_requires_triples_artifact(self, tmp_path, demo_bundle, capsys):
         config = write_config(tmp_path, demo_bundle)

@@ -32,6 +32,12 @@ def by_post(labels):
     return {label.post_id: label for label in labels}
 
 
+def labeled(*post_ids):
+    """A post_id -> label mapping that labels every given post alike."""
+    return {post_id: HarassmentLabel(post_id, HarassmentType.PHYSICAL, Participant.PEER)
+            for post_id in post_ids}
+
+
 class TestConnotationFrame:
     @pytest.mark.parametrize("dim", range(5))
     @pytest.mark.parametrize("value", [-1.5, 1.0 + 1e-9, float("nan")])
@@ -240,7 +246,8 @@ class TestScoreEvent:
     def test_sign_pattern_for_aggressive_verb(self):
         lex, emb = small_world()
         triple = EventTriple("harass", "he", "me", False, "p1")
-        [(post_id, out)] = score_triples([triple], lex, emb, k=10, min_similarity=0.0)
+        [(post_id, out)] = score_triples([triple], labeled("p1"), lex, emb,
+                                         k=10, min_similarity=0.0)
         assert post_id == "p1"
         assert out.sentiment_verb < 0
         assert out.sentiment_affected < 0
@@ -252,16 +259,16 @@ class TestScoreEvent:
         lex, emb = small_world()
         active = EventTriple("harass", "he", "me", False, "p1")
         passive = EventTriple("harass", "boss", "i", True, "p2")
-        [(_, a), (_, b)] = score_triples([active, passive], lex, emb,
-                                         k=10, min_similarity=0.0)
+        [(_, a), (_, b)] = score_triples([active, passive], labeled("p1", "p2"),
+                                         lex, emb, k=10, min_similarity=0.0)
         assert a == b
 
     def test_purity(self):
         lex, emb = small_world()
         triples = [EventTriple("pester", None, None, False, "p1")]
         cfg = dict(k=2, min_similarity=0.0)
-        assert score_triples(triples, lex, emb, **cfg) == \
-            score_triples(triples, lex, emb, **cfg)
+        assert score_triples(triples, labeled("p1"), lex, emb, **cfg) == \
+            score_triples(triples, labeled("p1"), lex, emb, **cfg)
 
     def test_each_lemma_propagated_once_and_unscorable_dropped(self, monkeypatch):
         lex, emb = small_world()
@@ -277,7 +284,7 @@ class TestScoreEvent:
                                           ("harass", "p2"), ("pester", "p3"),
                                           ("ghostverb", "p4"), ("harass", "p1"))]
         cfg = dict(k=3, min_similarity=0.0)
-        scored = score_triples(triples, lex, emb, **cfg)
+        scored = score_triples(triples, labeled("p1", "p2", "p3", "p4"), lex, emb, **cfg)
         assert calls == ["pester", "ghostverb", "harass"]
         pester = propagate("pester", lex, emb, emb.unit_rows(lex), **cfg)
         assert scored == [("p1", pester), ("p2", HARASS_FRAME),
@@ -290,7 +297,8 @@ class TestAggregate:
                   ("p2", frame(-0.4, -0.3, 0, 0, 0))]
         labels = [HarassmentLabel("p1", HarassmentType.PHYSICAL, Participant.PEER),
                   HarassmentLabel("p2", HarassmentType.PHYSICAL, Participant.PEER)]
-        (row,) = aggregate(scored, by_post(labels))
+        (row,), coverage = aggregate(scored, by_post(labels))
+        assert coverage == 1.0
         assert row.event_sentiment == pytest.approx(-0.3)
         assert row.affected_sentiment == pytest.approx(-0.2)
         assert row.percentage == pytest.approx(100.0)
@@ -304,7 +312,7 @@ class TestAggregate:
             HarassmentLabel("p2", HarassmentType.VERBAL, Participant.FACULTY),
             HarassmentLabel("p3", HarassmentType.VERBAL, Participant.FACULTY),
         ]
-        rows = aggregate(scored, by_post(labels))
+        rows, _ = aggregate(scored, by_post(labels))
         assert [r.percentage for r in rows] == [50.0, 50.0]
         assert rows[0].event_sentiment == rows[1].event_sentiment
 
@@ -317,7 +325,7 @@ class TestAggregate:
             HarassmentLabel("p2", HarassmentType.PHYSICAL, Participant.PEER),
             HarassmentLabel("p3", HarassmentType.VERBAL, Participant.PEER),
         ]
-        rows = aggregate(scored, by_post(labels))
+        rows, _ = aggregate(scored, by_post(labels))
         assert [(r.harassment_type, r.participant) for r in rows] == [
             (HarassmentType.PHYSICAL, Participant.PEER),
             (HarassmentType.PHYSICAL, Participant.FACULTY),
@@ -326,14 +334,28 @@ class TestAggregate:
         ]
 
     def test_empty_input_empty_table(self):
-        assert aggregate([], {}) == []
+        assert aggregate([], {}) == ([], 0.0)
+        assert aggregate([], labeled("p1")) == ([], 0.0)
 
     def test_unlabeled_records_excluded_from_denominator(self):
-        f = frame(-0.5, 0, 0, 0, 0)
-        scored = [("p1", f), ("stray", f)]
-        labels = [HarassmentLabel("p1", HarassmentType.PHYSICAL, Participant.PEER)]
-        (row,) = aggregate(scored, by_post(labels))
-        assert row.percentage == pytest.approx(100.0)
+        lex, emb = small_world()
+        triples = [EventTriple("harass", None, None, False, "p1"),
+                   EventTriple("harass", None, None, False, "stray"),
+                   EventTriple("harass", None, None, False, "p1")]
+        labels = labeled("p1", "p2")
+        scored = score_triples(triples, labels, lex, emb, k=10, min_similarity=0.0)
+        assert scored == [("p1", HARASS_FRAME), ("p1", HARASS_FRAME)]
+        (row,), coverage = aggregate(scored, labels)
+        assert row.percentage == 100.0
+        assert coverage == 0.5
+
+    def test_means_do_not_depend_on_record_order(self):
+        values = [0.1, 0.2, 0.3, -0.6, 1e-3, -1e-3, 0.7]
+        scored = [(f"p{i}", frame(v, -v, 0, 0, 0)) for i, v in enumerate(values)]
+        labels = labeled(*(post_id for post_id, _ in scored))
+        (row,), _ = aggregate(scored, labels)
+        (reversed_row,), _ = aggregate(scored[::-1], labels)
+        assert row == reversed_row
 
     def test_percentages_sum_to_hundred(self):
         rng = np.random.default_rng(5)
@@ -345,7 +367,7 @@ class TestAggregate:
             scored.append((f"p{i}", frame(float(rng.uniform(-1, 1)), 0, 0, 0, 0)))
             labels.append(HarassmentLabel(
                 f"p{i}", types[int(rng.integers(0, 3))], parts[int(rng.integers(0, 3))]))
-        rows = aggregate(scored, by_post(labels))
+        rows, _ = aggregate(scored, by_post(labels))
         assert sum(r.percentage for r in rows) == pytest.approx(100.0, abs=0.01)
 
 
@@ -353,7 +375,8 @@ def test_aggregate_report_schema(tmp_path):
     scored = [("p1", frame(-0.2, -0.1, 0, 0, 0))]
     labels = [HarassmentLabel("p1", HarassmentType.PHYSICAL, Participant.FACULTY)]
     path = tmp_path / "sentiment.csv"
-    write_aggregate_report(aggregate(scored, by_post(labels)), path, coverage=0.5)
+    rows, _ = aggregate(scored, by_post(labels))
+    write_aggregate_report(rows, path, coverage=0.5)
     lines = path.read_text().splitlines()
     assert lines[0] == "harassment_type,participant,event_sentiment,affected_sentiment,percentage"
     assert lines[1].startswith("Physical,Faculty,")

@@ -22,7 +22,7 @@ from postmine.corpus import (
     read_corpus,
     write_corpus,
 )
-from postmine.errors import DataError, EmptyCorpusError
+from postmine.errors import DataError
 
 
 def post_line(post_id="p1", user_id="u1", institution_id="c1", timestamp=100,
@@ -52,8 +52,10 @@ class TestIngestPosts:
         assert "text" in warnings[0]
 
     def test_empty_file_is_fatal(self, input_file):
-        with pytest.raises(EmptyCorpusError):
-            ingest_posts(input_file(""))
+        empty = input_file("")
+        assert ingest_posts(empty) == ((), [])
+        with pytest.raises(DataError, match="^no valid post records in input$"):
+            read_corpus(empty)
 
     def test_unreadable_source_raises_io_error(self, tmp_path):
         with pytest.raises(OSError):
@@ -97,11 +99,9 @@ class TestIngestPosts:
             "WARNING postmine.corpus: ingest_posts: 5 warning(s), first: "
             + "; ".join(warnings[:3]) + "\n")
 
-    def test_empty_corpus_error_carries_warnings(self, input_file):
-        with pytest.raises(EmptyCorpusError) as caught:
-            ingest_posts(input_file("garbage\n\n"))
-        assert caught.value.warnings == [
-            "line 1: Expecting value: line 1 column 1 (char 0)", "line 2: blank line"]
+    def test_no_valid_record_still_returns_warnings(self, input_file):
+        assert ingest_posts(input_file("garbage\n\n")) == ((), [
+            "line 1: Expecting value: line 1 column 1 (char 0)", "line 2: blank line"])
 
     def test_empty_text_rejected(self, input_file):
         src = input_file(post_line(text="   ") + "\n" + post_line(post_id="p2"))

@@ -335,15 +335,13 @@ class TestSegment:
         assert segment("dcddabdababdbaadd", lm) == [
             "d", "c", "d", "d", "a", "b", "dab", "a", "bd", "b", "aa", "d", "d"]
 
-    def test_memoised_per_model(self, toy_lm):
-        lm = LanguageModel.from_counts(dict(toy_lm.unigram_counts), dict(toy_lm.bigram_counts))
-        first = segment("metoo", lm)
-        assert lm.segmentations == {"metoo": ("me", "too")}
+    def test_fresh_list_per_call_and_model(self, toy_lm):
+        first = segment("metoo", toy_lm)
         first.append("x")
-        assert segment("metoo", lm) == ["me", "too"]
+        assert segment("metoo", toy_lm) == ["me", "too"]
         other = LanguageModel.from_counts({"metoo": 5})
         assert segment("metoo", other) == ["metoo"]
-        assert segment("metoo", lm) == ["me", "too"]
+        assert segment("metoo", toy_lm) == ["me", "too"]
 
     @given(st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=14))
     @settings(max_examples=80, deadline=None)

@@ -10,7 +10,7 @@ from scipy.special import digamma, gammaln
 from conftest import words
 from oracles import per_document_lda
 from postmine import cli, topics
-from postmine.errors import DataError, EmptyVocabularyError
+from postmine.errors import DataError
 from postmine.textprep import Token, TokenKind
 from postmine.topics import (
     COHERENCE_EPS,
@@ -68,7 +68,7 @@ class TestBuildVocab:
 
     def test_all_stopworded_is_fatal(self):
         docs = [words("the and"), words("the of")]
-        with pytest.raises(EmptyVocabularyError):
+        with pytest.raises(DataError, match="no term satisfies min_df=1"):
             build_vocab(docs, min_df=1, stopwords=frozenset(["the", "and", "of"]))
 
     def test_tag_and_punct_tokens_excluded(self):
