@@ -18,7 +18,11 @@ two output directories file by file:
   of the ``triples.tsv`` that ``events`` writes for it, with the data
   rows shuffled by ``random.Random(0)``; stages ``ingest``,
   ``sentiment`` and ``report``.  It is the one bundle that imports
-  triples, and their order must not show in the sentiment report.
+  triples, and their order must not show in the sentiment report;
+- two bundles where coherence decides the most, stages ``ingest`` and
+  ``topics``: the demo bundle with ``k_candidates`` removed from its
+  config, so the default K range 2..20 runs (19 fits), and
+  ``scripts/time_topics.py``'s 2k bundle at ``iters=200``.
 
 Both trees write to the same output path in turn, so paths in messages
 match.  The bundles are built from this checkout, as
@@ -42,6 +46,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import time_topics
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO_SEED = 42
@@ -76,6 +82,15 @@ def build_bundles(directory: Path) -> list[tuple[str, Path, tuple[str, ...], boo
     path = directory / f"demo-{DEMO_SEED}-imported-triples"
     bundles.append((path.name, imported_triples_bundle(path),
                     ("ingest", "sentiment", "report"), False))
+    path = directory / f"demo-{DEMO_SEED}-default-k"
+    config = demo.write_demo_bundle(path, DEMO_SEED)["config"]
+    settings = json.loads(config.read_text("utf-8"))
+    del settings["topics"]["k_candidates"]
+    config.write_text(json.dumps(settings, indent=2), "utf-8")
+    bundles.append((path.name, path, ("ingest", "topics"), False))
+    path = directory / "topics-2k"
+    time_topics.build_bundle(path)
+    bundles.append((path.name, path, ("ingest", "topics"), False))
     return bundles
 
 

@@ -23,10 +23,10 @@ And ``run``, the entry point of ``python -m postmine.cli`` and of the
 has returned and the standard streams are flushed, skipping the
 interpreter's teardown; under a profiler or a tracer, which save their
 results at exit, it takes the normal exit.  ``os._exit`` is safe only
-while every file the package writes is opened in a ``with`` block, so
-it is closed before ``main`` returns, and nothing in the package relies
-on ``atexit``, ``tempfile``, ``weakref`` or ``__del__``; keep it that
-way.
+while every file a stage writes is written through
+``errors.atomic_open``, so it is closed and renamed into place before
+``main`` returns, and nothing in the package relies on ``atexit``,
+``tempfile``, ``weakref`` or ``__del__``; keep it that way.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, atomic_open
 
 if TYPE_CHECKING:
     from . import corpus, textprep, topics
@@ -250,7 +250,7 @@ def cmd_ingest(config: RunConfig) -> None:
     raw, warnings = corpus.ingest_posts(config.posts)
     _warn_batch("ingest_posts", warnings)
     if not raw:
-        raise DataError(corpus.NO_POSTS)
+        raise DataError("no valid post records in input")
     deduped = corpus.dedup(raw)
     users = len({post.user_id for post in deduped})
     corpus.write_corpus(deduped, _out_path(config, CORPUS_ARTIFACT))
@@ -265,7 +265,7 @@ def cmd_topics(config: RunConfig) -> list[str]:
     from . import textprep, topics
 
     posts = _read_corpus_artifact(config)
-    docs = _preprocessed(config, posts)
+    docs = [textprep.content_terms(doc) for doc in _preprocessed(config, posts)]
     vocab = topics.build_vocab(
         docs, min_df=config.topics.min_df, stopwords=textprep.bundled_stopwords())
     matrix = topics.tfidf(docs, vocab)
@@ -273,7 +273,7 @@ def cmd_topics(config: RunConfig) -> list[str]:
     if skipped:
         _warn("topics", f"fit_lda: skipping {skipped} document(s) with no weighted terms")
     model = topics.select_k(
-        matrix, docs, config.topics.k_candidates, seed=config.topics_seed,
+        matrix, vocab, config.topics.k_candidates, seed=config.topics_seed,
         iters=config.topics.iters)
     topics.save_model(model, _out_path(config, TOPIC_MODEL))
     topics.write_vocab(vocab, _out_path(config, VOCAB_ARTIFACT))
@@ -383,7 +383,7 @@ def cmd_report(config: RunConfig) -> None:
     if not chunks:
         raise DataError(f"no pipeline artifacts found in {config.out_dir}")
     report = "\n".join(chunks)
-    with open(_out_path(config, COMBINED_REPORT), "w", encoding="utf-8") as fh:
+    with atomic_open(_out_path(config, COMBINED_REPORT)) as fh:
         fh.write(report)
     print(report)
 

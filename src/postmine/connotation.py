@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import HarassmentLabel, HarassmentType, Participant
-from .errors import DataError, read_utf8
+from .errors import DataError, atomic_open, read_utf8
 
 if TYPE_CHECKING:
     from .events import EventTriple
@@ -323,7 +323,7 @@ def write_aggregate_report(
 ) -> None:
     """Comma-delimited aggregate table with a coverage footer (fraction
     of labeled posts that produced a scorable triple)."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_open(path, newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(AGGREGATE_HEADER)
         for row in rows:

@@ -11,10 +11,11 @@ labels onto the posts once, as a post_id -> label mapping.  Both return
 their warnings rather than printing them; the CLI reports them.
 
 The records are immutable named tuples and a corpus is a tuple of
-``Post``; every loader takes a path.  ``atomic_open`` writes the
-artifacts that later stages read, so a run that dies mid-write never
-leaves a truncated one.  ``write_ingest_summary`` writes the counts of
-an ingest run.
+``Post``; every loader takes a path.  ``write_corpus`` and
+``write_ingest_summary`` (the counts of an ingest run) write through
+``errors.atomic_open``, so a run that dies mid-write never leaves a
+truncated file.  ``read_corpus`` fails on an artifact with a malformed
+line or with no post, naming the artifact.
 """
 
 from __future__ import annotations
@@ -22,17 +23,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from contextlib import contextmanager
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .errors import DataError, read_utf8
+from .errors import DataError, atomic_open, read_utf8
 
 POST_FIELDS = ("post_id", "user_id", "institution_id", "timestamp", "text")
-
-NO_POSTS = "no valid post records in input"
 
 INSTITUTION_HEADER = (
     "institution_id",
@@ -300,26 +297,6 @@ def attach_labels(
     return labeled, warnings
 
 
-@contextmanager
-def atomic_open(path: str | Path, newline: str | None = None) -> Iterator[IO[str]]:
-    """Open a UTF-8 text file to write in place of ``path``.
-
-    The text goes to ``<path>.part`` beside it, which replaces ``path``
-    only when the block ends without an exception; otherwise it is
-    removed and ``path`` stays as it was (or absent).  So a stage that
-    dies mid-write never leaves a truncated artifact for the next one.
-    """
-    path = Path(path)
-    part = path.with_name(path.name + ".part")
-    try:
-        with open(part, "w", encoding="utf-8", newline=newline) as handle:
-            yield handle
-        os.replace(part, path)
-    except BaseException:
-        part.unlink(missing_ok=True)
-        raise
-
-
 def write_corpus(posts: Iterable[Post], path: str | Path) -> None:
     """Write the posts as line-delimited JSON with a fixed key order,
     replacing ``path`` atomically."""
@@ -333,7 +310,7 @@ def write_ingest_summary(path: str | Path, ingested: int, kept: int, users: int,
                          warnings: list[str]) -> None:
     """Write the counts of an ingest run, one ``key=value`` line each,
     then one ``warning=`` line per malformed input line."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_open(path) as handle:
         handle.write(f"posts_ingested={ingested}\n")
         handle.write(f"posts_after_dedup={kept}\n")
         handle.write(f"unique_users={users}\n")
@@ -343,9 +320,11 @@ def write_ingest_summary(path: str | Path, ingested: int, kept: int, users: int,
 
 
 def read_corpus(path: str | Path) -> tuple[Post, ...]:
+    """The posts of a corpus artifact; any malformed line, or no post at
+    all, is a data error that names the artifact."""
     posts, warnings = ingest_posts(path)
-    if not posts:
-        raise DataError(NO_POSTS)
     if warnings:
         raise DataError(f"corpus artifact {path} is corrupt: {warnings[0]}")
+    if not posts:
+        raise DataError(f"corpus artifact {path} holds no posts; run 'ingest' first")
     return posts

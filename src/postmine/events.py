@@ -9,11 +9,12 @@ passive-voice rule that swaps the roles and looks for a "by" phrase.
 Sentences are split on sentence-final punctuation and windows never
 cross a boundary.
 
-A triple's agent and affected are token surfaces, or None.  Only
-``extract_triples`` imports ``textprep``, once per call, and only
-``write_triples`` imports ``corpus``, so importing this module to read
-triple files loads neither.  The loaders take a path; ``load_inventory``
-returns its warnings with the inventory, and the CLI reports them.
+A triple's agent and affected are token surfaces, or None; an argument
+candidate is a token of one of ``textprep.CONTENT_KINDS``.  Only
+``extract_triples`` imports ``textprep``, once per call, so importing
+this module to read triple files does not load it.  The loaders take a
+path; ``load_inventory`` returns its warnings with the inventory, and
+the CLI reports them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
-from .errors import DataError, read_utf8
+from .errors import DataError, atomic_open, read_utf8
 
 if TYPE_CHECKING:
     from .textprep import Token, TokenKind
@@ -183,16 +184,15 @@ def extract_triples(
     emitted.  A token is tested for being noun-like only when a verb's
     window reaches it.
     """
-    from .textprep import TokenKind, bundled_stopwords
+    from .textprep import CONTENT_KINDS, TokenKind, bundled_stopwords
 
     if stopwords is None:
         stopwords = bundled_stopwords()
     word = TokenKind.WORD
-    content = (word, TokenKind.HASHTAG_SEGMENTED)
 
     def is_candidate(index: int) -> bool:
         token = tokens[index]
-        if token.kind not in content:
+        if token.kind not in CONTENT_KINDS:
             return False
         surface = token.surface
         if surface in PRONOUN_CANDIDATES:
@@ -268,8 +268,6 @@ TRIPLE_HEADER = ("post_id", "verb_lemma", "passive", "agent", "affected")
 def write_triples(triples: Iterable[EventTriple], path: str | Path) -> None:
     """Tab-delimited triple export; empty cell means a missing argument.
     ``path`` is replaced atomically."""
-    from .corpus import atomic_open
-
     with atomic_open(path, newline="") as handle:
         writer = csv.writer(handle, delimiter="\t", lineterminator="\n")
         writer.writerow(TRIPLE_HEADER)

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import InstitutionRecord, Post, Region
-from .errors import DataError
+from .errors import DataError, atomic_open
 
 RANK_TOLERANCE = 1e-10
 _EPS = 2.0 ** -52          # float64 machine epsilon
@@ -354,7 +354,7 @@ def write_regression_report(result: RegressionResult, path: str | Path) -> None:
     """Comma-delimited report, one row per feature in design order, plus
     a footer with n, p and R^2."""
     n = result.residual_dof + len(result.feature_names)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_open(path, newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(REPORT_HEADER)
         for i, name in enumerate(result.feature_names):

@@ -38,6 +38,11 @@ All operations are pure given an immutable dictionary and language
 model (nothing is stored on either once loaded), so corpus-level
 preprocessing can fan out per document.  A ``Token`` is an immutable
 named tuple that checks its surface and kind when it is made.
+
+This module alone decides which tokens carry content: ``CONTENT_KINDS``
+(words and hashtag segments).  ``content_terms`` gives a post's content
+surfaces, the terms of the topic vocabulary, and ``events`` draws its
+argument candidates from the same kinds.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ import re
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DataError, read_utf8
 
@@ -95,6 +100,15 @@ class Token(_TokenFields):
     @classmethod
     def _make(cls, iterable) -> "Token":
         return cls(*iterable)
+
+
+# tags, emoticons, censored words and punctuation carry no content
+CONTENT_KINDS = (TokenKind.WORD, TokenKind.HASHTAG_SEGMENTED)
+
+
+def content_terms(tokens: Sequence[Token]) -> list[str]:
+    """The surfaces of the content tokens, in order."""
+    return [t.surface for t in tokens if t.kind in CONTENT_KINDS]
 
 
 def _data_lines(name: str) -> list[str]:

@@ -1,5 +1,12 @@
 """TF-IDF weighting, LDA topic models and coherence-based model selection.
 
+A document is a plain list of its content terms (``textprep.content_terms``
+of a preprocessed post), so this module does not import ``textprep``.
+``build_vocab`` reads the documents once and maps each kept term, in
+sorted order, to the frozenset of the documents holding it; ``tfidf``
+takes the document frequencies from it, and coherence counts doc and
+codoc (below) from its sets, so no later step reads the documents again.
+
 Inference is variational Bayes rather than collapsed Gibbs: the
 documents carry fractional TF-IDF weights, and VB consumes fractional
 expected counts directly.  Per-topic word distributions get a symmetric
@@ -57,7 +64,8 @@ with every candidate's ``FitSummary`` for the CLI to report.
 The fit's fixed settings are module constants: ETA, the relative bound
 stop BOUND_RTOL, and the E-step's INNER_ITERS and INNER_RTOL.
 ``save_model``, ``write_vocab`` and ``write_topic_report`` write the
-stage's three files; no stage reads the model back.
+stage's three files through ``errors.atomic_open``; no stage reads the
+model back.
 """
 
 from __future__ import annotations
@@ -65,12 +73,11 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError
-from .textprep import Token, TokenKind
+from .errors import DataError, atomic_open
 
 COHERENCE_EPS = 1e-12
 ETA = 0.01             # symmetric Dirichlet prior on each topic's words
@@ -86,20 +93,6 @@ TIE_RTOL = 1e-9
 _PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
 _PSI_STEPS = np.arange(9.0, -1.0, -1.0)   # the recurrence's shifts, largest first
 
-_CONTENT_KINDS = (TokenKind.WORD, TokenKind.HASHTAG_SEGMENTED)
-
-
-class Vocabulary:
-    def __init__(self, terms: tuple[str, ...], doc_freq: tuple[int, ...],
-                 index: Mapping[str, int]):
-        self.terms = terms
-        self.doc_freq = doc_freq
-        self.index = index
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
 class WeightedMatrix:
     """Per-document sparse rows of (term index, nonnegative weight).
 
@@ -107,10 +100,9 @@ class WeightedMatrix:
     models fitted from the matrix can name their top words.
     """
 
-    def __init__(self, rows: tuple[tuple[np.ndarray, np.ndarray], ...], n_terms: int,
+    def __init__(self, rows: tuple[tuple[np.ndarray, np.ndarray], ...],
                  terms: tuple[str, ...]):
         self.rows = rows
-        self.n_terms = n_terms
         self.terms = terms
 
 
@@ -137,50 +129,43 @@ class TopicModel(NamedTuple):
     fits: tuple[FitSummary, ...]  # this fit's; from ``select_k``, every candidate's by K
 
 
-def content_terms(doc: Sequence[Token]) -> list[str]:
-    """Surfaces of the tokens that count as content (words and hashtag
-    segments); tags and punctuation never enter the vocabulary."""
-    return [t.surface for t in doc if t.kind in _CONTENT_KINDS]
-
-
 def build_vocab(
-    docs: Sequence[Sequence[Token]],
+    docs: Sequence[Sequence[str]],
     min_df: int = 1,
     stopwords: frozenset[str] | set[str] = frozenset(),
-) -> Vocabulary:
-    """Collect content terms appearing in at least min_df documents."""
+) -> dict[str, frozenset[int]]:
+    """Map each term that is no stopword and occurs in at least min_df
+    documents to the indices of the documents holding it, in sorted
+    term order."""
     if min_df < 1:
         raise ValueError(f"min_df must be >= 1, got {min_df}")
-    df: dict[str, int] = {}
-    for doc in docs:
-        for term in set(content_terms(doc)):
-            if term not in stopwords:
-                df[term] = df.get(term, 0) + 1
-    terms = tuple(sorted(t for t, n in df.items() if n >= min_df))
-    if not terms:
+    postings: dict[str, list[int]] = {}
+    for d, doc in enumerate(docs):
+        for term in set(doc).difference(stopwords):
+            postings.setdefault(term, []).append(d)
+    vocab = {term: frozenset(postings[term]) for term in sorted(postings)
+             if len(postings[term]) >= min_df}
+    if not vocab:
         raise DataError(
             "no term satisfies min_df=%d after stopword removal" % min_df
         )
-    return Vocabulary(
-        terms=terms,
-        doc_freq=tuple(df[t] for t in terms),
-        index={t: i for i, t in enumerate(terms)},
-    )
+    return vocab
 
 
-def tfidf(docs: Sequence[Sequence[Token]], vocab: Vocabulary) -> WeightedMatrix:
+def tfidf(docs: Sequence[Sequence[str]], vocab: dict[str, frozenset[int]]) -> WeightedMatrix:
     """weight(d, t) = tf(d, t) * ln(N / df(t)) over the vocabulary.
 
     A term present in every document gets idf exactly 0 and drops out of
     the sparse rows, as does any term absent from a document.
     """
     n_docs = len(docs)
-    idf = np.array([math.log(n_docs / df) for df in vocab.doc_freq])
+    index = {term: i for i, term in enumerate(vocab)}
+    idf = np.array([math.log(n_docs / len(holding)) for holding in vocab.values()])
     rows = []
     for doc in docs:
         counts: dict[int, int] = {}
-        for term in content_terms(doc):
-            idx = vocab.index.get(term)
+        for term in doc:
+            idx = index.get(term)
             if idx is not None:
                 counts[idx] = counts.get(idx, 0) + 1
         ids = []
@@ -191,7 +176,7 @@ def tfidf(docs: Sequence[Sequence[Token]], vocab: Vocabulary) -> WeightedMatrix:
                 ids.append(idx)
                 weights.append(w)
         rows.append((np.array(ids, dtype=np.intp), np.array(weights, dtype=np.float64)))
-    return WeightedMatrix(rows=tuple(rows), n_terms=len(vocab), terms=vocab.terms)
+    return WeightedMatrix(rows=tuple(rows), terms=tuple(vocab))
 
 
 def _digamma(values: np.ndarray) -> np.ndarray:
@@ -278,19 +263,19 @@ def fit_lda(matrix: WeightedMatrix, k: int, seed: int, iters: int = 200) -> Topi
     """
     if k < 2:
         raise ValueError(f"topic count must be >= 2, got {k}")
-    if k > matrix.n_terms:
-        raise DataError(f"topic count {k} exceeds vocabulary size {matrix.n_terms}")
+    vocab_size = len(matrix.terms)
+    if k > vocab_size:
+        raise DataError(f"topic count {k} exceeds vocabulary size {vocab_size}")
     if iters < 1:
         raise ValueError("iters must be >= 1")
 
     n_docs = len(matrix.rows)
-    n_terms = matrix.n_terms
     alpha = 1.0 / k
     active = [d for d, (ids, _) in enumerate(matrix.rows) if len(ids) > 0]
     nz = _Nonzeros.from_rows([matrix.rows[d] for d in active])
 
     rng = np.random.default_rng(seed)
-    lam = rng.gamma(100.0, 0.01, (k, n_terms))
+    lam = rng.gamma(100.0, 0.01, (k, vocab_size))
     # gamma holds the active documents' columns only, in order: K x active
     row_sums = np.array([matrix.rows[d][1].sum() for d in active])
     gamma = np.repeat((alpha + row_sums / k)[None, :], k, axis=0)
@@ -308,7 +293,7 @@ def fit_lda(matrix: WeightedMatrix, k: int, seed: int, iters: int = 200) -> Topi
         weights *= nz.cts / phinorm
         weights *= exp_elog_beta
         sstats = np.array([
-            np.bincount(nz.ids, weights=row, minlength=n_terms) for row in weights])
+            np.bincount(nz.ids, weights=row, minlength=vocab_size) for row in weights])
         lam = ETA + sstats
         bound = _elbo(nz, gamma, lam, alpha)
         trace.append(bound)
@@ -392,7 +377,7 @@ def _elbo(nz: _Nonzeros, gamma: np.ndarray, lam: np.ndarray, alpha: float) -> fl
     """Evidence lower bound with the per-token assignments optimized out
     (log-sum-exp over topics for every weighted term); ``gamma`` holds
     the active documents' columns."""
-    k, n_terms = lam.shape
+    k, vocab_size = lam.shape
     elog_beta = _dirichlet_expectation(lam)
     elog_theta = _dirichlet_expectation(gamma.T).T
     combined = np.take(elog_theta, nz.doc_of, axis=1) + np.take(elog_beta, nz.ids, axis=1)
@@ -403,7 +388,7 @@ def _elbo(nz: _Nonzeros, gamma: np.ndarray, lam: np.ndarray, alpha: float) -> fl
     score += gamma.shape[1] * (math.lgamma(alpha * k) - k * math.lgamma(alpha))
     score += float(np.sum((ETA - lam) * elog_beta))
     score += float(np.sum(_gammaln(lam)) - np.sum(_gammaln(lam.sum(axis=1))))
-    score += k * (math.lgamma(ETA * n_terms) - n_terms * math.lgamma(ETA))
+    score += k * (math.lgamma(ETA * vocab_size) - vocab_size * math.lgamma(ETA))
     return score
 
 
@@ -429,40 +414,28 @@ def top_words(model: TopicModel, topic: int, n: int) -> list[tuple[str, float]]:
 
 
 def coherence(
-    model: TopicModel, docs: Sequence[Sequence[Token]], top_n: int = 10
+    model: TopicModel, vocab: dict[str, frozenset[int]], top_n: int = 10
 ) -> float:
-    """Mean intrinsic co-document coherence over the model's topics."""
+    """Mean intrinsic co-document coherence over the model's topics; the
+    documents of each top word are its entry in ``vocab``, the
+    vocabulary the model was fitted on."""
     if top_n < 2:
         raise ValueError(f"top_n must be >= 2, got {top_n}")
-    tops = [
-        [term for term, _ in top_words(model, t, top_n)] for t in range(model.k)
-    ]
-    needed = {term for words in tops for term in words}
-    doc_sets: dict[str, set[int]] = {term: set() for term in needed}
-    for d, doc in enumerate(docs):
-        for term in set(content_terms(doc)):
-            if term in needed:
-                doc_sets[term].add(d)
     total = 0.0
-    for words in tops:
+    for t in range(model.k):
+        holding = [vocab[term] for term, _ in top_words(model, t, top_n)]
         topic_sum = 0.0
-        for i in range(1, len(words)):
+        for i in range(1, len(holding)):
             for j in range(i):
-                base = len(doc_sets[words[j]])
-                if base == 0:
-                    raise DataError(
-                        f"top word {words[j]!r} occurs in no document; "
-                        "vocabulary and documents are inconsistent"
-                    )
-                co = len(doc_sets[words[i]] & doc_sets[words[j]])
-                topic_sum += math.log((co + COHERENCE_EPS) / base)
+                co = len(holding[i] & holding[j])
+                topic_sum += math.log((co + COHERENCE_EPS) / len(holding[j]))
         total += topic_sum
     return total / model.k
 
 
 def select_k(
     matrix: WeightedMatrix,
-    docs: Sequence[Sequence[Token]],
+    vocab: dict[str, frozenset[int]],
     k_candidates: Iterable[int],
     seed: int,
     iters: int = 200,
@@ -481,7 +454,7 @@ def select_k(
     fits = []
     for k in candidates:
         model = fit_lda(matrix, k, seed, iters=iters)
-        score = coherence(model, docs)
+        score = coherence(model, vocab)
         model = model._replace(coherence=score)
         fits.append(model.fits[0]._replace(coherence=score))
         if best is None or score > best.coherence:
@@ -494,7 +467,7 @@ def save_model(model: TopicModel, path: str | Path) -> None:
     """Flat text serialization: a header line (K, vocab size, seed,
     coherence) then dense topic_word and doc_topic rows, each value as
     its shortest round-trip ``repr``."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_open(path) as handle:
         handle.write(
             f"{model.k}\t{model.topic_word.shape[1]}\t{model.seed}\t"
             f"{float(model.coherence)!r}\n"
@@ -507,17 +480,17 @@ def save_model(model: TopicModel, path: str | Path) -> None:
             handle.write("\n")
 
 
-def write_vocab(vocab: Vocabulary, path: str | Path) -> None:
+def write_vocab(vocab: dict[str, frozenset[int]], path: str | Path) -> None:
     """One line per term: the term, a tab and its document frequency."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for term, df in zip(vocab.terms, vocab.doc_freq):
-            handle.write(f"{term}\t{df}\n")
+    with atomic_open(path) as handle:
+        for term, holding in vocab.items():
+            handle.write(f"{term}\t{len(holding)}\n")
 
 
 def write_topic_report(model: TopicModel, path: str | Path, n_words: int) -> None:
     """Comma-delimited table of each topic's ``n_words`` top words, with
     a footer naming the selected K, its coherence and the seed."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_open(path, newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(("topic", "keywords"))
         for t in range(model.k):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from postmine.demo import write_demo_bundle
-from postmine.textprep import LanguageModel, Token, TokenKind
+from postmine.textprep import LanguageModel
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -56,14 +56,6 @@ def input_file(tmp_path):
         return path
 
     return write
-
-
-def word(surface: str) -> Token:
-    return Token(surface, TokenKind.WORD)
-
-
-def words(text: str) -> list[Token]:
-    return [word(s) for s in text.split()]
 
 
 def load_event_gold() -> list[dict]:

@@ -367,12 +367,12 @@ def per_document_lda(
     trace).  Same initialization, stopping rules and update order as
     ``topics.fit_lda``, so the two agree up to rounding."""
     n_docs = len(matrix.rows)
-    n_terms = matrix.n_terms
+    vocab_size = len(matrix.terms)
     alpha = 1.0 / k
     active = [d for d, (ids, _) in enumerate(matrix.rows) if len(ids) > 0]
 
     rng = np.random.default_rng(seed)
-    lam = rng.gamma(100.0, 0.01, (k, n_terms))
+    lam = rng.gamma(100.0, 0.01, (k, vocab_size))
     gamma = np.full((n_docs, k), alpha)
     for d in active:
         gamma[d] = alpha + matrix.rows[d][1].sum() / k
@@ -381,7 +381,7 @@ def per_document_lda(
     for _ in range(iters):
         elog_beta = _dirichlet_expectation(lam)
         exp_elog_beta = np.exp(elog_beta)
-        sstats = np.zeros((k, n_terms))
+        sstats = np.zeros((k, vocab_size))
         for d in active:
             ids, cts = matrix.rows[d]
             gamma_d = gamma[d]
@@ -413,7 +413,7 @@ def per_document_lda(
 
 
 def _per_document_elbo(matrix, active, gamma, lam, alpha, eta) -> float:
-    k, n_terms = lam.shape
+    k, vocab_size = lam.shape
     elog_beta = _dirichlet_expectation(lam)
     score = 0.0
     for d in active:
@@ -428,5 +428,5 @@ def _per_document_elbo(matrix, active, gamma, lam, alpha, eta) -> float:
         score += gammaln(alpha * k) - k * gammaln(alpha)
     score += float(np.sum((eta - lam) * elog_beta))
     score += float(np.sum(gammaln(lam)) - np.sum(gammaln(lam.sum(axis=1))))
-    score += k * (gammaln(eta * n_terms) - n_terms * gammaln(eta))
+    score += k * (gammaln(eta * vocab_size) - vocab_size * gammaln(eta))
     return score

@@ -85,7 +85,7 @@ def test_criterion_2_lda_planted_recovery():
         vocab = build_vocab(docs, min_df=1)
         matrix = tfidf(docs, vocab)
         start = time.monotonic()
-        chosen = select_k(matrix, docs, [2, 3, 6], seed=42)
+        chosen = select_k(matrix, vocab, [2, 3, 6], seed=42)
         elapsed = time.monotonic() - start
         assert chosen.k == 3
         assert theme_overlap(chosen, themes, top_n=5) >= 0.8

@@ -10,9 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from postmine import corpus, events, textprep
+from postmine import connotation, corpus, events, stats, textprep, topics
 from postmine.cli import (
     COMBINED_REPORT,
     CORPUS_ARTIFACT,
@@ -24,6 +25,7 @@ from postmine.cli import (
     load_config,
     main,
 )
+from postmine.corpus import HarassmentType, Participant
 from postmine.errors import ConfigError
 from postmine.events import EventTriple
 
@@ -207,6 +209,12 @@ def test_no_module_imports_logging():
     assert [name for name, top in _imports_of_package() if top == "logging"] == []
 
 
+def test_topics_imports_no_textprep():
+    # topics takes term lists; textprep alone decides what a content token is
+    assert [top for name, top in _imports_of_package()
+            if name == "topics.py" and top == "textprep"] == []
+
+
 def _run_module(config: Path, command: str) -> subprocess.CompletedProcess:
     """``python -m postmine.cli`` as a fresh process.  PYTHONUNBUFFERED is
     dropped so that stdout is block-buffered into the pipe, as it is for
@@ -248,9 +256,32 @@ def test_profiler_run_writes_its_profile(tmp_path, demo_bundle):
     assert proc.stdout == (tmp_path / "out" / COMBINED_REPORT).read_text("utf-8") + "\n"
 
 
-def _dies_after(items):
-    yield from items
-    raise RuntimeError("writer died")
+class _DiesAfter(list):
+    """A list whose iteration raises once its items are out, so the
+    writer that iterates it dies after its first rows."""
+
+    def __iter__(self):
+        yield from list.__iter__(self)
+        raise RuntimeError("writer died")
+
+
+# for each file ``report`` reads: the stages that write it, and a writer
+# of the same file that dies after its first rows
+_DYING_WRITERS = {
+    INGEST_SUMMARY: (("ingest",), lambda path: corpus.write_ingest_summary(
+        path, 3, 2, 2, _DiesAfter(["line 3: blank line"]))),
+    TOPIC_REPORT: (("ingest", "topics"), lambda path: topics.write_topic_report(
+        # names two topics but holds one
+        topics.TopicModel(2, np.array([[0.75, 0.25]]), np.full((1, 2), 0.5), 0.0, 0,
+                          ("a", "b"), (), ()), path, 2)),
+    SENTIMENT_REPORT: (("ingest", "events", "sentiment"),
+                       lambda path: connotation.write_aggregate_report(_DiesAfter([
+                           connotation.AggregateRow(HarassmentType.PHYSICAL, Participant.PEER,
+                                                    0.5, -0.5, 100.0)]), path, coverage=1.0)),
+    REGRESSION_REPORT: (("ingest", "regress"), lambda path: stats.write_regression_report(
+        stats.RegressionResult(_DiesAfter(["intercept"]), (1.0,), (0.1,), (10.0,), (0.01,),
+                               5, 0.5), path)),
+}
 
 
 class TestAtomicArtifacts:
@@ -263,7 +294,7 @@ class TestAtomicArtifacts:
         before = sorted(os.listdir(out))
         triple = EventTriple("harass", None, None, False, "p1")
         with pytest.raises(RuntimeError, match="writer died"):
-            events.write_triples(_dies_after([triple]), out / TRIPLES_ARTIFACT)
+            events.write_triples(_DiesAfter([triple]), out / TRIPLES_ARTIFACT)
         assert sorted(os.listdir(out)) == before
         assert main(["--config", str(config), "sentiment"]) == 2
         assert "run 'events' first" in capsys.readouterr().err
@@ -277,7 +308,7 @@ class TestAtomicArtifacts:
         before = sorted(os.listdir(out))
         triples = events.read_triples(out / TRIPLES_ARTIFACT)
         with pytest.raises(RuntimeError, match="writer died"):
-            events.write_triples(_dies_after(triples[:3]), out / TRIPLES_ARTIFACT)
+            events.write_triples(_DiesAfter(triples[:3]), out / TRIPLES_ARTIFACT)
         assert (out / TRIPLES_ARTIFACT).read_bytes() == earlier
         assert sorted(os.listdir(out)) == before
         assert main(["--config", str(config), "sentiment"]) == 0
@@ -290,8 +321,22 @@ class TestAtomicArtifacts:
         before = sorted(os.listdir(out))
         posts = corpus.read_corpus(out / CORPUS_ARTIFACT)
         with pytest.raises(RuntimeError, match="writer died"):
-            corpus.write_corpus(_dies_after(posts[:3]), out / CORPUS_ARTIFACT)
+            corpus.write_corpus(_DiesAfter(posts[:3]), out / CORPUS_ARTIFACT)
         assert (out / CORPUS_ARTIFACT).read_bytes() == earlier
+        assert sorted(os.listdir(out)) == before
+
+    @pytest.mark.parametrize("name", sorted(_DYING_WRITERS))
+    def test_failed_report_input_write_keeps_earlier(self, tmp_path, demo_bundle, name):
+        stages, write = _DYING_WRITERS[name]
+        config = write_config(tmp_path, demo_bundle)
+        out = tmp_path / "out"
+        for command in stages:
+            assert main(["--config", str(config), command]) == 0
+        earlier = (out / name).read_bytes()
+        before = sorted(os.listdir(out))
+        with pytest.raises((RuntimeError, IndexError)):
+            write(out / name)
+        assert (out / name).read_bytes() == earlier
         assert sorted(os.listdir(out)) == before
 
 
@@ -371,10 +416,17 @@ class TestIngestCommand:
         assert proc.stderr == (
             f"data error: corpus artifact {artifact} is corrupt: line {lines + 1}: "
             "Expecting value: line 1 column 1 (char 0)\n")
+        artifact.write_text("garbage\n\n", encoding="utf-8")
+        proc = _run_module(config, "events")
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"data error: corpus artifact {artifact} is corrupt: line 1: "
+            "Expecting value: line 1 column 1 (char 0)\n")
         artifact.write_bytes(b"")
         proc = _run_module(config, "events")
         assert proc.returncode == 2
-        assert proc.stderr == "data error: no valid post records in input\n"
+        assert proc.stderr == (
+            f"data error: corpus artifact {artifact} holds no posts; run 'ingest' first\n")
 
     def test_topics_requires_corpus_artifact(self, tmp_path, demo_bundle, capsys):
         config = write_config(tmp_path, demo_bundle)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -54,7 +55,8 @@ class TestIngestPosts:
     def test_empty_file_is_fatal(self, input_file):
         empty = input_file("")
         assert ingest_posts(empty) == ((), [])
-        with pytest.raises(DataError, match="^no valid post records in input$"):
+        with pytest.raises(DataError, match=f"^corpus artifact {re.escape(str(empty))} "
+                                            "holds no posts; run 'ingest' first$"):
             read_corpus(empty)
 
     def test_unreadable_source_raises_io_error(self, tmp_path):

@@ -31,6 +31,7 @@ from postmine.textprep import (
     TokenKind,
     _squeeze_elongation,
     bundled_emoticons,
+    content_terms,
     correct_spelling,
     load_correction_dictionary,
     load_language_model,
@@ -69,6 +70,19 @@ class TestTokenRecord:
         assert token._replace(kind=TokenKind.CENSORED) == Token("word", TokenKind.CENSORED)
         with pytest.raises(AttributeError):
             token.surface = "other"
+
+
+class TestContentTerms:
+    def test_tag_and_punct_tokens_excluded(self):
+        tokens = [Token("<url>", TokenKind.TAG), Token(".", TokenKind.PUNCT),
+                  Token("story", TokenKind.WORD), Token(":)", TokenKind.EMOTICON),
+                  Token("f**k", TokenKind.CENSORED)]
+        assert content_terms(tokens) == ["story"]
+
+    def test_hashtag_segments_included(self):
+        tokens = [Token("me", TokenKind.HASHTAG_SEGMENTED),
+                  Token("too", TokenKind.HASHTAG_SEGMENTED), Token("me", TokenKind.WORD)]
+        assert content_terms(tokens) == ["me", "too", "me"]
 
 
 class TestTokenize:

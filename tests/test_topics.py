@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 from scipy.special import digamma, gammaln
 
-from conftest import words
 from oracles import per_document_lda
 from postmine import cli, topics
 from postmine.errors import DataError
-from postmine.textprep import Token, TokenKind
 from postmine.topics import (
     COHERENCE_EPS,
     TIE_RTOL,
@@ -41,7 +39,7 @@ def planted_corpus(seed=7, n_docs=300, doc_len=20):
     for _ in range(n_docs):
         theme = themes[int(rng.integers(0, 3))]
         picks = rng.choice(theme, size=doc_len, replace=True)
-        docs.append([Token(str(w), TokenKind.WORD) for w in picks])
+        docs.append([str(w) for w in picks])
     return docs, themes
 
 
@@ -57,58 +55,60 @@ def theme_overlap(model, themes, top_n=5):
 
 class TestBuildVocab:
     def test_min_df_retains_shared_term(self):
-        docs = [words("story one"), words("story two")]
+        docs = ["story one".split(), "story two".split()]
         vocab = build_vocab(docs, min_df=2)
-        assert "story" in vocab.index
+        assert vocab == {"story": frozenset({0, 1})}
 
     def test_min_df_excludes_rare_term(self):
-        docs = [words("story one"), words("story two")]
+        docs = ["story one".split(), "story two".split()]
         vocab = build_vocab(docs, min_df=2)
-        assert "one" not in vocab.index
+        assert "one" not in vocab
 
     def test_all_stopworded_is_fatal(self):
-        docs = [words("the and"), words("the of")]
+        docs = ["the and".split(), "the of".split()]
         with pytest.raises(DataError, match="no term satisfies min_df=1"):
             build_vocab(docs, min_df=1, stopwords=frozenset(["the", "and", "of"]))
 
-    def test_tag_and_punct_tokens_excluded(self):
-        docs = [[Token("<url>", TokenKind.TAG), Token(".", TokenKind.PUNCT),
-                 Token("story", TokenKind.WORD)]] * 2
-        vocab = build_vocab(docs, min_df=1)
-        assert set(vocab.terms) == {"story"}
-
-    def test_hashtag_segments_included(self):
-        docs = [[Token("me", TokenKind.HASHTAG_SEGMENTED)] for _ in range(2)]
-        vocab = build_vocab(docs, min_df=2)
-        assert "me" in vocab.index
+    def test_postings_match_brute_force_scan(self):
+        docs, _ = planted_corpus(seed=37, n_docs=80, doc_len=6)
+        docs[5] += ["and", "rare", "rare"]
+        docs[9] += ["and"]
+        vocab = build_vocab(docs, min_df=2, stopwords=frozenset(["and"]))
+        holding = {term: {d for d, doc in enumerate(docs) if term in doc}
+                   for term in {term for doc in docs for term in doc}}
+        expected = {term: holding[term] for term in sorted(holding)
+                    if term != "and" and len(holding[term]) >= 2}
+        assert "rare" not in expected and len(expected) == 30
+        assert list(vocab) == list(expected)
+        assert vocab == expected
 
 
 class TestTfidf:
     def test_common_term_annihilated(self):
-        docs = [words("story alpha"), words("story beta")]
+        docs = ["story alpha".split(), "story beta".split()]
         vocab = build_vocab(docs, min_df=1)
         matrix = tfidf(docs, vocab)
-        story = vocab.index["story"]
+        story = list(vocab).index("story")
         for ids, _ in matrix.rows:
             assert story not in ids
 
     def test_hand_computed_weight(self):
-        docs = [words("rare rare common"), words("common")]
+        docs = ["rare rare common".split(), "common".split()]
         vocab = build_vocab(docs, min_df=1)
         matrix = tfidf(docs, vocab)
         ids, weights = matrix.rows[0]
-        (value,) = [w for i, w in zip(ids, weights) if i == vocab.index["rare"]]
+        (value,) = [w for i, w in zip(ids, weights) if i == list(vocab).index("rare")]
         assert value == pytest.approx(2 * math.log(2), abs=1e-12)
         assert value == pytest.approx(1.3863, abs=5e-4)
 
     def test_empty_document_gives_empty_row(self):
-        docs = [words("alpha beta"), []]
+        docs = ["alpha beta".split(), []]
         vocab = build_vocab(docs, min_df=1)
         matrix = tfidf(docs, vocab)
         assert len(matrix.rows[1][0]) == 0
 
     def test_count_scaling_scales_weights(self):
-        base = [words("alpha alpha beta"), words("alpha gamma")]
+        base = ["alpha alpha beta".split(), "alpha gamma".split()]
         tripled = [doc * 3 for doc in base]
         vocab = build_vocab(base, min_df=1)
         m1 = tfidf(base, vocab)
@@ -130,7 +130,7 @@ class TestFitLda:
         # vocabulary but never occurs.
         rows = tuple(
             (np.array([0]), np.array([5.0])) for _ in range(30))
-        matrix = WeightedMatrix(rows=rows, n_terms=2, terms=("a", "b"))
+        matrix = WeightedMatrix(rows=rows, terms=("a", "b"))
         model = fit_lda(matrix, 2, seed=0)
         assert np.all(model.topic_word[:, 0] > 0.99)
         assert np.allclose(model.doc_topic.sum(axis=1), 1.0, atol=1e-9)
@@ -145,7 +145,7 @@ class TestFitLda:
         assert np.array_equal(a.doc_topic, b.doc_topic)
 
     def test_k_larger_than_vocab_fatal(self):
-        docs = [words("alpha beta"), words("alpha gamma")]
+        docs = ["alpha beta".split(), "alpha gamma".split()]
         vocab = build_vocab(docs, min_df=1)
         with pytest.raises(DataError):
             fit_lda(tfidf(docs, vocab), 5, seed=0)
@@ -165,7 +165,7 @@ class TestFitLda:
         assert math.isnan(fit.coherence) and fit.converged
 
     def test_empty_documents_get_uniform_rows(self):
-        docs = [words("alpha beta gamma"), [], words("alpha delta beta")]
+        docs = ["alpha beta gamma".split(), [], "alpha delta beta".split()]
         vocab = build_vocab(docs, min_df=1)
         model = fit_lda(tfidf(docs, vocab), 2, seed=0)
         assert np.allclose(model.doc_topic[1], 0.5)
@@ -210,16 +210,16 @@ def test_special_functions_match_scipy(mine, reference):
 
 class TestCoherence:
     def test_perfect_cooccurrence_near_zero(self):
-        docs = [words("a b c d")] * 3
+        docs = ["a b c d".split()] * 3
         vocab = build_vocab(docs, min_df=1)
         model = fit_lda(tfidf(docs, vocab), 2, seed=0)
         # codoc == doc for every pair, so each pair term is ln(1 + eps/doc)
-        value = coherence(model, docs, top_n=2)
+        value = coherence(model, vocab, top_n=2)
         assert value == pytest.approx(math.log((3 + COHERENCE_EPS) / 3), abs=1e-12)
 
     def test_disjoint_top_words_strongly_negative(self):
         # Rig a model whose two top words never co-occur.
-        docs = [words("a x"), words("b y"), words("a z"), words("b w")]
+        docs = ["a x".split(), "b y".split(), "a z".split(), "b w".split()]
         model = TopicModel(
             k=2,
             topic_word=np.array([[0.4, 0.3, 0.1, 0.1, 0.05, 0.05],
@@ -230,7 +230,7 @@ class TestCoherence:
             terms=("a", "b", "w", "x", "y", "z"),
             **UNFITTED,
         )
-        value = coherence(model, docs, top_n=2)
+        value = coherence(model, build_vocab(docs), top_n=2)
         # topic 0 pair (b after a): ln(eps / doc(a)) with doc(a) = 2;
         # topic 1 pair (y after z): ln(eps / doc(z)) with doc(z) = 1
         expected = (math.log(COHERENCE_EPS / 2) + math.log(COHERENCE_EPS / 1)) / 2
@@ -241,29 +241,16 @@ class TestCoherence:
         vocab = build_vocab(docs, min_df=1)
         model = fit_lda(tfidf(docs, vocab), 3, seed=2)
         shuffled = [list(reversed(doc)) for doc in docs]
-        assert coherence(model, docs) == coherence(model, shuffled)
-
-    def test_top_word_missing_from_docs_is_fatal(self):
-        docs = [words("a b")] * 2
-        model = TopicModel(
-            k=2,
-            topic_word=np.array([[0.5, 0.25, 0.25], [0.25, 0.25, 0.5]]),
-            doc_topic=np.full((2, 2), 0.5),
-            coherence=float("nan"),
-            seed=0,
-            terms=("a", "b", "ghost"),
-            **UNFITTED,
-        )
-        with pytest.raises(DataError, match="ghost"):
-            coherence(model, docs, top_n=2)
+        assert coherence(model, vocab) == coherence(model, build_vocab(shuffled, min_df=1))
 
 
 class TestSelectK:
     def test_logs_convergence_per_candidate(self):
         docs, _ = planted_corpus(seed=13, n_docs=40)
-        matrix = tfidf(docs, build_vocab(docs, min_df=1))
-        one = select_k(matrix, docs, [2], seed=0, iters=1)
-        full = select_k(matrix, docs, [2], seed=0, iters=200)
+        vocab = build_vocab(docs, min_df=1)
+        matrix = tfidf(docs, vocab)
+        one = select_k(matrix, vocab, [2], seed=0, iters=1)
+        full = select_k(matrix, vocab, [2], seed=0, iters=200)
         [capped] = one.fits
         [converged] = full.fits
         sweeps = len(full.objective_trace)
@@ -292,13 +279,13 @@ class TestSelectK:
     def test_singleton_candidate(self):
         docs, _ = planted_corpus(seed=13, n_docs=40)
         vocab = build_vocab(docs, min_df=1)
-        model = select_k(tfidf(docs, vocab), docs, [3], seed=0, iters=40)
+        model = select_k(tfidf(docs, vocab), vocab, [3], seed=0, iters=40)
         assert model.k == 3
 
     def test_fits_list_every_candidate_by_k(self):
         docs, _ = planted_corpus(seed=17, n_docs=60)
-        matrix = tfidf(docs, build_vocab(docs, min_df=1))
-        model = select_k(matrix, docs, [6, 2, 3], seed=4, iters=40)
+        vocab = build_vocab(docs, min_df=1)
+        model = select_k(tfidf(docs, vocab), vocab, [6, 2, 3], seed=4, iters=40)
         assert [fit.k for fit in model.fits] == [2, 3, 6]
         assert model.coherence == max(fit.coherence for fit in model.fits)
         # scalars only: no candidate's arrays are kept
@@ -307,25 +294,25 @@ class TestSelectK:
     def test_planted_corpus_selects_three(self):
         docs, themes = planted_corpus()
         vocab = build_vocab(docs, min_df=1)
-        model = select_k(tfidf(docs, vocab), docs, [2, 3, 6], seed=42)
+        model = select_k(tfidf(docs, vocab), vocab, [2, 3, 6], seed=42)
         assert model.k == 3
         assert not math.isnan(model.coherence)
 
     def test_exact_tie_prefers_smaller_k(self):
         # Identical documents make every pair term identical, so all
         # candidate models tie exactly and the smaller K must win.
-        docs = [words("a b c d")] * 3
+        docs = ["a b c d".split()] * 3
         vocab = build_vocab(docs, min_df=1)
         matrix = tfidf(docs, vocab)
-        model = select_k(matrix, docs, [4, 2], seed=0, iters=20)
+        model = select_k(matrix, vocab, [4, 2], seed=0, iters=20)
         assert model.k == 2
 
     def test_candidate_order_irrelevant(self):
         docs, _ = planted_corpus(seed=17, n_docs=60)
         vocab = build_vocab(docs, min_df=1)
         matrix = tfidf(docs, vocab)
-        a = select_k(matrix, docs, [6, 3, 2], seed=4, iters=40)
-        b = select_k(matrix, docs, [2, 3, 6], seed=4, iters=40)
+        a = select_k(matrix, vocab, [6, 3, 2], seed=4, iters=40)
+        b = select_k(matrix, vocab, [2, 3, 6], seed=4, iters=40)
         assert a.k == b.k
         assert np.array_equal(a.topic_word, b.topic_word)
 
@@ -363,8 +350,7 @@ class TestTopWords:
         # every theme word has a twin on exactly the same documents, so
         # the fit gives the two the same weight up to rounding
         base, _ = planted_corpus(seed=19, n_docs=90)
-        docs = [[t for tok in doc for t in (tok, Token("twin" + tok.surface, tok.kind))]
-                for doc in base]
+        docs = [[t for term in doc for t in (term, "twin" + term)] for doc in base]
         matrix = tfidf(docs, build_vocab(docs, min_df=1))
         model = fit_lda(matrix, 3, seed=3, iters=30)
         index = {term: i for i, term in enumerate(model.terms)}
