@@ -5,8 +5,10 @@ seed 1.  Each round runs the workload's whole pipeline once per tree,
 every stage as a fresh ``python -m postmine.cli`` subprocess into that
 tree's own emptied output directory, the two trees alternating
 (A B, B A, A B, ...).  Prints each tree's median wall time per stage,
-the quartiles and IQR of its pipeline time (the sum over stages), and
-in how many rounds each tree's pipeline was the faster one.  Start-up
+the quartiles and IQR of its pipeline time (the sum over stages), the
+same for CPU time (user plus system, so a stage that keeps a second
+core busy shows), and in how many rounds each tree's pipeline was the
+faster one.  Start-up
 and exit cost is part of every number, which an in-process trace does
 not show.
 
@@ -18,14 +20,13 @@ The bundle lives in a temporary directory that is removed on exit.
 from __future__ import annotations
 
 import argparse
-import os
 import shutil
 import statistics
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from time import perf_counter
+
+from time_topics import run_stage
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
@@ -41,21 +42,12 @@ def build_bundle(directory: Path, name: str) -> tuple[str, ...]:
     return workload.stages
 
 
-def run_pipeline(src: Path, bundle: Path, out: Path, stages: tuple[str, ...]) -> list[float]:
-    """Wall seconds of each stage, run in order into an emptied ``out``."""
+def run_pipeline(src: Path, bundle: Path, out: Path,
+                 stages: tuple[str, ...]) -> list[tuple[float, float]]:
+    """(wall seconds, CPU seconds) of each stage, run in order into an
+    emptied ``out``."""
     shutil.rmtree(out, ignore_errors=True)
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    walls = []
-    for stage in stages:
-        argv = [sys.executable, "-m", "postmine.cli", "--config", "config.json",
-                "--out", str(out), stage]
-        start = perf_counter()
-        proc = subprocess.run(argv, cwd=bundle, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.PIPE, text=True)
-        walls.append(perf_counter() - start)
-        if proc.returncode != 0:
-            raise SystemExit(f"{stage} with {src} exited {proc.returncode}: {proc.stderr}")
-    return walls
+    return [run_stage(src, bundle, out, stage)[:2] for stage in stages]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -73,21 +65,24 @@ def main(argv: list[str] | None = None) -> int:
         bundle = Path(tmp) / "bundle"
         stages = build_bundle(bundle, args.workload)
         outs = [Path(tmp) / f"out{i}" for i in range(len(trees))]
-        samples: list[list[list[float]]] = [[] for _ in trees]
+        samples: list[list[list[tuple[float, float]]]] = [[] for _ in trees]
         for run in range(args.rounds):
             order = range(len(trees)) if run % 2 == 0 else reversed(range(len(trees)))
             for i in order:
                 samples[i].append(run_pipeline(trees[i], bundle, outs[i], stages))
 
     print(f"{args.workload}, seed {SEED}, {args.rounds} alternating pipelines per tree")
-    print("tree  " + "".join(f"{stage:>11s}" for stage in stages)
+    print("tree      " + "".join(f"{stage:>11s}" for stage in stages)
           + "   pipeline median   q1      q3      IQR")
-    totals = [[sum(walls) for walls in runs] for runs in samples]
-    for label, runs, total in zip("AB", samples, totals):
-        medians = [statistics.median(column) for column in zip(*runs)]
-        q1, median, q3 = statistics.quantiles(total, n=4) if len(total) > 1 else total * 3
-        print(f"{label}     " + "".join(f"{m:11.3f}" for m in medians)
-              + f"   {median:15.3f} {q1:7.3f} {q3:7.3f} {q3 - q1:7.3f}")
+    totals = [[sum(wall for wall, _ in run) for run in runs] for runs in samples]
+    for label, runs in zip("AB", samples):
+        for i, kind in enumerate(("wall", "CPU")):
+            seconds = [[stage[i] for stage in run] for run in runs]
+            medians = [statistics.median(column) for column in zip(*seconds)]
+            total = [sum(run) for run in seconds]
+            q1, median, q3 = statistics.quantiles(total, n=4) if len(total) > 1 else total * 3
+            print(f"{label} {kind:4s}    " + "".join(f"{m:11.3f}" for m in medians)
+                  + f"   {median:15.3f} {q1:7.3f} {q3:7.3f} {q3 - q1:7.3f}")
     wins = sum(b < a for a, b in zip(*totals))
     print(f"B faster in {wins} of {args.rounds} rounds; A is {trees[0]}, B is {trees[1]}")
     return 0

@@ -5,8 +5,9 @@ The bundle is ``perfbench/generate.py``'s ``topics-small`` recipe with
 once into its own output directory, then ``topics`` runs N times per
 tree as a fresh ``python -m postmine.cli`` subprocess, the two trees
 alternating (A B, B A, A B, ...).  Prints each side's median wall time,
-quartiles and IQR, its peak RSS, and whether the two sides wrote the
-same ``topic_report.csv`` and ``vocab.tsv``.
+quartiles and IQR, its median CPU time (user plus system, so a stage
+that keeps a second core busy shows), its peak RSS, and whether the two
+sides wrote the same ``topic_report.csv`` and ``vocab.tsv``.
 
     python3 scripts/time_topics.py OLD/src NEW/src --runs 5
 
@@ -44,19 +45,24 @@ def build_bundle(directory: Path) -> None:
     config_path.write_text(json.dumps(config, indent=2), "utf-8")
 
 
-def run_stage(src: Path, bundle: Path, out: Path, stage: str) -> tuple[float, float]:
-    """One stage as a fresh interpreter: (wall seconds, max RSS MB)."""
+def run_stage(src: Path, bundle: Path, out: Path, stage: str) -> tuple[float, float, float]:
+    """One stage as a fresh interpreter: (wall seconds, CPU seconds, max
+    RSS MB).  CPU seconds are the child's user plus system time, so a
+    stage that keeps a second core busy shows more CPU than wall time."""
     argv = [sys.executable, "-m", "postmine.cli", "--config", "config.json",
             "--out", str(out), stage]
     env = {**os.environ, "PYTHONPATH": str(src)}
     start = perf_counter()
-    proc = subprocess.Popen(argv, cwd=bundle, env=env, stdout=subprocess.DEVNULL)
+    proc = subprocess.Popen(argv, cwd=bundle, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True)
+    with proc.stderr:
+        errors = proc.stderr.read()
     _, status, usage = os.wait4(proc.pid, 0)
     wall = perf_counter() - start
     code = proc.returncode = os.waitstatus_to_exitcode(status)
     if code != 0:
-        raise SystemExit(f"{stage} with {src} exited {code}")
-    return wall, usage.ru_maxrss / 1024.0
+        raise SystemExit(f"{stage} with {src} exited {code}: {errors}")
+    return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -75,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
         outs = [Path(tmp) / f"out{i}" for i in range(len(trees))]
         for src, out in zip(trees, outs):
             run_stage(src, bundle, out, "ingest")
-        samples: list[list[tuple[float, float]]] = [[] for _ in trees]
+        samples: list[list[tuple[float, float, float]]] = [[] for _ in trees]
         for run in range(args.runs):
             order = range(len(trees)) if run % 2 == 0 else reversed(range(len(trees)))
             for i in order:
@@ -83,11 +89,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"topics stage, {POSTS} posts, seed {SEED}, iters={ITERS}, "
               f"{args.runs} alternating runs per tree")
         for label, src, runs in zip("AB", trees, samples):
-            walls = [wall for wall, _ in runs]
+            walls, cpus, peaks = zip(*runs)
             q1, median, q3 = statistics.quantiles(walls, n=4) if len(walls) > 1 else walls * 3
             print(f"{label} {src}: median {median:.3f} s  q1 {q1:.3f}  q3 {q3:.3f}  "
-                  f"IQR {q3 - q1:.3f}  peak RSS {max(rss for _, rss in runs):.1f} MB  "
-                  f"walls {' '.join(f'{w:.3f}' for w in walls)}")
+                  f"IQR {q3 - q1:.3f}  CPU median {statistics.median(cpus):.3f} s  "
+                  f"peak RSS {max(peaks):.1f} MB  walls {' '.join(f'{w:.3f}' for w in walls)}")
         for name in ("topic_report.csv", "vocab.tsv"):
             same = (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
             print(f"{name}: {'identical' if same else 'DIFFERS'}")

@@ -8,6 +8,11 @@ files, config, seed), and report bodies carry no timestamps, so reruns
 are byte-identical.  Exit codes: 0 success, 1 usage or configuration
 error, 2 data error.
 
+``load_config`` checks the whole config before any stage reads an
+input, every ``topics`` and ``propagation`` setting against the one
+table ``_SETTINGS``.  The run seed (``seed`` or ``--seed``) is the only
+seed: LDA is the one randomized step.
+
 The commands hold the config, the paths, the exit codes and the
 printing; the stage modules compute, write the artifacts and return
 plain values.  Only this module writes to stderr: the stage functions
@@ -59,7 +64,6 @@ class TopicsSettings(NamedTuple):
     k_candidates: tuple[int, ...] = tuple(range(2, 21))
     min_df: int = 2
     iters: int = 200
-    seed: int | None = None
     top_words: int = 13
 
 
@@ -88,10 +92,6 @@ class RunConfig(NamedTuple):
     topics: TopicsSettings = TopicsSettings()
     propagation: PropagationSettings = PropagationSettings()
 
-    @property
-    def topics_seed(self) -> int:
-        return self.topics.seed if self.topics.seed is not None else self.seed
-
 
 _PATH_KEYS = ("posts", "institutions", "labels", "lexicon", "embeddings",
               "language_model", "abbreviations", "wordlist")
@@ -102,41 +102,52 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _int_at_least(low: int):
+    return lambda value: _is_int(value) and value >= low
+
+
+# Every setting of the config's "topics" and "propagation" objects: what
+# its value must be and the test the value must pass, in checking order.
+_SETTINGS = {
+    "topics": (TopicsSettings, {
+        "k_candidates": ("a non-empty list of integers >= 2", lambda value: (
+            isinstance(value, list) and bool(value)
+            and all(map(_int_at_least(2), value)))),
+        "iters": ("an integer >= 1", _int_at_least(1)),
+        "min_df": ("an integer >= 1", _int_at_least(1)),
+        "top_words": ("an integer >= 1", _int_at_least(1)),
+    }),
+    "propagation": (PropagationSettings, {
+        "k": ("an integer >= 1", _int_at_least(1)),
+        "min_similarity": ("a number in [0, 1]", lambda value: (
+            isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 <= value <= 1)),
+    }),
+}
+
+
 def _path(key: str, value) -> Path:
     if not (isinstance(value, str) and value):
         raise ConfigError(f"config key {key!r} must be a non-empty string, got {value!r}")
     return Path(value)
 
 
-def _check_topics(settings: dict) -> None:
-    """Reject topics settings the stage would only trip over after the
-    whole corpus has been preprocessed."""
-    if "k_candidates" in settings:
-        ks = settings["k_candidates"]
-        if not (isinstance(ks, list) and ks and all(_is_int(k) and k >= 2 for k in ks)):
-            raise ConfigError(
-                f"topics.k_candidates must be a non-empty list of integers >= 2, got {ks!r}")
-    for key in ("iters", "min_df", "top_words"):
-        if key in settings and not (_is_int(settings[key]) and settings[key] >= 1):
-            raise ConfigError(
-                f"topics.{key} must be an integer >= 1, got {settings[key]!r}")
-    seed = settings.get("seed")
-    if seed is not None and not (_is_int(seed) and seed >= 0):
-        raise ConfigError(f"topics.seed must be an integer >= 0 or null, got {seed!r}")
-
-
-def _check_propagation(settings: dict) -> None:
-    """Reject propagation settings before any stage loads its inputs."""
-    k = settings.get("k", PropagationSettings._field_defaults["k"])
-    if not (_is_int(k) and k >= 1):
-        raise ConfigError(
-            f"bad propagation settings: k must be an integer >= 1, got {k!r}")
-    sim = settings.get("min_similarity",
-                       PropagationSettings._field_defaults["min_similarity"])
-    if not (isinstance(sim, (int, float)) and not isinstance(sim, bool)
-            and 0.0 <= sim <= 1.0):
-        raise ConfigError("bad propagation settings: min_similarity must be "
-                          f"a number in [0, 1], got {sim!r}")
+def _settings(section: str, raw: dict):
+    """The config's ``section`` object checked against ``_SETTINGS`` and
+    made a ``TopicsSettings`` or ``PropagationSettings``; a list value
+    becomes a tuple, and an absent key takes its default."""
+    given = raw.get(section, {})
+    if not isinstance(given, dict):
+        raise ConfigError(f"{section} settings must be a JSON object")
+    record, rules = _SETTINGS[section]
+    unknown = sorted(set(given) - set(rules))
+    if unknown:
+        raise ConfigError(f"unknown {section} setting(s): {', '.join(unknown)}")
+    for key, (what, test) in rules.items():
+        if key in given and not test(given[key]):
+            raise ConfigError(f"{section}.{key} must be {what}, got {given[key]!r}")
+    return record(**{key: tuple(value) if isinstance(value, list) else value
+                     for key, value in given.items()})
 
 
 def load_config(
@@ -150,7 +161,7 @@ def load_config(
     exist at validation time and the seed is mandatory.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
@@ -158,8 +169,7 @@ def load_config(
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    known = set(_PATH_KEYS) | set(_OPTIONAL_PATH_KEYS) | {
-        "topics", "propagation", "seed", "out_dir"}
+    known = {*_PATH_KEYS, *_OPTIONAL_PATH_KEYS, *_SETTINGS, "seed", "out_dir"}
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError("unknown config key(s): %s" % ", ".join(unknown))
@@ -184,29 +194,10 @@ def load_config(
     if out_dir is None:
         raise ConfigError("config requires out_dir (or pass --out)")
 
-    topics_raw = raw.get("topics", {})
-    if not isinstance(topics_raw, dict):
-        raise ConfigError("topics settings must be a JSON object")
-    _check_topics(topics_raw)
-    try:
-        topics_settings = TopicsSettings(**{
-            **topics_raw,
-            "k_candidates": tuple(topics_raw.get(
-                "k_candidates", TopicsSettings._field_defaults["k_candidates"])),
-        })
-    except TypeError as exc:
-        raise ConfigError(f"bad topics settings: {exc}") from None
-    propagation_raw = raw.get("propagation", {})
-    if not isinstance(propagation_raw, dict):
-        raise ConfigError("bad propagation settings: must be a JSON object")
-    _check_propagation(propagation_raw)
-    try:
-        propagation = PropagationSettings(**propagation_raw)
-    except TypeError as exc:
-        raise ConfigError(f"bad propagation settings: {exc}") from None
-
-    return RunConfig(**paths, topics=topics_settings, propagation=propagation,
-                     seed=seed, out_dir=_path("out_dir", out_dir))
+    topics = _settings("topics", raw)
+    propagation = _settings("propagation", raw)
+    return RunConfig(**paths, seed=seed, topics=topics, propagation=propagation,
+                     out_dir=_path("out_dir", out_dir))
 
 
 def _warn(module: str, message: str) -> None:
@@ -273,7 +264,7 @@ def cmd_topics(config: RunConfig) -> list[str]:
     if skipped:
         _warn("topics", f"fit_lda: skipping {skipped} document(s) with no weighted terms")
     model = topics.select_k(
-        matrix, vocab, config.topics.k_candidates, seed=config.topics_seed,
+        matrix, vocab, config.topics.k_candidates, seed=config.seed,
         iters=config.topics.iters)
     topics.save_model(model, _out_path(config, TOPIC_MODEL))
     topics.write_vocab(vocab, _out_path(config, VOCAB_ARTIFACT))

@@ -147,9 +147,9 @@ def ingest_posts(path: str | Path) -> tuple[tuple[Post, ...], list[str]]:
     """
     posts: list[Post] = []
     warnings: list[str] = []
-    # bytes that do not decode become lone surrogates, which fail the
-    # line's re-encoding below
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+    # a leading byte-order mark is dropped; bytes that do not decode
+    # become lone surrogates, which fail the line's re-encoding below
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 warnings.append(f"line {lineno}: blank line")

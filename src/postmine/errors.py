@@ -24,9 +24,9 @@ class DataError(Exception):
 
 def read_utf8(path, reader=lambda handle: handle.read(), newline=None):
     """``reader`` applied to the open UTF-8 text file at ``path`` (by
-    default, its whole text); bytes that do not decode raise a DataError
-    that names the file."""
-    with open(path, "r", encoding="utf-8", newline=newline) as handle:
+    default, its whole text, without a leading byte-order mark); bytes
+    that do not decode raise a DataError that names the file."""
+    with open(path, "r", encoding="utf-8-sig", newline=newline) as handle:
         try:
             return reader(handle)
         except UnicodeDecodeError as exc:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from postmine import connotation, corpus, events, stats, textprep, topics
+from postmine import cli, connotation, corpus, events, stats, textprep, topics
 from postmine.cli import (
     COMBINED_REPORT,
     CORPUS_ARTIFACT,
@@ -82,21 +82,45 @@ class TestConfig:
         assert code == 1
         assert "gone.jsonl" in capsys.readouterr().err
 
+    # the run seed is the only seed, so ``topics`` has no "seed" setting
     @pytest.mark.parametrize("setting", [
         {"iters": 0}, {"iters": "8"}, {"min_df": 0}, {"top_words": 0},
         {"k_candidates": []}, {"k_candidates": [1]}, {"k_candidates": "abc"},
         {"k_candidates": [2, 2.5]}, {"k_candidates": [True, 3]},
-        {"seed": "x"}, {"seed": 1.5}, {"seed": True}, {"seed": -1},
+        {"seed": 1}, {"alpha": 0.1},
     ], ids=repr)
     def test_bad_topics_setting_exits_one(self, tmp_path, demo_bundle, capsys, setting):
         topics = {**json.loads(demo_bundle["config"].read_text())["topics"], **setting}
         config = write_config(tmp_path, demo_bundle, topics=topics)
         (key,) = setting
-        with pytest.raises(ConfigError, match=f"topics.{key}"):
+        message = (f"topics.{key} must be " if key in cli.TopicsSettings._fields
+                   else f"unknown topics setting(s): {key}")
+        with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(config)
         assert main(["--config", str(config), "ingest"]) == 1
-        assert "config error: topics." + key in capsys.readouterr().err
+        assert "config error: " + message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section", ["topics", "propagation"])
+    def test_settings_not_an_object_exit_one(self, tmp_path, demo_bundle, capsys,
+                                             section):
+        config = write_config(tmp_path, demo_bundle, **{section: [1]})
+        assert main(["--config", str(config), "ingest"]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {section} settings must be a JSON object" in err
+
+    def test_every_setting_has_one_rule(self):
+        for record, rules in cli._SETTINGS.values():
+            assert set(rules) == set(record._fields)
+
+    def test_settings_keep_their_values(self, tmp_path, demo_bundle):
+        config = write_config(tmp_path, demo_bundle,
+                              topics={"k_candidates": [3, 2], "iters": 5},
+                              propagation={"min_similarity": 1})
+        loaded = load_config(config)
+        assert loaded.topics == cli.TopicsSettings(k_candidates=(3, 2), iters=5)
+        assert loaded.propagation == cli.PropagationSettings(min_similarity=1)
+        assert type(loaded.propagation.min_similarity) is int
 
     @pytest.mark.parametrize("flags, overrides", [
         ([], {"seed": -1}), (["--seed", "-1"], {}),
@@ -133,8 +157,10 @@ class TestConfig:
         (key,) = setting
         assert main(["--config", str(config), "ingest"]) == 1
         err = capsys.readouterr().err
-        assert "config error: bad propagation settings" in err
-        assert key in err
+        if key == "restarts":
+            assert "config error: unknown propagation setting(s): restarts" in err
+        else:
+            assert f"config error: propagation.{key} must be " in err
         assert not (tmp_path / "out").exists()
 
     def test_usage_error_exits_one(self, capsys):

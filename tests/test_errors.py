@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import codecs
+import json
+
+import numpy as np
 import pytest
 
-from postmine import connotation, corpus, events, textprep
+from postmine import cli, connotation, corpus, events, textprep
 from postmine.errors import DataError
 
 # loader name -> (valid start of its file, call of the loader on a path,
@@ -51,3 +55,44 @@ def test_loader_names_the_file_that_is_not_utf8(name, input_file):
     with pytest.raises(DataError) as caught:
         load(path, input_file)
     assert str(caught.value) == f"{path} is not valid UTF-8: invalid start byte"
+
+
+# the inputs that are not read through ``read_utf8``, in the form of LOADERS
+OTHER_INPUTS = {
+    "posts": (
+        b'{"post_id": "p1", "user_id": "u1", "institution_id": "c1", '
+        b'"timestamp": 1, "text": "me too"}\n',
+        lambda path, write: corpus.ingest_posts(path)),
+    # every input path names this file, which exists
+    "config": (
+        json.dumps({
+            **dict.fromkeys(("posts", "institutions", "labels", "lexicon", "embeddings",
+                             "language_model", "abbreviations", "wordlist"), __file__),
+            "topics": {"k_candidates": [2, 3]}, "propagation": {"min_similarity": 1},
+            "seed": 1, "out_dir": "out"}).encode(),
+        lambda path, write: cli.load_config(path)),
+}
+
+_LOADED_OBJECTS = (connotation.EmbeddingStore, events.VerbInventory,
+                   textprep.CorrectionDictionary, textprep.LanguageModel)
+
+
+def plain(value):
+    """``value`` with each loaded object replaced by its attributes and
+    each array by a list, so that two loads compare with ``==``."""
+    if isinstance(value, _LOADED_OBJECTS):
+        value = vars(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    return value
+
+
+@pytest.mark.parametrize("name", sorted({**LOADERS, **OTHER_INPUTS}))
+def test_leading_byte_order_mark_is_ignored(name, input_file):
+    valid, load = {**LOADERS, **OTHER_INPUTS}[name]
+    expected = plain(load(input_file(valid), input_file))
+    assert plain(load(input_file(codecs.BOM_UTF8 + valid), input_file)) == expected
