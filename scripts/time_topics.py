@@ -49,11 +49,17 @@ def run_stage(src: Path, bundle: Path, out: Path, stage: str) -> tuple[float, fl
     """One stage as a fresh interpreter: (wall seconds, CPU seconds, max
     RSS MB).  CPU seconds are the child's user plus system time, so a
     stage that keeps a second core busy shows more CPU than wall time."""
-    argv = [sys.executable, "-m", "postmine.cli", "--config", "config.json",
-            "--out", str(out), stage]
+    return spawn([sys.executable, "-m", "postmine.cli", "--config", "config.json",
+                  "--out", str(out), stage], src, bundle)
+
+
+def spawn(argv: list[str], src: Path, cwd: Path) -> tuple[float, float, float]:
+    """Run ``argv`` in ``cwd`` with ``src`` on PYTHONPATH, timed from
+    spawn to exit: (wall seconds, CPU seconds, max RSS MB).  Exits the
+    script when the child fails."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     start = perf_counter()
-    proc = subprocess.Popen(argv, cwd=bundle, env=env, stdout=subprocess.DEVNULL,
+    proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=subprocess.DEVNULL,
                             stderr=subprocess.PIPE, text=True)
     with proc.stderr:
         errors = proc.stderr.read()
@@ -61,7 +67,7 @@ def run_stage(src: Path, bundle: Path, out: Path, stage: str) -> tuple[float, fl
     wall = perf_counter() - start
     code = proc.returncode = os.waitstatus_to_exitcode(status)
     if code != 0:
-        raise SystemExit(f"{stage} with {src} exited {code}: {errors}")
+        raise SystemExit(f"{' '.join(argv[1:])} with {src} exited {code}: {errors}")
     return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0
 
 

@@ -32,6 +32,18 @@ while every file a stage writes is written through
 ``errors.atomic_open``, so it is closed and renamed into place before
 ``main`` returns, and nothing in the package relies on ``atexit``,
 ``tempfile``, ``weakref`` or ``__del__``; keep it that way.
+
+Importing this module caps numpy's bundled OpenBLAS at one thread
+(``OPENBLAS_NUM_THREADS=1``); a value the user has already set stands.
+OpenBLAS starts a worker thread when numpy is imported, and that thread
+spins through the start-up of ``topics`` and ``sentiment``, which costs
+them wall time whenever the machine has no idle core for it.  No stage
+calls BLAS (the products are ``einsum`` calls without ``optimize``, the
+norms ``np.linalg.norm(..., axis=1)`` reductions), so the cap changes
+no output.  It is set at import, not in ``run``, so that it holds for
+every caller that imports this module before numpy:
+``python -m postmine.cli``, the ``postmine`` script and an in-process
+``main``; the caller's child processes inherit it.
 """
 
 from __future__ import annotations
@@ -45,6 +57,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigError, DataError, atomic_open
+
+# No stage calls BLAS, and OpenBLAS's worker thread spins from numpy's
+# import on; a value the user has set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 if TYPE_CHECKING:
     from . import corpus, textprep, topics

@@ -123,6 +123,11 @@ class EmbeddingStore:
             raise DataError(f"inconsistent embedding dimensions: {sorted(dims)}")
         words = list(vectors)
         matrix = np.array([vectors[word] for word in words], dtype=np.float64)
+        # scale each row by a power of two, which is exact, so that its
+        # largest |component| is in [0.5, 1): the squares summed by the
+        # norm then neither overflow nor underflow at any finite scale
+        _, exponents = np.frexp(np.abs(matrix).max(axis=1, initial=0.0))
+        matrix = np.ldexp(matrix, -exponents[:, None])
         norms = np.linalg.norm(matrix, axis=1)
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:

@@ -39,9 +39,10 @@ and keeps the full Dirichlet expectation.
 The special functions are numpy code in this module, so the stage needs
 numpy alone.  Digamma shifts its argument by ten with the recurrence and
 then sums the asymptotic Bernoulli series; each Dirichlet expectation
-(of the topic-word parameters every sweep, and of gamma in the bound)
-is one digamma call on a block that holds the parameters and their row
-sums.  Log-gamma, needed only by the bound, is ``math.lgamma``.
+(of the topic-word parameters once per M-step, shared by the bound and
+the next sweep's E-step, and of gamma in the bound) is one digamma call
+on a block that holds the parameters and their row sums.  Log-gamma,
+needed only by the bound, is ``math.lgamma``.
 
 The fit keeps the per-document variational parameters warm across
 sweeps, which makes the evidence lower bound non-decreasing from one
@@ -283,8 +284,9 @@ def fit_lda(matrix: WeightedMatrix, k: int, seed: int, iters: int = 200) -> Topi
     trace: list[float] = []
     converged = False
     inner_total = capped_total = 0
+    elog_beta = _dirichlet_expectation(lam)   # E[log beta], once per lambda
     for _ in range(iters):
-        exp_elog_beta = np.take(np.exp(_dirichlet_expectation(lam)), nz.ids, axis=1)  # K x nnz
+        exp_elog_beta = np.take(np.exp(elog_beta), nz.ids, axis=1)  # K x nnz
         theta, inner, capped = _e_step(gamma, exp_elog_beta, nz, alpha)
         inner_total += inner
         capped_total += capped
@@ -295,7 +297,8 @@ def fit_lda(matrix: WeightedMatrix, k: int, seed: int, iters: int = 200) -> Topi
         sstats = np.array([
             np.bincount(nz.ids, weights=row, minlength=vocab_size) for row in weights])
         lam = ETA + sstats
-        bound = _elbo(nz, gamma, lam, alpha)
+        elog_beta = _dirichlet_expectation(lam)
+        bound = _elbo(nz, gamma, lam, elog_beta, alpha)
         trace.append(bound)
         if len(trace) >= 2:
             prev = trace[-2]
@@ -373,18 +376,20 @@ def _e_step(
     return exp_theta, inner, int(np.count_nonzero(running))
 
 
-def _elbo(nz: _Nonzeros, gamma: np.ndarray, lam: np.ndarray, alpha: float) -> float:
+def _elbo(nz: _Nonzeros, gamma: np.ndarray, lam: np.ndarray, elog_beta: np.ndarray,
+          alpha: float) -> float:
     """Evidence lower bound with the per-token assignments optimized out
     (log-sum-exp over topics for every weighted term); ``gamma`` holds
-    the active documents' columns."""
+    the active documents' columns and ``elog_beta`` is E[log beta] of
+    ``lam``, which the next sweep's E-step reuses."""
     k, vocab_size = lam.shape
-    elog_beta = _dirichlet_expectation(lam)
     elog_theta = _dirichlet_expectation(gamma.T).T
     combined = np.take(elog_theta, nz.doc_of, axis=1) + np.take(elog_beta, nz.ids, axis=1)
     peak = combined.max(axis=0)
     # einsum rather than ``nz.cts @ (...)``: on a large corpus that is a
     # threaded BLAS dot, whose extra thread then spins for the rest of
-    # the stage and doubles its CPU time
+    # the stage and doubles its CPU time.  cli caps BLAS at one thread,
+    # but a library caller that imports numpy first keeps the pool.
     score = float(np.einsum(
         "j,j->", nz.cts, peak + np.log(np.exp(combined - peak).sum(axis=0))))
     score += float(np.sum((alpha - gamma) * elog_theta))

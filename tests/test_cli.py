@@ -168,11 +168,28 @@ class TestConfig:
 
 
 _STAGE_IMPORTS_SCRIPT = """
-import json, sys
+import json, os, sys
 from postmine import cli
 code = cli.main(["--config", sys.argv[1], sys.argv[2]])
-print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps({"code": code, "modules": sorted(sys.modules), "threads": threads,
+                  "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}))
 """
+
+
+def _run_stage_script(config: Path, stage: str, **env_vars: str) -> dict:
+    """Run ``stage`` through ``cli.main`` in a fresh interpreter, with no
+    OPENBLAS_NUM_THREADS unless given; returns what the script printed."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env.update(env_vars, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STAGE_IMPORTS_SCRIPT, str(config), stage],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0, (stage, proc.stderr)
+    return result
+
 
 # Modules each stage must never load, as top-level packages or full
 # module names: numpy and the text-processing tables are most of a
@@ -192,17 +209,24 @@ _NOT_LOADED = {
 
 def test_each_stage_loads_only_what_it_runs(tmp_path, demo_bundle):
     config = write_config(tmp_path, demo_bundle)
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
     for stage, forbidden in _NOT_LOADED.items():
-        proc = subprocess.run(
-            [sys.executable, "-c", _STAGE_IMPORTS_SCRIPT, str(config), stage],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        result = json.loads(proc.stdout.splitlines()[-1])
-        assert result["code"] == 0, (stage, proc.stderr)
+        result = _run_stage_script(config, stage)
         loaded = {name for name in result["modules"]
                   if name in forbidden or name.split(".")[0] in forbidden}
         assert not loaded, (stage, sorted(loaded))
+        # cli caps OpenBLAS, so numpy starts no worker thread
+        assert result["blas_threads"] == "1"
+        if result["threads"] is not None:
+            assert result["threads"] == 1, stage
+
+
+def test_user_blas_thread_count_stands(tmp_path, demo_bundle):
+    config = write_config(tmp_path, demo_bundle)
+    for stage in ("ingest", "events"):
+        assert main(["--config", str(config), stage]) == 0
+    result = _run_stage_script(config, "sentiment", OPENBLAS_NUM_THREADS="2")
+    assert "numpy" in result["modules"]
+    assert result["blas_threads"] == "2"
 
 
 def _imports_of_package() -> list[tuple[str, str]]:
@@ -233,6 +257,31 @@ def test_no_module_imports_dataclasses():
 def test_no_module_imports_logging():
     # the stages return their warnings and diagnostics; cli prints them
     assert [name for name, top in _imports_of_package() if top == "logging"] == []
+
+
+_BLAS_FUNCTIONS = {"dot", "vdot", "inner", "matmul", "tensordot"}
+
+
+def test_no_module_reaches_blas():
+    # einsum without optimize, and norms along an axis, never call BLAS,
+    # so every output is the same at any BLAS thread count
+    found = []
+    for path in sorted((SRC / "postmine").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.BinOp | ast.AugAssign) and isinstance(node.op, ast.MatMult):
+                found.append((path.name, node.lineno, "@"))
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            keywords = {keyword.arg for keyword in node.keywords}
+            in_linalg = (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Attribute)
+                         and func.value.attr == "linalg")
+            if (name in _BLAS_FUNCTIONS
+                    or (in_linalg and not (name == "norm" and "axis" in keywords))
+                    or (name == "einsum" and "optimize" in keywords)):
+                found.append((path.name, node.lineno, name))
+    assert found == []
 
 
 def test_topics_imports_no_textprep():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,37 @@ class TestLoadEmbeddings:
     def test_zero_norm_rejected(self, input_file):
         with pytest.raises(DataError, match="zero-norm"):
             load_embeddings(input_file("a 0 0 0\n"))
+        with pytest.raises(DataError, match="zero-norm"):
+            load_embeddings(input_file("a 1 0 0\nb -0 0 0\n"))
+
+    def test_any_finite_scale_normalizes(self, input_file, capfd):
+        # the plain norm overflows to inf on "big" (a zero row, with a
+        # numpy warning) and underflows to 0 on "tiny" (rejected)
+        lines = ["big 3e200 4e200", "tiny 3e-200 4e-200", "sub 5e-324 0",
+                 "huge 1.7e308 -1.7e308", "unit 3 4"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            emb = load_embeddings(input_file("\n".join(lines) + "\n"))
+            lex = {"tiny": frame(0, 0, 0, 0, 0), "unit": frame(0, 0, 0, 0, 0)}
+            neighbors = nearest_annotated("big", emb, emb.unit_rows(lex), k=2,
+                                          min_similarity=0.0)
+        for word in ("big", "tiny"):
+            assert emb.unit_vector(word) == pytest.approx([0.6, 0.8], abs=1e-15)
+        assert emb.unit_vector("sub").tolist() == [1.0, 0.0]
+        assert emb.unit_vector("huge") == pytest.approx([0.5 ** 0.5, -0.5 ** 0.5])
+        assert [w for w, _ in neighbors] == ["tiny", "unit"]
+        assert [s for _, s in neighbors] == pytest.approx([1.0, 1.0], abs=1e-15)
+        assert capfd.readouterr().err == ""
+
+    def test_ordinary_rows_normalize_as_the_plain_formula(self):
+        # scaling by a power of two is exact, so rows whose squares
+        # neither overflow nor underflow get the very bits of x / |x|
+        rng = np.random.default_rng(5)
+        matrix = rng.normal(size=(4000, 7)) * np.exp(rng.uniform(-30, 30, size=(4000, 1)))
+        words = [f"w{i}" for i in range(len(matrix))]
+        emb = EmbeddingStore(dict(zip(words, matrix.tolist())))
+        plain = matrix / np.linalg.norm(matrix, axis=1)[:, None]
+        assert np.array_equal(emb.unit_rows(words)[1], plain)
 
     def test_duplicate_word_rejected(self, input_file):
         with pytest.raises(DataError, match="duplicate"):
