@@ -22,11 +22,13 @@ two output directories file by file:
 - two bundles where coherence decides the most, stages ``ingest`` and
   ``topics``: the demo bundle with ``k_candidates`` removed from its
   config, so the default K range 2..20 runs (19 fits), and
-  ``scripts/time_topics.py``'s 2k bundle at ``iters=200``.
+  ``scripts/time_stages.py``'s ``topics-2k`` bundle (2000 posts,
+  ``iters=200``).
 
 Both trees write to the same output path in turn, so paths in messages
 match.  The bundles are built from this checkout, as
-``scripts/time_topics.py`` builds its bundle.  Prints "identical" or
+``scripts/time_stages.py`` builds its bundle, and the output directories
+are compared with its ``compare_outputs``.  Prints "identical" or
 "DIFFERS" for every stage and every file, and exits 1 on any difference,
 a file that only one tree wrote, or a stage that fails on a bundle that
 is not corrupted.
@@ -47,7 +49,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-import time_topics
+import time_stages
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO_SEED = 42
@@ -89,8 +91,8 @@ def build_bundles(directory: Path) -> list[tuple[str, Path, tuple[str, ...], boo
     config.write_text(json.dumps(settings, indent=2), "utf-8")
     bundles.append((path.name, path, ("ingest", "topics"), False))
     path = directory / "topics-2k"
-    time_topics.build_bundle(path)
-    bundles.append((path.name, path, ("ingest", "topics"), False))
+    bundles.append((path.name, path, time_stages.build_bundle(path, time_stages.TOPICS_2K),
+                    False))
     return bundles
 
 
@@ -156,15 +158,7 @@ def main(argv: list[str] | None = None) -> int:
                     verdict = "identical" if key(a) == key(b) else "DIFFERS"
                     same = same and verdict == "identical"
                     print(f"{name}/{stage} ({part}): {verdict}")
-            files = sorted({p.name for out in outs if out.is_dir() for p in out.iterdir()})
-            for file in files:
-                a, b = (out / file for out in outs)
-                if not (a.is_file() and b.is_file()):
-                    verdict = f"DIFFERS (only {'A' if a.is_file() else 'B'} wrote it)"
-                elif a.read_bytes() == b.read_bytes():
-                    verdict = "identical"
-                else:
-                    verdict = "DIFFERS"
+            for file, verdict in time_stages.compare_outputs(*outs).items():
                 same = same and verdict == "identical"
                 print(f"{name}/{file}: {verdict}")
     print("all identical" if same else "outputs differ")

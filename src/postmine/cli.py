@@ -63,7 +63,7 @@ from .errors import ConfigError, DataError, atomic_open
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 if TYPE_CHECKING:
-    from . import corpus, textprep, topics
+    from . import textprep, topics
 
 CORPUS_ARTIFACT = "corpus.jsonl"
 INGEST_SUMMARY = "ingest_summary.txt"
@@ -231,15 +231,6 @@ def _out_path(config: RunConfig, name: str) -> Path:
     return config.out_dir / name
 
 
-def _read_corpus_artifact(config: RunConfig) -> tuple[corpus.Post, ...]:
-    from . import corpus
-
-    path = config.out_dir / CORPUS_ARTIFACT
-    if not path.is_file():
-        raise DataError(f"corpus artifact {path} not found; run 'ingest' first")
-    return corpus.read_corpus(path)
-
-
 def _preprocessed(config: RunConfig, posts) -> list[list[textprep.Token]]:
     from . import textprep
 
@@ -269,9 +260,9 @@ def cmd_ingest(config: RunConfig) -> None:
 
 def cmd_topics(config: RunConfig) -> list[str]:
     """Returns the ``-v`` lines: one per candidate K."""
-    from . import textprep, topics
+    from . import corpus, textprep, topics
 
-    posts = _read_corpus_artifact(config)
+    posts = corpus.read_corpus(config.out_dir / CORPUS_ARTIFACT)
     docs = [textprep.content_terms(doc) for doc in _preprocessed(config, posts)]
     vocab = topics.build_vocab(
         docs, min_df=config.topics.min_df, stopwords=textprep.bundled_stopwords())
@@ -297,9 +288,9 @@ def _candidate_line(fit: topics.FitSummary) -> str:
 
 
 def cmd_events(config: RunConfig) -> None:
-    from . import events, textprep
+    from . import corpus, events, textprep
 
-    posts = _read_corpus_artifact(config)
+    posts = corpus.read_corpus(config.out_dir / CORPUS_ARTIFACT)
     docs = _preprocessed(config, posts)
     inventory, warnings = (events.load_inventory(config.verb_inventory)
                            if config.verb_inventory is not None
@@ -319,7 +310,8 @@ def cmd_sentiment(config: RunConfig) -> None:
     from . import connotation, corpus, events
 
     labels, warnings = corpus.attach_labels(
-        _read_corpus_artifact(config), corpus.ingest_labels(config.labels))
+        corpus.read_corpus(config.out_dir / CORPUS_ARTIFACT),
+        corpus.ingest_labels(config.labels))
     _warn_batch("attach_labels", warnings)
     if not labels:
         raise DataError("no label resolves to a corpus post")
@@ -343,10 +335,9 @@ def cmd_sentiment(config: RunConfig) -> None:
 def cmd_regress(config: RunConfig) -> None:
     from . import corpus, stats
 
-    posts = _read_corpus_artifact(config)
+    posts = corpus.read_corpus(config.out_dir / CORPUS_ARTIFACT)
     institutions = corpus.ingest_institutions(config.institutions)
-    rates = stats.unique_user_rates(posts, institutions)
-    design = stats.build_design(institutions, rates)
+    design = stats.build_design(institutions, posts)
     result = stats.ols_fit(design)
     stats.write_regression_report(result, _out_path(config, REGRESSION_REPORT))
     print(f"fitted {len(design.feature_names)} coefficients on "
@@ -411,7 +402,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="postmine", description=__doc__)
+    parser = _Parser(prog="postmine", description="\n\n".join(__doc__.split("\n\n")[:2]))
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")

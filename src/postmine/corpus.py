@@ -14,8 +14,8 @@ The records are immutable named tuples and a corpus is a tuple of
 ``Post``; every loader takes a path.  ``write_corpus`` and
 ``write_ingest_summary`` (the counts of an ingest run) write through
 ``errors.atomic_open``, so a run that dies mid-write never leaves a
-truncated file.  ``read_corpus`` fails on an artifact with a malformed
-line or with no post, naming the artifact.
+truncated file.  ``read_corpus`` fails on a missing artifact, on one
+with a malformed line and on one with no post, naming the artifact.
 """
 
 from __future__ import annotations
@@ -320,8 +320,10 @@ def write_ingest_summary(path: str | Path, ingested: int, kept: int, users: int,
 
 
 def read_corpus(path: str | Path) -> tuple[Post, ...]:
-    """The posts of a corpus artifact; any malformed line, or no post at
-    all, is a data error that names the artifact."""
+    """The posts of a corpus artifact; a missing artifact, any malformed
+    line, or no post at all, is a data error that names the artifact."""
+    if not Path(path).is_file():
+        raise DataError(f"corpus artifact {path} not found; run 'ingest' first")
     posts, warnings = ingest_posts(path)
     if warnings:
         raise DataError(f"corpus artifact {path} is corrupt: {warnings[0]}")

@@ -19,7 +19,7 @@ import math
 import numbers
 from operator import mul
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import InstitutionRecord, Post, Region
 from .errors import DataError, atomic_open
@@ -81,19 +81,22 @@ def normalize_rate(count: int, enrollment: int) -> float:
 
 def build_design(
     institutions: Sequence[InstitutionRecord],
-    rates: Mapping[str, float],
+    posts: Iterable[Post],
 ) -> DesignMatrix:
-    """Encode institutions as regression rows, response = posting rate.
+    """Encode institutions as regression rows, response = posting rate:
+    distinct posting users per enrolled student, zero for an institution
+    with no posts.
 
     Column order: M/F ratio, enrollment, private dummy, region dummies
     (Northeast, West, South; Midwest is the omitted reference), the
     normalized official case rate, and the intercept constant.
     """
+    users: dict[str, set[str]] = {}
+    for post in posts:
+        users.setdefault(post.institution_id, set()).add(post.user_id)
     rows = []
     response = []
     for inst in institutions:
-        if inst.institution_id not in rates:
-            raise DataError(f"no response rate for institution {inst.institution_id!r}")
         rows.append((
             inst.mf_ratio,
             float(inst.enrollment),
@@ -104,7 +107,8 @@ def build_design(
             normalize_rate(inst.reported_cases, inst.enrollment),
             1.0,
         ))
-        response.append(rates[inst.institution_id])
+        response.append(normalize_rate(len(users.get(inst.institution_id, ())),
+                                       inst.enrollment))
     return DesignMatrix(
         feature_names=DESIGN_COLUMNS, rows=tuple(rows), response=tuple(response))
 
@@ -368,19 +372,3 @@ def write_regression_report(result: RegressionResult, path: str | Path) -> None:
         handle.write(
             f"# n={n} p={len(result.feature_names)} r_squared={result.r_squared:.6f}\n"
         )
-
-
-def unique_user_rates(
-    posts: Iterable[Post],
-    institutions: Iterable[InstitutionRecord],
-) -> dict[str, float]:
-    """Response rates: distinct posting users per enrolled student, zero
-    for institutions with no posts."""
-    users: dict[str, set[str]] = {}
-    for post in posts:
-        users.setdefault(post.institution_id, set()).add(post.user_id)
-    return {
-        inst.institution_id: normalize_rate(
-            len(users.get(inst.institution_id, ())), inst.enrollment)
-        for inst in institutions
-    }

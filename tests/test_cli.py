@@ -166,6 +166,13 @@ class TestConfig:
     def test_usage_error_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1
 
+    def test_help_prints_the_usage_paragraph(self, capsys):
+        assert main(["--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())    # argparse wraps it
+        assert "Exit codes: 0 success, 1 usage or configuration error, 2 data error." in out
+        for internal in ("_SETTINGS", "os._exit", "OPENBLAS"):
+            assert internal not in out
+
 
 _STAGE_IMPORTS_SCRIPT = """
 import json, os, sys

@@ -23,7 +23,6 @@ from postmine.stats import (
     normalize_rate,
     ols_fit,
     t_pvalue,
-    unique_user_rates,
     write_regression_report,
 )
 
@@ -52,16 +51,14 @@ def make_institution(inst_id="u1", enrollment=5000, mf=0.9, private=True,
 
 class TestBuildDesign:
     def test_midwest_is_reference_category(self):
-        design = build_design([make_institution(region=Region.MIDWEST)],
-                              {"u1": 0.01})
+        design = build_design([make_institution(region=Region.MIDWEST)], ())
         row = design.rows[0]
         assert list(row[3:6]) == [0.0, 0.0, 0.0]
         assert row[2] == 1.0  # private
 
     def test_northeast_public(self):
         design = build_design(
-            [make_institution(region=Region.NORTHEAST, private=False)],
-            {"u1": 0.01})
+            [make_institution(region=Region.NORTHEAST, private=False)], ())
         row = design.rows[0]
         assert list(row[3:6]) == [1.0, 0.0, 0.0]
         assert row[2] == 0.0
@@ -70,14 +67,17 @@ class TestBuildDesign:
         assert DESIGN_COLUMNS == (
             "M/F Ratio", "Enrollment", "Private", "Northeast", "West",
             "South", "Normalized cases count", "constant")
-        design = build_design([make_institution()], {"u1": 0.0})
+        design = build_design([make_institution()], ())
         assert design.feature_names == DESIGN_COLUMNS
         assert design.rows[0][-1] == 1.0
         assert design.rows[0][6] == pytest.approx(10 / 5000)
 
-    def test_missing_rate_fatal(self):
-        with pytest.raises(DataError, match="u1"):
-            build_design([make_institution()], {})
+    def test_response_defaults_to_zero(self):
+        institutions = [make_institution("u1", enrollment=100),
+                        make_institution("u2", enrollment=200)]
+        posts = [Post(f"p{i}", user, "u1", 0, "text")
+                 for i, user in enumerate(["a", "b", "a"])]
+        assert build_design(institutions, posts).response == (0.02, 0.0)
 
 
 class TestOlsFit:
@@ -192,7 +192,7 @@ class TestOlsFit:
             for i in range(40)
         ]
         planted = np.array([0.002, 1e-7, 0.003, 0.08, 0.09, 0.075, 0.9, -0.05])
-        probe = build_design(institutions, {f"u{i}": 0.0 for i in range(40)})
+        probe = build_design(institutions, ())
         rows = np.asarray(probe.rows)
         y = rows @ planted + rng.normal(scale=1e-4, size=40)
         design = DesignMatrix(probe.feature_names, probe.rows, y)
@@ -232,7 +232,7 @@ class TestOlsFit:
                                  private=bool(rng.integers(0, 2)), region=regions[i % 3],
                                  cases=int(rng.integers(0, 50)))
                 for i in range(40)]
-            design = build_design(institutions, {f"u{i}": 0.0 for i in range(40)})
+            design = build_design(institutions, ())
             return design.feature_names, np.asarray(design.rows), rng.normal(size=40)
         names = ("a", "b", "c", "d", "constant")
         x = rng.normal(size=(30, 5))
@@ -420,15 +420,6 @@ class TestTPValue:
         for t in (0.7, 1.0, 1.5, 1.7, 1.75, 2.0, 2.5, 3.0):
             assert 0.0 < t_pvalue(t, 1_000_000) < 1.0
         assert time.perf_counter() - start < 0.05
-
-
-def test_unique_user_rates_defaults_to_zero():
-    institutions = [make_institution("u1", enrollment=100),
-                    make_institution("u2", enrollment=200)]
-    posts = [Post(f"p{i}", user, "u1", 0, "text")
-             for i, user in enumerate(["a", "b", "a"])]
-    rates = unique_user_rates(posts, institutions)
-    assert rates == {"u1": 0.02, "u2": 0.0}
 
 
 def test_report_schema(tmp_path):
