@@ -29,9 +29,11 @@ Both trees write to the same output path in turn, so paths in messages
 match.  The bundles are built from this checkout, as
 ``scripts/time_stages.py`` builds its bundle, and the output directories
 are compared with its ``compare_outputs``.  Prints "identical" or
-"DIFFERS" for every stage and every file, and exits 1 on any difference,
-a file that only one tree wrote, or a stage that fails on a bundle that
-is not corrupted.
+"DIFFERS" for every stage and every file (after a differing stderr, the
+lines that only one tree printed, marked ``A:`` or ``B:``, so that a
+stated message change can be listed old -> new), and exits 1 on any
+difference, a file that only one tree wrote, or a stage that fails on a
+bundle that is not corrupted.
 
     python3 scripts/same_outputs.py OLD/src NEW/src
 
@@ -158,6 +160,11 @@ def main(argv: list[str] | None = None) -> int:
                     verdict = "identical" if key(a) == key(b) else "DIFFERS"
                     same = same and verdict == "identical"
                     print(f"{name}/{stage} ({part}): {verdict}")
+                for label, run, other in (("A", a, b), ("B", b, a)):
+                    theirs = set(other.stderr.splitlines())
+                    for line in run.stderr.splitlines():
+                        if line not in theirs:
+                            print(f"    {label}: {line}")
             for file, verdict in time_stages.compare_outputs(*outs).items():
                 same = same and verdict == "identical"
                 print(f"{name}/{file}: {verdict}")

@@ -56,7 +56,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ConfigError, DataError, atomic_open
+from .errors import ConfigError, DataError, atomic_open, read_utf8
 
 # No stage calls BLAS, and OpenBLAS's worker thread spins from numpy's
 # import on; a value the user has set wins.
@@ -248,7 +248,7 @@ def cmd_ingest(config: RunConfig) -> None:
     raw, warnings = corpus.ingest_posts(config.posts)
     _warn_batch("ingest_posts", warnings)
     if not raw:
-        raise DataError("no valid post records in input")
+        raise DataError(f"{config.posts}: no valid post records in input")
     deduped = corpus.dedup(raw)
     users = len({post.user_id for post in deduped})
     corpus.write_corpus(deduped, _out_path(config, CORPUS_ARTIFACT))
@@ -344,15 +344,14 @@ def cmd_regress(config: RunConfig) -> None:
           f"{len(design.response)} institutions (R^2 {result.r_squared:.4f})")
 
 
-def _render_csv_section(path: Path) -> str:
+def _render_csv_section(handle) -> str:
     rows = []
     footers = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line in fh.read().splitlines():
-            if line.startswith("#"):
-                footers.append(line)
-            elif line:
-                rows.append(next(csv.reader([line])))
+    for line in handle.read().splitlines():
+        if line.startswith("#"):
+            footers.append(line)
+        elif line:
+            rows.append(next(csv.reader([line])))
     if not rows:
         return "\n".join(footers)
     widths = [max(len(row[i]) for row in rows if i < len(row))
@@ -376,7 +375,8 @@ def cmd_report(config: RunConfig) -> None:
         path = config.out_dir / name
         if not path.is_file():
             continue
-        body = _render_csv_section(path) if is_csv else path.read_text("utf-8").rstrip()
+        with read_utf8(path) as handle:
+            body = _render_csv_section(handle) if is_csv else handle.read().rstrip()
         chunks.append(f"== {title} ==\n{body}\n")
     if not chunks:
         raise DataError(f"no pipeline artifacts found in {config.out_dir}")

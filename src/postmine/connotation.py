@@ -88,26 +88,27 @@ def load_lexicon(path: str | Path) -> dict[str, ConnotationFrame]:
     """Read tab-delimited rows: lemma then five reals in [-1, 1]; returns
     the lemma -> frame mapping."""
     frames: dict[str, ConnotationFrame] = {}
-    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 6:
-            raise DataError(f"lexicon row {lineno}: expected lemma + 5 scores")
-        lemma = parts[0].strip().lower()
-        if lemma in frames:
-            raise DataError(f"lexicon row {lineno}: duplicate lemma {lemma!r}")
-        try:
-            scores = [float(x) for x in parts[1:]]
-        except ValueError:
-            raise DataError(f"lexicon row {lineno}: non-numeric score") from None
-        try:
-            frames[lemma] = ConnotationFrame(*scores)
-        except ValueError as exc:
-            raise DataError(f"lexicon row {lineno}: {exc}") from None
-    if not frames:
-        raise DataError("lexicon is empty")
+    with read_utf8(path) as handle:
+        for lineno, raw in enumerate(handle.read().splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 6:
+                raise DataError(f"line {lineno}: expected lemma + 5 scores")
+            lemma = parts[0].strip().lower()
+            if lemma in frames:
+                raise DataError(f"line {lineno}: duplicate lemma {lemma!r}")
+            try:
+                scores = [float(x) for x in parts[1:]]
+            except ValueError:
+                raise DataError(f"line {lineno}: non-numeric score") from None
+            try:
+                frames[lemma] = ConnotationFrame(*scores)
+            except ValueError as exc:
+                raise DataError(f"line {lineno}: {exc}") from None
+        if not frames:
+            raise DataError("lexicon is empty")
     return frames
 
 
@@ -118,9 +119,6 @@ class EmbeddingStore:
     def __init__(self, vectors: Mapping[str, Sequence[float]]):
         if not vectors:
             raise DataError("embedding store is empty")
-        dims = {len(v) for v in vectors.values()}
-        if len(dims) != 1:
-            raise DataError(f"inconsistent embedding dimensions: {sorted(dims)}")
         words = list(vectors)
         matrix = np.array([vectors[word] for word in words], dtype=np.float64)
         # scale each row by a power of two, which is exact, so that its
@@ -156,29 +154,28 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
     mismatched line or a nan/inf component is fatal with its line number."""
     vectors: dict[str, list[float]] = {}
     dimension: int | None = None
-    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        if len(parts) < 2:
-            raise DataError(f"embedding line {lineno}: no vector components")
-        word = parts[0].lower()
-        if word in vectors:
-            raise DataError(f"embedding line {lineno}: duplicate word {word!r}")
-        try:
-            vec = [float(x) for x in parts[1:]]
-        except ValueError:
-            raise DataError(f"embedding line {lineno}: non-numeric component") from None
-        if not all(map(math.isfinite, vec)):
-            raise DataError(f"embedding line {lineno}: non-finite component")
-        if dimension is None:
-            dimension = len(vec)
-        elif len(vec) != dimension:
-            raise DataError(
-                f"embedding line {lineno}: dimension {len(vec)} != {dimension}"
-            )
-        vectors[word] = vec
-    return EmbeddingStore(vectors)
+    with read_utf8(path) as handle:
+        for lineno, raw in enumerate(handle.read().splitlines(), start=1):
+            if not raw.strip():
+                continue
+            parts = raw.split()
+            if len(parts) < 2:
+                raise DataError(f"line {lineno}: no vector components")
+            word = parts[0].lower()
+            if word in vectors:
+                raise DataError(f"line {lineno}: duplicate word {word!r}")
+            try:
+                vec = [float(x) for x in parts[1:]]
+            except ValueError:
+                raise DataError(f"line {lineno}: non-numeric component") from None
+            if not all(map(math.isfinite, vec)):
+                raise DataError(f"line {lineno}: non-finite component")
+            if dimension is None:
+                dimension = len(vec)
+            elif len(vec) != dimension:
+                raise DataError(f"line {lineno}: dimension {len(vec)} != {dimension}")
+            vectors[word] = vec
+        return EmbeddingStore(vectors)
 
 
 def nearest_annotated(

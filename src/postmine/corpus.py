@@ -42,6 +42,9 @@ INSTITUTION_HEADER = (
 
 LABEL_HEADER = ("post_id", "harassment_type", "participant")
 
+# an integer read from a file that becomes a float must be at most this
+_FLOAT_MAX = math.nextafter(math.inf, 0.0)
+
 
 class Region(Enum):
     NORTHEAST = "Northeast"
@@ -202,77 +205,85 @@ def ingest_institutions(path: str | Path) -> list[InstitutionRecord]:
 
     Rejects the whole file on the first bad row: unknown region,
     nonpositive enrollment, a negative or non-finite mf_ratio, negative
-    counts or a duplicate institution_id are all fatal, with the row
-    number in the message.
+    counts, an enrollment or count too large for a float or a duplicate
+    institution_id are all fatal, with the row number in the message.
     """
-    reader = csv.DictReader(read_utf8(path, list, newline=""))
-    if reader.fieldnames is None:
-        raise DataError("institution table is empty")
-    missing = [c for c in INSTITUTION_HEADER if c not in reader.fieldnames]
-    if missing:
-        raise DataError("institution table missing column(s): %s" % ", ".join(missing))
-    regions = {r.value.lower(): r for r in Region}
-    records: list[InstitutionRecord] = []
-    seen: set[str] = set()
-    for rownum, row in enumerate(reader, start=2):
-        inst = (row["institution_id"] or "").strip()
-        if not inst:
-            raise DataError(f"row {rownum}: empty institution_id")
-        if inst in seen:
-            raise DataError(f"row {rownum}: duplicate institution_id {inst!r}")
-        seen.add(inst)
-        try:
-            enrollment = int(row["enrollment"])
-            mf_ratio = float(row["mf_ratio"])
-            reported = int(row["reported_cases"])
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"row {rownum}: {exc}") from None
-        if enrollment < 1:
-            raise DataError(f"row {rownum}: enrollment must be >= 1, got {enrollment}")
-        if not (mf_ratio >= 0 and math.isfinite(mf_ratio)):
-            raise DataError(f"row {rownum}: mf_ratio must be finite and >= 0, got {mf_ratio}")
-        if reported < 0:
-            raise DataError(f"row {rownum}: reported_cases must be >= 0, got {reported}")
-        sector = (row["sector"] or "").strip().lower()
-        if sector not in ("private", "public"):
-            raise DataError(f"row {rownum}: unknown sector {row['sector']!r}")
-        region_key = (row["region"] or "").strip().lower()
-        region = regions.get(region_key)
-        if region is None:
-            raise DataError(f"row {rownum}: unknown region {row['region']!r}")
-        records.append(InstitutionRecord(
-            institution_id=inst,
-            enrollment=enrollment,
-            mf_ratio=mf_ratio,
-            is_private=sector == "private",
-            region=region,
-            reported_cases=reported,
-        ))
-    return records
+    with read_utf8(path, newline="") as handle:
+        reader = csv.DictReader(handle.readlines())
+        if reader.fieldnames is None:
+            raise DataError("institution table is empty")
+        missing = [c for c in INSTITUTION_HEADER if c not in reader.fieldnames]
+        if missing:
+            raise DataError("institution table missing column(s): %s" % ", ".join(missing))
+        regions = {r.value.lower(): r for r in Region}
+        records: dict[str, InstitutionRecord] = {}
+        for rownum, row in enumerate(reader, start=2):
+            inst = (row["institution_id"] or "").strip()
+            if not inst:
+                raise DataError(f"row {rownum}: empty institution_id")
+            if inst in records:
+                raise DataError(f"row {rownum}: duplicate institution_id {inst!r}")
+            try:
+                enrollment = int(row["enrollment"])
+                mf_ratio = float(row["mf_ratio"])
+                reported = int(row["reported_cases"])
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"row {rownum}: {exc}") from None
+            if enrollment < 1:
+                raise DataError(f"row {rownum}: enrollment must be >= 1, got {enrollment}")
+            if enrollment > _FLOAT_MAX:
+                raise DataError(f"row {rownum}: enrollment is too large for a float")
+            if not (mf_ratio >= 0 and math.isfinite(mf_ratio)):
+                raise DataError(f"row {rownum}: mf_ratio must be finite and >= 0, "
+                                f"got {mf_ratio}")
+            if reported < 0:
+                raise DataError(f"row {rownum}: reported_cases must be >= 0, got {reported}")
+            if reported > _FLOAT_MAX:
+                raise DataError(f"row {rownum}: reported_cases is too large for a float")
+            sector = (row["sector"] or "").strip().lower()
+            if sector not in ("private", "public"):
+                raise DataError(f"row {rownum}: unknown sector {row['sector']!r}")
+            region_key = (row["region"] or "").strip().lower()
+            region = regions.get(region_key)
+            if region is None:
+                raise DataError(f"row {rownum}: unknown region {row['region']!r}")
+            records[inst] = InstitutionRecord(
+                institution_id=inst,
+                enrollment=enrollment,
+                mf_ratio=mf_ratio,
+                is_private=sector == "private",
+                region=region,
+                reported_cases=reported,
+            )
+    return list(records.values())
 
 
 def ingest_labels(path: str | Path) -> list[HarassmentLabel]:
     """Read the harassment label table (post_id,harassment_type,participant)."""
-    reader = csv.DictReader(read_utf8(path, list, newline=""))
-    if reader.fieldnames is None:
-        raise DataError("label table is empty")
-    missing = [c for c in LABEL_HEADER if c not in reader.fieldnames]
-    if missing:
-        raise DataError("label table missing column(s): %s" % ", ".join(missing))
-    types = {t.value.lower(): t for t in HarassmentType}
-    labels: list[HarassmentLabel] = []
-    for rownum, row in enumerate(reader, start=2):
-        post_id = (row["post_id"] or "").strip()
-        if not post_id:
-            raise DataError(f"row {rownum}: empty post_id")
-        htype = types.get((row["harassment_type"] or "").strip().lower())
-        if htype is None:
-            raise DataError(f"row {rownum}: unknown harassment_type {row['harassment_type']!r}")
-        participant = _PARTICIPANT_ALIASES.get((row["participant"] or "").strip().lower())
-        if participant is None:
-            raise DataError(f"row {rownum}: unknown participant {row['participant']!r}")
-        labels.append(HarassmentLabel(post_id, htype, participant))
-    return labels
+    with read_utf8(path, newline="") as handle:
+        reader = csv.DictReader(handle.readlines())
+        if reader.fieldnames is None:
+            raise DataError("label table is empty")
+        missing = [c for c in LABEL_HEADER if c not in reader.fieldnames]
+        if missing:
+            raise DataError("label table missing column(s): %s" % ", ".join(missing))
+        types = {t.value.lower(): t for t in HarassmentType}
+        labels: dict[str, HarassmentLabel] = {}
+        for rownum, row in enumerate(reader, start=2):
+            post_id = (row["post_id"] or "").strip()
+            if not post_id:
+                raise DataError(f"row {rownum}: empty post_id")
+            htype = types.get((row["harassment_type"] or "").strip().lower())
+            if htype is None:
+                raise DataError(f"row {rownum}: unknown harassment_type "
+                                f"{row['harassment_type']!r}")
+            participant = _PARTICIPANT_ALIASES.get((row["participant"] or "").strip().lower())
+            if participant is None:
+                raise DataError(f"row {rownum}: unknown participant {row['participant']!r}")
+            if post_id in labels:
+                raise DataError(f"row {rownum}: duplicate label for post_id {post_id!r}")
+            labels[post_id] = HarassmentLabel(post_id, htype, participant)
+    return list(labels.values())
 
 
 def attach_labels(
@@ -282,14 +293,10 @@ def attach_labels(
 
     Returns the labeled posts' post_id -> label mapping, in corpus post
     order, and the warnings.  Two labels for one post_id are ambiguous
-    ground truth and fatal.  A label whose post_id is absent from the
-    corpus produces a warning and is excluded.
+    ground truth, which ``ingest_labels`` rejects.  A label whose
+    post_id is absent from the corpus produces a warning and is excluded.
     """
-    by_post: dict[str, HarassmentLabel] = {}
-    for label in labels:
-        if label.post_id in by_post:
-            raise DataError(f"duplicate label for post_id {label.post_id!r}")
-        by_post[label.post_id] = label
+    by_post = {label.post_id: label for label in labels}
     labeled = {post.post_id: by_post[post.post_id]
                for post in posts if post.post_id in by_post}
     warnings = [f"label references unknown post_id {post_id!r}"

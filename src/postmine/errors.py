@@ -1,9 +1,8 @@
 """Exception types shared across the pipeline, and the two file helpers
-every stage uses: ``read_utf8``, which reads an input file so that bytes
-that are not UTF-8 are a data error (every loader but the posts one,
-which skips such a line, reads through it), and ``atomic_open``, through
-which every ``out_dir`` file is written, so a stage that dies mid-write
-leaves no truncated file for a later stage or ``report`` to read.
+every stage uses: ``read_utf8``, the block in which every loader but the
+posts one (which skips a bad line) reads and checks its file, so that its
+data errors name the file, and ``atomic_open``, which writes each
+``out_dir`` file so that a stage dying mid-write leaves none truncated.
 
 The CLI maps ConfigError to exit code 1 and DataError to exit code 2;
 the message says what went wrong, so no stage needs a subclass.
@@ -22,15 +21,18 @@ class DataError(Exception):
     """Input data violates a contract of the stage consuming it."""
 
 
-def read_utf8(path, reader=lambda handle: handle.read(), newline=None):
-    """``reader`` applied to the open UTF-8 text file at ``path`` (by
-    default, its whole text, without a leading byte-order mark); bytes
-    that do not decode raise a DataError that names the file."""
+@contextmanager
+def read_utf8(path, newline=None):
+    """A block reading the UTF-8 text file at ``path`` through the handle it
+    gives, without a leading byte-order mark; bytes that do not decode are a
+    DataError naming the file, and one raised in the block gets its path."""
     with open(path, "r", encoding="utf-8-sig", newline=newline) as handle:
         try:
-            return reader(handle)
+            yield handle
         except UnicodeDecodeError as exc:
             raise DataError(f"{path} is not valid UTF-8: {exc.reason}") from None
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 @contextmanager

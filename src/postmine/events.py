@@ -75,31 +75,30 @@ def load_inventory(path: str | Path) -> tuple[VerbInventory, list[str]]:
     lemmas: list[str] = []
     inflections: dict[str, str] = {}
     warnings: list[str] = []
-    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        lemma = parts[0].strip().lower()
-        if not lemma:
-            raise DataError(f"inventory line {lineno}: empty lemma")
-        lemmas.append(lemma)
-        if len(parts) > 1 and parts[1].strip():
-            for surface in parts[1].split(","):
-                surface = surface.strip().lower()
-                if not surface:
-                    continue
-                if surface in inflections and inflections[surface] != lemma:
-                    warnings.append(f"inventory line {lineno}: {surface!r} already maps "
-                                    f"to {inflections[surface]!r}; keeping the first")
-                    continue
-                inflections[surface] = lemma
-    declared = set(lemmas)
-    warnings.extend(f"inventory: {surface!r} is a lemma and also an inflection of "
-                    f"{lemma!r}; keeping the lemma"
-                    for surface, lemma in inflections.items()
-                    if surface in declared and surface != lemma)
-    return VerbInventory(lemmas, inflections), warnings
+    with read_utf8(path) as handle:
+        for lineno, raw in enumerate(handle.read().splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            lemma = parts[0].strip().lower()
+            lemmas.append(lemma)
+            if len(parts) > 1 and parts[1].strip():
+                for surface in parts[1].split(","):
+                    surface = surface.strip().lower()
+                    if not surface:
+                        continue
+                    if surface in inflections and inflections[surface] != lemma:
+                        warnings.append(f"inventory line {lineno}: {surface!r} already maps "
+                                        f"to {inflections[surface]!r}; keeping the first")
+                        continue
+                    inflections[surface] = lemma
+        declared = set(lemmas)
+        warnings.extend(f"inventory: {surface!r} is a lemma and also an inflection of "
+                        f"{lemma!r}; keeping the lemma"
+                        for surface, lemma in inflections.items()
+                        if surface in declared and surface != lemma)
+        return VerbInventory(lemmas, inflections), warnings
 
 
 def bundled_inventory() -> VerbInventory:
@@ -283,21 +282,24 @@ def write_triples(triples: Iterable[EventTriple], path: str | Path) -> None:
 
 def read_triples(path: str | Path) -> list[EventTriple]:
     """Import externally produced triples (the pluggable-extractor path)."""
-    rows = list(csv.reader(read_utf8(path, list, newline=""), delimiter="\t"))
-    if not rows or tuple(rows[0]) != TRIPLE_HEADER:
-        raise DataError("triple file: missing or bad header")
-    triples = []
-    for rownum, row in enumerate(rows[1:], start=2):
-        if len(row) != len(TRIPLE_HEADER):
-            raise DataError(f"triple file row {rownum}: expected {len(TRIPLE_HEADER)} columns")
-        post_id, lemma, passive, agent, affected = row
-        if not lemma:
-            raise DataError(f"triple file row {rownum}: empty verb_lemma")
-        triples.append(EventTriple(
-            verb_lemma=lemma,
-            agent=agent or None,
-            affected=affected or None,
-            passive=passive == "1",
-            source_post=post_id,
-        ))
+    with read_utf8(path, newline="") as handle:
+        rows = list(csv.reader(handle, delimiter="\t"))
+        if not rows or tuple(rows[0]) != TRIPLE_HEADER:
+            raise DataError("missing or bad header")
+        triples = []
+        for rownum, row in enumerate(rows[1:], start=2):
+            if len(row) != len(TRIPLE_HEADER):
+                raise DataError(f"row {rownum}: expected {len(TRIPLE_HEADER)} columns")
+            post_id, lemma, passive, agent, affected = row
+            if not lemma:
+                raise DataError(f"row {rownum}: empty verb_lemma")
+            if passive not in ("0", "1"):
+                raise DataError(f"row {rownum}: passive must be 0 or 1, got {passive!r}")
+            triples.append(EventTriple(
+                verb_lemma=lemma,
+                agent=agent or None,
+                affected=affected or None,
+                passive=passive == "1",
+                source_post=post_id,
+            ))
     return triples

@@ -68,6 +68,8 @@ DESIGNATED_TAGS = (TAG_URL, TAG_EMAIL, TAG_USER)
 BACKOFF_WEIGHT = 0.4
 # longest hashtag body that ``segment`` splits; longer ones stay whole
 SEGMENT_MAX_CHARS = 280
+# the scores divide by counts and by their total, so each must fit a float
+_FLOAT_MAX = math.nextafter(math.inf, 0.0)
 
 
 class TokenKind(Enum):
@@ -239,31 +241,31 @@ def load_correction_dictionary(
     """
     words = _word_set(wordlist)
     abbrev: dict[str, str] = {}
-    for lineno, line in enumerate(read_utf8(abbreviations).splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-            raise DataError(f"abbreviations line {lineno}: expected 'key<TAB>expansion'")
-        key = parts[0].strip().lower()
-        expansion = " ".join(parts[1].split()).lower()
-        if key in abbrev:
-            raise DataError(f"abbreviations line {lineno}: duplicate key {key!r}")
-        if key in words:
-            raise DataError(f"abbreviations line {lineno}: key {key!r} is itself a valid word")
-        bad = [w for w in expansion.split() if w not in words]
-        if bad:
-            raise DataError(
-                f"abbreviations line {lineno}: expansion word(s) not in wordlist: "
-                + ", ".join(bad)
-            )
-        abbrev[key] = expansion
+    with read_utf8(abbreviations) as handle:
+        for lineno, line in enumerate(handle.read().splitlines(), start=1):
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
+                raise DataError(f"line {lineno}: expected 'key<TAB>expansion'")
+            key = parts[0].strip().lower()
+            expansion = " ".join(parts[1].split()).lower()
+            if key in abbrev:
+                raise DataError(f"line {lineno}: duplicate key {key!r}")
+            if key in words:
+                raise DataError(f"line {lineno}: key {key!r} is itself a valid word")
+            bad = [w for w in expansion.split() if w not in words]
+            if bad:
+                raise DataError(f"line {lineno}: expansion word(s) not in wordlist: "
+                                + ", ".join(bad))
+            abbrev[key] = expansion
     censored_set = _word_set(censored) if censored is not None else bundled_censored()
     return CorrectionDictionary(abbrev, censored_set, words)
 
 
 def _word_set(path: str | Path) -> frozenset[str]:
-    return frozenset(w.strip().lower() for w in read_utf8(path).splitlines() if w.strip())
+    with read_utf8(path) as handle:
+        return frozenset(w.strip().lower() for w in handle.read().splitlines() if w.strip())
 
 
 _ELONGATION_RE = re.compile(r"([^\W\d_])\1{2,}")
@@ -365,39 +367,47 @@ class LanguageModel:
 
 def load_language_model(path: str | Path) -> LanguageModel:
     """Read the tab-delimited model file with UNIGRAM and BIGRAM sections;
-    words are lowercased, and a word or pair listed twice is fatal."""
+    words are lowercased; a word or pair listed twice, or a bigram count or
+    the unigram total too large for a float, is fatal."""
     unigrams: dict[str, int] = {}
     bigrams: dict[tuple[str, str], int] = {}
     section: str | None = None
-    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.strip() in ("UNIGRAM", "BIGRAM"):
-            section = line.strip()
-            continue
-        parts = line.split("\t")
-        try:
-            if section == "UNIGRAM":
-                if len(parts) != 2:
-                    raise ValueError("expected 'word<TAB>count'")
-                word = parts[0].lower()
-                if word in unigrams:
-                    raise ValueError(f"duplicate unigram {word!r}")
-                unigrams[word] = int(parts[1])
-            elif section == "BIGRAM":
-                if len(parts) != 3:
-                    raise ValueError("expected 'word1<TAB>word2<TAB>count'")
-                pair = (parts[0].lower(), parts[1].lower())
-                if pair in bigrams:
-                    raise ValueError(f"duplicate bigram {pair!r}")
-                bigrams[pair] = int(parts[2])
-            else:
-                raise ValueError("line before any UNIGRAM/BIGRAM section header")
-        except ValueError as exc:
-            raise DataError(f"language model line {lineno}: {exc}") from None
-    if not unigrams:
-        raise DataError("language model has no unigrams")
-    return LanguageModel.from_counts(unigrams, bigrams)
+    total = 0
+    with read_utf8(path) as handle:
+        for lineno, line in enumerate(handle.read().splitlines(), start=1):
+            if not line.strip():
+                continue
+            if line.strip() in ("UNIGRAM", "BIGRAM"):
+                section = line.strip()
+                continue
+            parts = line.split("\t")
+            try:
+                if section == "UNIGRAM":
+                    if len(parts) != 2:
+                        raise ValueError("expected 'word<TAB>count'")
+                    word = parts[0].lower()
+                    if word in unigrams:
+                        raise ValueError(f"duplicate unigram {word!r}")
+                    unigrams[word] = count = int(parts[1])
+                    total += count
+                    if total > _FLOAT_MAX:
+                        raise ValueError("unigram counts sum too large for a float")
+                elif section == "BIGRAM":
+                    if len(parts) != 3:
+                        raise ValueError("expected 'word1<TAB>word2<TAB>count'")
+                    pair = (parts[0].lower(), parts[1].lower())
+                    if pair in bigrams:
+                        raise ValueError(f"duplicate bigram {pair!r}")
+                    bigrams[pair] = count = int(parts[2])
+                    if count > _FLOAT_MAX:
+                        raise ValueError("count is too large for a float")
+                else:
+                    raise ValueError("line before any UNIGRAM/BIGRAM section header")
+            except ValueError as exc:
+                raise DataError(f"line {lineno}: {exc}") from None
+        if not unigrams:
+            raise DataError("language model has no unigrams")
+        return LanguageModel.from_counts(unigrams, bigrams)
 
 
 def transition_score(lm: LanguageModel, prev: str | None, word: str) -> float:

@@ -484,7 +484,7 @@ class TestIngestCommand:
         assert capsys.readouterr().err == (
             "WARNING postmine.corpus: ingest_posts: 2 warning(s), first: "
             "line 1: Expecting value: line 1 column 1 (char 0); line 2: blank line\n"
-            "data error: no valid post records in input\n")
+            f"data error: {posts}: no valid post records in input\n")
 
     def test_corrupt_corpus_artifact_exits_two(self, tmp_path, demo_bundle):
         config = write_config(tmp_path, demo_bundle)
@@ -621,6 +621,18 @@ class TestPipelineArtifacts:
         for section in ("== ingest ==", "== topics ==", "== sentiment ==",
                         "== regression =="):
             assert section in text
+
+    @pytest.mark.parametrize("name", [INGEST_SUMMARY, TOPIC_REPORT])
+    def test_report_input_not_utf8_exits_two(self, tmp_path, demo_bundle, pipeline_out,
+                                             capsys, name):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_out, out)
+        with open(out / name, "ab") as handle:
+            handle.write(b"\xff")
+        config = write_config(tmp_path, demo_bundle)
+        assert main(["--config", str(config), "report"]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {out / name} is not valid UTF-8: invalid start byte\n")
 
 
 class TestSentimentCommand:

@@ -61,7 +61,7 @@ class TestLoadLexicon:
 
     def test_out_of_range_score_fatal_with_row(self, input_file):
         src = input_file("ok\t0\t0\t0\t0\t0\nbad\t1.5\t0\t0\t0\t0\n")
-        with pytest.raises(DataError, match="row 2"):
+        with pytest.raises(DataError, match=r"line 2: sentiment_verb=1\.5 outside"):
             load_lexicon(src)
 
     def test_duplicate_lemma_fatal(self, input_file):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -233,6 +234,18 @@ class TestIngestInstitutions:
         with pytest.raises(DataError, match="row 3: mf_ratio"):
             ingest_institutions(src)
 
+    @pytest.mark.parametrize("column", ["enrollment", "reported_cases"])
+    def test_count_too_large_for_a_float_is_fatal(self, column, input_file):
+        # the regression turns both into floats; the largest float fits
+        row = "u{n},{enrollment},0.9,private,west,{reported_cases}\n"
+        fits = {"enrollment": 5000, "reported_cases": 12, column: int(sys.float_info.max)}
+        too_large = {**fits, column: "9" * 401}
+        src = input_file(INSTITUTION_HEADER + row.format(n=1, **fits)
+                         + row.format(n=2, **too_large))
+        with pytest.raises(DataError) as caught:
+            ingest_institutions(src)
+        assert str(caught.value) == f"{src}: row 3: {column} is too large for a float"
+
     def test_duplicate_institution_is_fatal(self, input_file):
         src = input_file(INSTITUTION_HEADER
                          + "u1,5000,0.9,private,west,12\n"
@@ -273,13 +286,12 @@ class TestLabels:
             "label references unknown post_id 'x0'; label references unknown post_id "
             "'x1'; label references unknown post_id 'x2'\n")
 
-    def test_conflicting_duplicate_labels_fatal(self):
-        labels = [
-            HarassmentLabel("p1", HarassmentType.PHYSICAL, Participant.PEER),
-            HarassmentLabel("p1", HarassmentType.VERBAL, Participant.PEER),
-        ]
-        with pytest.raises(DataError, match="duplicate label"):
-            attach_labels(self._corpus(), labels)
+    def test_conflicting_duplicate_labels_fatal(self, input_file):
+        src = input_file("post_id,harassment_type,participant\n"
+                         "p1,physical,peer\np2,verbal,peer\np1,verbal,peer\n")
+        with pytest.raises(DataError) as caught:
+            ingest_labels(src)
+        assert str(caught.value) == f"{src}: row 4: duplicate label for post_id 'p1'"
 
     def test_ingest_labels_parses_aliases(self, input_file):
         src = input_file(

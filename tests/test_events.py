@@ -222,3 +222,13 @@ class TestTripleFileInterface:
         path.write_text("nope\tnope\n")
         with pytest.raises(DataError):
             read_triples(path)
+
+    @pytest.mark.parametrize("passive", ["yes", "", "2", " 1"])
+    def test_passive_cell_other_than_0_or_1_rejected(self, tmp_path, passive):
+        path = tmp_path / "triples.tsv"
+        path.write_text("post_id\tverb_lemma\tpassive\tagent\taffected\n"
+                        "p1\tharass\t1\the\tme\n"
+                        f"p2\tharass\t{passive}\the\tme\n")
+        with pytest.raises(DataError) as caught:
+            read_triples(path)
+        assert str(caught.value) == f"{path}: row 3: passive must be 0 or 1, got {passive!r}"

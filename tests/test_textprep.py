@@ -273,21 +273,41 @@ class TestLanguageModelLoader:
         with pytest.raises(DataError):
             load_language_model(input_file("UNIGRAM\nme\t0\n"))
 
+    @pytest.mark.parametrize("counts, message", [
+        ("UNIGRAM\nme\t10\ntoo\t" + "9" * 401,
+         "line 3: unigram counts sum too large for a float"),
+        ("UNIGRAM\nme\t%d\ntoo\t%d" % (int(1e308), int(1e308)),
+         "line 3: unigram counts sum too large for a float"),
+        ("UNIGRAM\nme\t10\ntoo\t8\nBIGRAM\nme\ttoo\t" + "9" * 401,
+         "line 5: count is too large for a float"),
+    ], ids=["unigram", "unigram-total", "bigram"])
+    def test_count_too_large_for_a_float_rejected(self, input_file, counts, message):
+        # the scores divide by counts and by the unigram total
+        path = input_file(counts + "\n")
+        with pytest.raises(DataError) as caught:
+            load_language_model(path)
+        assert str(caught.value) == f"{path}: {message}"
+
+    def test_largest_float_counts_segment(self, input_file):
+        lm = load_language_model(input_file(
+            "UNIGRAM\nme\t%d\ntoo\t1\nBIGRAM\nme\ttoo\t%d\n" % (int(1.5e308), int(1e308))))
+        assert segment("metoox", lm) == ["me", "too", "x"]
+
     def test_line_outside_section_rejected(self, input_file):
         with pytest.raises(DataError, match="line 1"):
             load_language_model(input_file("me\t10\n"))
 
     def test_duplicate_unigram_differing_in_case_rejected(self, input_file):
+        path = input_file("UNIGRAM\nme\t10\nMe\t3\n")
         with pytest.raises(DataError) as caught:
-            load_language_model(input_file("UNIGRAM\nme\t10\nMe\t3\n"))
-        assert str(caught.value) == "language model line 3: duplicate unigram 'me'"
+            load_language_model(path)
+        assert str(caught.value) == f"{path}: line 3: duplicate unigram 'me'"
 
     def test_duplicate_bigram_rejected(self, input_file):
+        path = input_file("UNIGRAM\nme\t10\ntoo\t8\nBIGRAM\nme\ttoo\t3\nme\tToo\t4\n")
         with pytest.raises(DataError) as caught:
-            load_language_model(input_file(
-                "UNIGRAM\nme\t10\ntoo\t8\nBIGRAM\nme\ttoo\t3\nme\tToo\t4\n"))
-        assert str(caught.value) == (
-            "language model line 6: duplicate bigram ('me', 'too')")
+            load_language_model(path)
+        assert str(caught.value) == f"{path}: line 6: duplicate bigram ('me', 'too')"
 
 
 class TestSegment:
