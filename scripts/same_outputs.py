@@ -93,7 +93,7 @@ def build_bundles(directory: Path) -> list[tuple[str, Path, tuple[str, ...], boo
     config.write_text(json.dumps(settings, indent=2), "utf-8")
     bundles.append((path.name, path, ("ingest", "topics"), False))
     path = directory / "topics-2k"
-    bundles.append((path.name, path, time_stages.build_bundle(path, time_stages.TOPICS_2K),
+    bundles.append((path.name, path, time_stages.build_bundle(path, path.name),
                     False))
     return bundles
 

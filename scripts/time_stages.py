@@ -1,11 +1,12 @@
 """Time every stage of two source trees, each stage a fresh process.
 
 The bundle is ``perfbench/generate.py``'s recipe for ``--workload`` at
-seed 1, or ``topics-2k``: the ``topics-small`` recipe with 2000 typical
-posts and ``iters=200``, stages ``ingest`` and ``topics``.  Each round
-runs, once per tree, the workload's whole pipeline, every stage as a
-fresh ``python -m postmine.cli`` subprocess into that tree's own emptied
-output directory, and then ``perfbench/setup_probe.py`` (the set-up cost
+seed 1, or ``topics-2k`` / ``topics-20k``: the ``topics-small`` recipe
+with 2000 / 20,000 typical posts and ``iters=200``, stages ``ingest``
+and ``topics``.  Each round runs, once per tree, the workload's whole
+pipeline, every stage as a fresh ``python -m postmine.cli`` subprocess
+into that tree's own emptied output directory, and then
+``perfbench/setup_probe.py`` (the set-up cost
 perfbench reports as ``setup_s``), the two trees alternating (A B, B A,
 A B, ...).  Prints each tree's median wall time, median CPU time (user
 plus system, so a stage that keeps a second core busy shows) and largest
@@ -26,6 +27,7 @@ inherit that.
 
     python3 scripts/time_stages.py OLD/src NEW/src --workload hostile-mix --rounds 30
     python3 scripts/time_stages.py OLD/src NEW/src --workload topics-2k --rounds 5
+    python3 scripts/time_stages.py OLD/src NEW/src --workload topics-20k --rounds 2
 
 The bundle lives in a temporary directory that is removed on exit.
 """
@@ -46,22 +48,24 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 PROBE = ROOT / "perfbench" / "setup_probe.py"
 SEED = 1
-TOPICS_2K = "topics-2k"
+# the ``topics-small`` recipe at a larger size: name -> typical posts
+TOPICS_SIZES = {"topics-2k": 2000, "topics-20k": 20000}
 
 
 def build_bundle(directory: str | Path, name: str) -> tuple[str, ...]:
-    """Write the bundle of ``name``, a perfbench recipe or ``topics-2k``;
-    returns its stages.  ``topics-2k`` keeps the workload name
+    """Write the bundle of ``name``, a perfbench recipe or a key of
+    ``TOPICS_SIZES``; returns its stages.  Those keep the workload name
     ``topics-small``, whose CRC seeds the generator."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import dataclasses
 
     import generate
 
-    if name != TOPICS_2K:
+    if name not in TOPICS_SIZES:
         generate.write_bundle(directory, generate.WORKLOADS[name], SEED)
         return generate.WORKLOADS[name].stages
-    workload = dataclasses.replace(generate.WORKLOADS["topics-small"], typical_posts=2000,
+    workload = dataclasses.replace(generate.WORKLOADS["topics-small"],
+                                   typical_posts=TOPICS_SIZES[name],
                                    stages=("ingest", "topics"))
     generate.write_bundle(directory, workload, SEED)
     config_path = Path(directory) / "config.json"
@@ -137,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", nargs=2, type=Path, help="two directories holding postmine/")
     parser.add_argument("--workload", default="hostile-mix",
-                        help=f"a perfbench recipe or {TOPICS_2K}")
+                        help=f"a perfbench recipe or one of {', '.join(TOPICS_SIZES)}")
     parser.add_argument("--rounds", type=int, default=10, help="pipelines per tree")
     args = parser.parse_args(argv)
     trees = [src.resolve() for src in args.src]

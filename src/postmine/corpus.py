@@ -25,7 +25,7 @@ import json
 import math
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DataError, atomic_open, read_utf8
 
@@ -200,6 +200,23 @@ def _id_rank(post: Post) -> tuple:
     return (post.timestamp, post.user_id, post.text)
 
 
+def _table_rows(handle, header: tuple[str, ...], table: str) -> Iterator[tuple[int, dict]]:
+    """Each row of a CSV table with its row number, counting the header
+    as row 1.  A table with no header, one without a column of
+    ``header`` and a row short of a cell of ``header`` are data errors."""
+    reader = csv.DictReader(handle.readlines())
+    if reader.fieldnames is None:
+        raise DataError(f"{table} is empty")
+    missing = [c for c in header if c not in reader.fieldnames]
+    if missing:
+        raise DataError("%s missing column(s): %s" % (table, ", ".join(missing)))
+    for rownum, row in enumerate(reader, start=2):
+        short = [c for c in header if row[c] is None]
+        if short:
+            raise DataError(f"row {rownum}: missing cell(s): {', '.join(short)}")
+        yield rownum, row
+
+
 def ingest_institutions(path: str | Path) -> list[InstitutionRecord]:
     """Read the institution metadata table.
 
@@ -209,16 +226,10 @@ def ingest_institutions(path: str | Path) -> list[InstitutionRecord]:
     institution_id are all fatal, with the row number in the message.
     """
     with read_utf8(path, newline="") as handle:
-        reader = csv.DictReader(handle.readlines())
-        if reader.fieldnames is None:
-            raise DataError("institution table is empty")
-        missing = [c for c in INSTITUTION_HEADER if c not in reader.fieldnames]
-        if missing:
-            raise DataError("institution table missing column(s): %s" % ", ".join(missing))
         regions = {r.value.lower(): r for r in Region}
         records: dict[str, InstitutionRecord] = {}
-        for rownum, row in enumerate(reader, start=2):
-            inst = (row["institution_id"] or "").strip()
+        for rownum, row in _table_rows(handle, INSTITUTION_HEADER, "institution table"):
+            inst = row["institution_id"].strip()
             if not inst:
                 raise DataError(f"row {rownum}: empty institution_id")
             if inst in records:
@@ -227,7 +238,7 @@ def ingest_institutions(path: str | Path) -> list[InstitutionRecord]:
                 enrollment = int(row["enrollment"])
                 mf_ratio = float(row["mf_ratio"])
                 reported = int(row["reported_cases"])
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise DataError(f"row {rownum}: {exc}") from None
             if enrollment < 1:
                 raise DataError(f"row {rownum}: enrollment must be >= 1, got {enrollment}")
@@ -240,11 +251,10 @@ def ingest_institutions(path: str | Path) -> list[InstitutionRecord]:
                 raise DataError(f"row {rownum}: reported_cases must be >= 0, got {reported}")
             if reported > _FLOAT_MAX:
                 raise DataError(f"row {rownum}: reported_cases is too large for a float")
-            sector = (row["sector"] or "").strip().lower()
+            sector = row["sector"].strip().lower()
             if sector not in ("private", "public"):
                 raise DataError(f"row {rownum}: unknown sector {row['sector']!r}")
-            region_key = (row["region"] or "").strip().lower()
-            region = regions.get(region_key)
+            region = regions.get(row["region"].strip().lower())
             if region is None:
                 raise DataError(f"row {rownum}: unknown region {row['region']!r}")
             records[inst] = InstitutionRecord(
@@ -261,23 +271,17 @@ def ingest_institutions(path: str | Path) -> list[InstitutionRecord]:
 def ingest_labels(path: str | Path) -> list[HarassmentLabel]:
     """Read the harassment label table (post_id,harassment_type,participant)."""
     with read_utf8(path, newline="") as handle:
-        reader = csv.DictReader(handle.readlines())
-        if reader.fieldnames is None:
-            raise DataError("label table is empty")
-        missing = [c for c in LABEL_HEADER if c not in reader.fieldnames]
-        if missing:
-            raise DataError("label table missing column(s): %s" % ", ".join(missing))
         types = {t.value.lower(): t for t in HarassmentType}
         labels: dict[str, HarassmentLabel] = {}
-        for rownum, row in enumerate(reader, start=2):
-            post_id = (row["post_id"] or "").strip()
+        for rownum, row in _table_rows(handle, LABEL_HEADER, "label table"):
+            post_id = row["post_id"].strip()
             if not post_id:
                 raise DataError(f"row {rownum}: empty post_id")
-            htype = types.get((row["harassment_type"] or "").strip().lower())
+            htype = types.get(row["harassment_type"].strip().lower())
             if htype is None:
                 raise DataError(f"row {rownum}: unknown harassment_type "
                                 f"{row['harassment_type']!r}")
-            participant = _PARTICIPANT_ALIASES.get((row["participant"] or "").strip().lower())
+            participant = _PARTICIPANT_ALIASES.get(row["participant"].strip().lower())
             if participant is None:
                 raise DataError(f"row {rownum}: unknown participant {row['participant']!r}")
             if post_id in labels:

@@ -68,10 +68,10 @@ class VerbInventory:
 def load_inventory(path: str | Path) -> tuple[VerbInventory, list[str]]:
     """Read a tab-delimited inventory: lemma TAB comma-joined inflections.
 
-    Returns the inventory and its warnings: one per inflection that a
-    later line maps to a second lemma (the first mapping is kept), then
-    one per inflection that is also declared as a lemma, in either line
-    order (the lemma is kept)."""
+    Returns the inventory and its warnings, each naming the file: one per
+    inflection that a later line maps to a second lemma (the first
+    mapping is kept), then one per inflection that is also declared as a
+    lemma, in either line order (the lemma is kept)."""
     lemmas: list[str] = []
     inflections: dict[str, str] = {}
     warnings: list[str] = []
@@ -89,12 +89,12 @@ def load_inventory(path: str | Path) -> tuple[VerbInventory, list[str]]:
                     if not surface:
                         continue
                     if surface in inflections and inflections[surface] != lemma:
-                        warnings.append(f"inventory line {lineno}: {surface!r} already maps "
+                        warnings.append(f"{path}: line {lineno}: {surface!r} already maps "
                                         f"to {inflections[surface]!r}; keeping the first")
                         continue
                     inflections[surface] = lemma
         declared = set(lemmas)
-        warnings.extend(f"inventory: {surface!r} is a lemma and also an inflection of "
+        warnings.extend(f"{path}: {surface!r} is a lemma and also an inflection of "
                         f"{lemma!r}; keeping the lemma"
                         for surface, lemma in inflections.items()
                         if surface in declared and surface != lemma)

@@ -113,22 +113,27 @@ def content_terms(tokens: Sequence[Token]) -> list[str]:
     return [t.surface for t in tokens if t.kind in CONTENT_KINDS]
 
 
-def _data_lines(name: str) -> list[str]:
-    text = resources.files("postmine.data").joinpath(name).read_text("utf-8")
-    return [line.strip() for line in text.splitlines()
-            if line.strip() and not line.startswith("#")]
+def _data_lines(text: str) -> list[str]:
+    """The stripped lines of a word list that are neither blank nor a
+    ``#`` comment."""
+    return [line for line in map(str.strip, text.splitlines())
+            if line and not line.startswith("#")]
+
+
+def _bundled_lines(name: str) -> list[str]:
+    return _data_lines(resources.files("postmine.data").joinpath(name).read_text("utf-8"))
 
 
 def bundled_emoticons() -> tuple[str, ...]:
-    return tuple(_data_lines("emoticons.txt"))
+    return tuple(_bundled_lines("emoticons.txt"))
 
 
 def bundled_stopwords() -> frozenset[str]:
-    return frozenset(_data_lines("stopwords.txt")) | frozenset(DESIGNATED_TAGS)
+    return frozenset(_bundled_lines("stopwords.txt")) | frozenset(DESIGNATED_TAGS)
 
 
 def bundled_censored() -> frozenset[str]:
-    return frozenset(_data_lines("censored.txt"))
+    return frozenset(_bundled_lines("censored.txt"))
 
 
 # Unicode emoji blocks treated as single-token emoticons.
@@ -265,7 +270,7 @@ def load_correction_dictionary(
 
 def _word_set(path: str | Path) -> frozenset[str]:
     with read_utf8(path) as handle:
-        return frozenset(w.strip().lower() for w in handle.read().splitlines() if w.strip())
+        return frozenset(word.lower() for word in _data_lines(handle.read()))
 
 
 _ELONGATION_RE = re.compile(r"([^\W\d_])\1{2,}")

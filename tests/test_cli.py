@@ -568,7 +568,7 @@ class TestEventsCommand:
         capsys.readouterr()
         assert main(["--config", str(config), "events"]) == 0
         assert capsys.readouterr().err == (
-            "WARNING postmine.events: inventory line 2: 'hit' already maps to "
+            f"WARNING postmine.events: {inventory}: line 2: 'hit' already maps to "
             "'harass'; keeping the first\n")
 
     def test_inflection_declared_as_lemma_warns(self, tmp_path, demo_bundle, capsys):
@@ -579,7 +579,7 @@ class TestEventsCommand:
         capsys.readouterr()
         assert main(["--config", str(config), "events"]) == 0
         assert capsys.readouterr().err == (
-            "WARNING postmine.events: inventory: 'hit' is a lemma and also an "
+            f"WARNING postmine.events: {inventory}: 'hit' is a lemma and also an "
             "inflection of 'harass'; keeping the lemma\n")
 
 

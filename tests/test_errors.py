@@ -13,7 +13,7 @@ from postmine.errors import DataError
 
 # input name -> (valid start of its file, a file that the loader rejects
 # or None, call of the loader on a path, given a function that writes a
-# valid companion file); every line of a word list is taken as a word
+# valid companion file); a word list has no line that its loader rejects
 LOADERS = {
     "institutions": (
         b"institution_id,enrollment,mf_ratio,sector,region,reported_cases\n"
@@ -21,9 +21,19 @@ LOADERS = {
         b"institution_id,enrollment,mf_ratio,sector,region,reported_cases\n"
         b"u1,5000,0.9,private,west,12\nu2,5000,0.9,private,nowhere,3\n",
         lambda path, write: corpus.ingest_institutions(path)),
+    "institutions, short row": (
+        b"institution_id,enrollment,mf_ratio,sector,region,reported_cases\n"
+        b"u1,5000,0.9,private,west,12\n",
+        b"institution_id,enrollment,mf_ratio,sector,region,reported_cases\n"
+        b"u1,5000,0.9,private,west,12\nu2,5000\n",
+        lambda path, write: corpus.ingest_institutions(path)),
     "labels": (
         b"post_id,harassment_type,participant\np1,physical,peer\n",
         b"post_id,harassment_type,participant\np1,physical,peer\np1,verbal,peer\n",
+        lambda path, write: corpus.ingest_labels(path)),
+    "labels, short row": (
+        b"post_id,harassment_type,participant\np1,physical,peer\n",
+        b"post_id,harassment_type,participant\np1,physical,peer\np2\n",
         lambda path, write: corpus.ingest_labels(path)),
     "lexicon": (
         b"harass\t-0.8\t-0.7\t-0.9\t-0.6\t0.5\n",
@@ -81,6 +91,17 @@ def test_loader_puts_the_file_in_front_of_its_message(name, input_file):
     message = str(caught.value)
     assert message.startswith(f"{path}: ")
     assert str(path) not in message[len(f"{path}: "):]
+
+
+@pytest.mark.parametrize("name, missing", [
+    ("institutions, short row", "mf_ratio, sector, region, reported_cases"),
+    ("labels, short row", "harassment_type, participant")])
+def test_short_csv_row_names_its_missing_cells(name, missing, input_file):
+    _, bad, load = LOADERS[name]
+    path = input_file(bad)
+    with pytest.raises(DataError) as caught:
+        load(path, input_file)
+    assert str(caught.value) == f"{path}: row 3: missing cell(s): {missing}"
 
 
 # the inputs that are not read through ``read_utf8``, in the form of LOADERS

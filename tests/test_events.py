@@ -173,13 +173,13 @@ class TestInventoryIO:
         assert warnings == []
 
     def test_conflicting_inflection_warns_and_keeps_the_first(self, input_file):
-        inv, warnings = load_inventory(input_file(
-            "harass\tharassed,hit\nstrike\thit,struck\nbeat\thit\n"))
+        path = input_file("harass\tharassed,hit\nstrike\thit,struck\nbeat\thit\n")
+        inv, warnings = load_inventory(path)
         assert inv.inflections["hit"] == "harass"
         assert inv.inflections["struck"] == "strike"
         assert warnings == [
-            "inventory line 2: 'hit' already maps to 'harass'; keeping the first",
-            "inventory line 3: 'hit' already maps to 'harass'; keeping the first",
+            f"{path}: line 2: 'hit' already maps to 'harass'; keeping the first",
+            f"{path}: line 3: 'hit' already maps to 'harass'; keeping the first",
         ]
 
     @pytest.mark.parametrize("text", [
@@ -187,11 +187,12 @@ class TestInventoryIO:
         "hit\thits\nharass\tharassed,hit\n",
     ])
     def test_inflection_declared_as_lemma_warns_and_keeps_the_lemma(self, input_file, text):
-        inv, warnings = load_inventory(input_file(text))
+        path = input_file(text)
+        inv, warnings = load_inventory(path)
         assert lemmatize("hit", inv) == "hit"
         assert inv.inflections["harassed"] == "harass"
         assert warnings == [
-            "inventory: 'hit' is a lemma and also an inflection of 'harass'; keeping the lemma"]
+            f"{path}: 'hit' is a lemma and also an inflection of 'harass'; keeping the lemma"]
 
     def test_lemma_listed_as_its_own_inflection_is_quiet(self, input_file):
         _, warnings = load_inventory(input_file("hit\thit,hits\n"))

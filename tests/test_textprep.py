@@ -256,6 +256,16 @@ class TestDictionaryLoader:
         assert "s**t" in d.censored
         assert "really" in d.valid_words
 
+    def test_word_lists_skip_comment_and_blank_lines(self, input_file):
+        # the rule of the bundled lists: a line is stripped, and a blank
+        # one or one that starts with "#" is no word
+        d = load_correction_dictionary(
+            input_file("u\tyou\n"), input_file("# words\nYou\n\n  # indented\n"),
+            input_file("# comment line\ns**t\n"))
+        assert d.censored == {"s**t"}
+        assert {"you"} <= d.valid_words
+        assert not any(word.startswith("#") for word in d.valid_words)
+
 
 class TestLanguageModelLoader:
     def test_sections(self, input_file):
