@@ -14,6 +14,10 @@ two output directories file by file:
   whose file ends with the byte 0xff, all six stages: the malformed-line
   warning for ``posts``, the "is not valid UTF-8" data error of the
   loader for every other file;
+- a copy of the demo bundle whose six line-based inputs (lexicon,
+  embeddings, language model, abbreviations, word list and censored
+  list) each start with a ``#`` comment line and a blank line, all six
+  stages: every line-based loader skips both;
 - a copy of the demo bundle whose config key ``triples`` names a copy
   of the ``triples.tsv`` that ``events`` writes for it, with the data
   rows shuffled by ``random.Random(0)``; stages ``ingest``,
@@ -59,6 +63,8 @@ RECIPES = ("topics-small", "hostile-mix")
 SEEDS = (1, 2, 3, 4)
 CORRUPTED_KEYS = ("posts", "institutions", "labels", "lexicon", "embeddings",
                   "language_model", "abbreviations", "wordlist", "censored")
+LINE_BASED_KEYS = ("lexicon", "embeddings", "language_model", "abbreviations",
+                   "wordlist", "censored")
 
 
 def build_bundles(directory: Path) -> list[tuple[str, Path, tuple[str, ...], bool]]:
@@ -83,6 +89,11 @@ def build_bundles(directory: Path) -> list[tuple[str, Path, tuple[str, ...], boo
         with open(demo.write_demo_bundle(path, DEMO_SEED)[key], "ab") as handle:
             handle.write(b"\xff")
         bundles.append((path.name, path, generate.ALL_STAGES, True))
+    path = directory / f"demo-{DEMO_SEED}-commented"
+    files = demo.write_demo_bundle(path, DEMO_SEED)
+    for key in LINE_BASED_KEYS:
+        files[key].write_bytes(b"# generated by postmine.demo\n\n" + files[key].read_bytes())
+    bundles.append((path.name, path, generate.ALL_STAGES, False))
     path = directory / f"demo-{DEMO_SEED}-imported-triples"
     bundles.append((path.name, imported_triples_bundle(path),
                     ("ingest", "sentiment", "report"), False))

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import HarassmentLabel, HarassmentType, Participant
-from .errors import DataError, atomic_open, read_utf8
+from .errors import DataError, atomic_open, data_lines, read_utf8
 
 if TYPE_CHECKING:
     from .events import EventTriple
@@ -89,10 +89,7 @@ def load_lexicon(path: str | Path) -> dict[str, ConnotationFrame]:
     the lemma -> frame mapping."""
     frames: dict[str, ConnotationFrame] = {}
     with read_utf8(path) as handle:
-        for lineno, raw in enumerate(handle.read().splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in data_lines(handle):
             parts = line.split("\t")
             if len(parts) != 6:
                 raise DataError(f"line {lineno}: expected lemma + 5 scores")
@@ -155,10 +152,8 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
     vectors: dict[str, list[float]] = {}
     dimension: int | None = None
     with read_utf8(path) as handle:
-        for lineno, raw in enumerate(handle.read().splitlines(), start=1):
-            if not raw.strip():
-                continue
-            parts = raw.split()
+        for lineno, line in data_lines(handle):
+            parts = line.split()
             if len(parts) < 2:
                 raise DataError(f"line {lineno}: no vector components")
             word = parts[0].lower()

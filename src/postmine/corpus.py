@@ -20,14 +20,13 @@ with a malformed line and on one with no post, naming the artifact.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .errors import DataError, atomic_open, read_utf8
+from .errors import FLOAT_MAX, DataError, atomic_open, read_utf8, table_rows
 
 POST_FIELDS = ("post_id", "user_id", "institution_id", "timestamp", "text")
 
@@ -41,9 +40,6 @@ INSTITUTION_HEADER = (
 )
 
 LABEL_HEADER = ("post_id", "harassment_type", "participant")
-
-# an integer read from a file that becomes a float must be at most this
-_FLOAT_MAX = math.nextafter(math.inf, 0.0)
 
 
 class Region(Enum):
@@ -186,35 +182,19 @@ def dedup(posts: Iterable[Post]) -> tuple[Post, ...]:
         if kept is None or _id_rank(post) < _id_rank(kept):
             by_id[post.post_id] = post
     survivors = sorted(by_id.values(), key=lambda p: (p.timestamp, p.post_id))
+    # filled in ``survivors`` order, so its values are in canonical order
     by_key: dict[tuple[str, str], Post] = {}
     for post in survivors:
         key = (post.user_id, normalized_text(post.text))
         if key not in by_key:
             by_key[key] = post
-    return tuple(sorted(by_key.values(), key=lambda p: (p.timestamp, p.post_id)))
+    return tuple(by_key.values())
 
 
 def _id_rank(post: Post) -> tuple:
     # Full ordering so the survivor among same-id records does not
     # depend on input order.
     return (post.timestamp, post.user_id, post.text)
-
-
-def _table_rows(handle, header: tuple[str, ...], table: str) -> Iterator[tuple[int, dict]]:
-    """Each row of a CSV table with its row number, counting the header
-    as row 1.  A table with no header, one without a column of
-    ``header`` and a row short of a cell of ``header`` are data errors."""
-    reader = csv.DictReader(handle.readlines())
-    if reader.fieldnames is None:
-        raise DataError(f"{table} is empty")
-    missing = [c for c in header if c not in reader.fieldnames]
-    if missing:
-        raise DataError("%s missing column(s): %s" % (table, ", ".join(missing)))
-    for rownum, row in enumerate(reader, start=2):
-        short = [c for c in header if row[c] is None]
-        if short:
-            raise DataError(f"row {rownum}: missing cell(s): {', '.join(short)}")
-        yield rownum, row
 
 
 def ingest_institutions(path: str | Path) -> list[InstitutionRecord]:
@@ -228,40 +208,41 @@ def ingest_institutions(path: str | Path) -> list[InstitutionRecord]:
     with read_utf8(path, newline="") as handle:
         regions = {r.value.lower(): r for r in Region}
         records: dict[str, InstitutionRecord] = {}
-        for rownum, row in _table_rows(handle, INSTITUTION_HEADER, "institution table"):
-            inst = row["institution_id"].strip()
+        for rownum, row in table_rows(handle, INSTITUTION_HEADER, "institution table"):
+            inst, enrollment, mf_ratio, sector, region_cell, reported = row
+            inst = inst.strip()
             if not inst:
                 raise DataError(f"row {rownum}: empty institution_id")
             if inst in records:
                 raise DataError(f"row {rownum}: duplicate institution_id {inst!r}")
             try:
-                enrollment = int(row["enrollment"])
-                mf_ratio = float(row["mf_ratio"])
-                reported = int(row["reported_cases"])
+                enrollment = int(enrollment)
+                mf_ratio = float(mf_ratio)
+                reported = int(reported)
             except ValueError as exc:
                 raise DataError(f"row {rownum}: {exc}") from None
             if enrollment < 1:
                 raise DataError(f"row {rownum}: enrollment must be >= 1, got {enrollment}")
-            if enrollment > _FLOAT_MAX:
+            if enrollment > FLOAT_MAX:
                 raise DataError(f"row {rownum}: enrollment is too large for a float")
             if not (mf_ratio >= 0 and math.isfinite(mf_ratio)):
                 raise DataError(f"row {rownum}: mf_ratio must be finite and >= 0, "
                                 f"got {mf_ratio}")
             if reported < 0:
                 raise DataError(f"row {rownum}: reported_cases must be >= 0, got {reported}")
-            if reported > _FLOAT_MAX:
+            if reported > FLOAT_MAX:
                 raise DataError(f"row {rownum}: reported_cases is too large for a float")
-            sector = row["sector"].strip().lower()
-            if sector not in ("private", "public"):
-                raise DataError(f"row {rownum}: unknown sector {row['sector']!r}")
-            region = regions.get(row["region"].strip().lower())
+            sector_key = sector.strip().lower()
+            if sector_key not in ("private", "public"):
+                raise DataError(f"row {rownum}: unknown sector {sector!r}")
+            region = regions.get(region_cell.strip().lower())
             if region is None:
-                raise DataError(f"row {rownum}: unknown region {row['region']!r}")
+                raise DataError(f"row {rownum}: unknown region {region_cell!r}")
             records[inst] = InstitutionRecord(
                 institution_id=inst,
                 enrollment=enrollment,
                 mf_ratio=mf_ratio,
-                is_private=sector == "private",
+                is_private=sector_key == "private",
                 region=region,
                 reported_cases=reported,
             )
@@ -273,17 +254,17 @@ def ingest_labels(path: str | Path) -> list[HarassmentLabel]:
     with read_utf8(path, newline="") as handle:
         types = {t.value.lower(): t for t in HarassmentType}
         labels: dict[str, HarassmentLabel] = {}
-        for rownum, row in _table_rows(handle, LABEL_HEADER, "label table"):
-            post_id = row["post_id"].strip()
+        for rownum, (post_id, type_cell, participant_cell) in table_rows(
+                handle, LABEL_HEADER, "label table"):
+            post_id = post_id.strip()
             if not post_id:
                 raise DataError(f"row {rownum}: empty post_id")
-            htype = types.get(row["harassment_type"].strip().lower())
+            htype = types.get(type_cell.strip().lower())
             if htype is None:
-                raise DataError(f"row {rownum}: unknown harassment_type "
-                                f"{row['harassment_type']!r}")
-            participant = _PARTICIPANT_ALIASES.get(row["participant"].strip().lower())
+                raise DataError(f"row {rownum}: unknown harassment_type {type_cell!r}")
+            participant = _PARTICIPANT_ALIASES.get(participant_cell.strip().lower())
             if participant is None:
-                raise DataError(f"row {rownum}: unknown participant {row['participant']!r}")
+                raise DataError(f"row {rownum}: unknown participant {participant_cell!r}")
             if post_id in labels:
                 raise DataError(f"row {rownum}: duplicate label for post_id {post_id!r}")
             labels[post_id] = HarassmentLabel(post_id, htype, participant)

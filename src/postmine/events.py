@@ -24,7 +24,7 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
-from .errors import DataError, atomic_open, read_utf8
+from .errors import DataError, atomic_open, data_lines, read_utf8, table_rows
 
 if TYPE_CHECKING:
     from .textprep import Token, TokenKind
@@ -76,11 +76,10 @@ def load_inventory(path: str | Path) -> tuple[VerbInventory, list[str]]:
     inflections: dict[str, str] = {}
     warnings: list[str] = []
     with read_utf8(path) as handle:
-        for lineno, raw in enumerate(handle.read().splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in data_lines(handle):
             parts = line.split("\t")
+            if len(parts) > 2:
+                raise DataError(f"line {lineno}: expected 'lemma<TAB>inflections'")
             lemma = parts[0].strip().lower()
             lemmas.append(lemma)
             if len(parts) > 1 and parts[1].strip():
@@ -283,23 +282,13 @@ def write_triples(triples: Iterable[EventTriple], path: str | Path) -> None:
 def read_triples(path: str | Path) -> list[EventTriple]:
     """Import externally produced triples (the pluggable-extractor path)."""
     with read_utf8(path, newline="") as handle:
-        rows = list(csv.reader(handle, delimiter="\t"))
-        if not rows or tuple(rows[0]) != TRIPLE_HEADER:
-            raise DataError("missing or bad header")
         triples = []
-        for rownum, row in enumerate(rows[1:], start=2):
-            if len(row) != len(TRIPLE_HEADER):
-                raise DataError(f"row {rownum}: expected {len(TRIPLE_HEADER)} columns")
-            post_id, lemma, passive, agent, affected = row
+        for rownum, (post_id, lemma, passive, agent, affected) in table_rows(
+                handle, TRIPLE_HEADER, "triple file", delimiter="\t"):
             if not lemma:
                 raise DataError(f"row {rownum}: empty verb_lemma")
             if passive not in ("0", "1"):
                 raise DataError(f"row {rownum}: passive must be 0 or 1, got {passive!r}")
-            triples.append(EventTriple(
-                verb_lemma=lemma,
-                agent=agent or None,
-                affected=affected or None,
-                passive=passive == "1",
-                source_post=post_id,
-            ))
+            triples.append(EventTriple(lemma, agent or None, affected or None,
+                                       passive == "1", post_id))
     return triples

@@ -56,7 +56,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import DataError, read_utf8
+from .errors import FLOAT_MAX, DataError, data_lines, read_utf8
 
 TAG_URL = "<url>"
 TAG_EMAIL = "<email>"
@@ -68,8 +68,6 @@ DESIGNATED_TAGS = (TAG_URL, TAG_EMAIL, TAG_USER)
 BACKOFF_WEIGHT = 0.4
 # longest hashtag body that ``segment`` splits; longer ones stay whole
 SEGMENT_MAX_CHARS = 280
-# the scores divide by counts and by their total, so each must fit a float
-_FLOAT_MAX = math.nextafter(math.inf, 0.0)
 
 
 class TokenKind(Enum):
@@ -113,15 +111,9 @@ def content_terms(tokens: Sequence[Token]) -> list[str]:
     return [t.surface for t in tokens if t.kind in CONTENT_KINDS]
 
 
-def _data_lines(text: str) -> list[str]:
-    """The stripped lines of a word list that are neither blank nor a
-    ``#`` comment."""
-    return [line for line in map(str.strip, text.splitlines())
-            if line and not line.startswith("#")]
-
-
 def _bundled_lines(name: str) -> list[str]:
-    return _data_lines(resources.files("postmine.data").joinpath(name).read_text("utf-8"))
+    with resources.files("postmine.data").joinpath(name).open("r", encoding="utf-8") as handle:
+        return [line for _, line in data_lines(handle)]
 
 
 def bundled_emoticons() -> tuple[str, ...]:
@@ -247,9 +239,7 @@ def load_correction_dictionary(
     words = _word_set(wordlist)
     abbrev: dict[str, str] = {}
     with read_utf8(abbreviations) as handle:
-        for lineno, line in enumerate(handle.read().splitlines(), start=1):
-            if not line.strip():
-                continue
+        for lineno, line in data_lines(handle):
             parts = line.split("\t")
             if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
                 raise DataError(f"line {lineno}: expected 'key<TAB>expansion'")
@@ -270,7 +260,7 @@ def load_correction_dictionary(
 
 def _word_set(path: str | Path) -> frozenset[str]:
     with read_utf8(path) as handle:
-        return frozenset(word.lower() for word in _data_lines(handle.read()))
+        return frozenset(word.lower() for _, word in data_lines(handle))
 
 
 _ELONGATION_RE = re.compile(r"([^\W\d_])\1{2,}")
@@ -379,11 +369,9 @@ def load_language_model(path: str | Path) -> LanguageModel:
     section: str | None = None
     total = 0
     with read_utf8(path) as handle:
-        for lineno, line in enumerate(handle.read().splitlines(), start=1):
-            if not line.strip():
-                continue
-            if line.strip() in ("UNIGRAM", "BIGRAM"):
-                section = line.strip()
+        for lineno, line in data_lines(handle):
+            if line in ("UNIGRAM", "BIGRAM"):
+                section = line
                 continue
             parts = line.split("\t")
             try:
@@ -395,7 +383,7 @@ def load_language_model(path: str | Path) -> LanguageModel:
                         raise ValueError(f"duplicate unigram {word!r}")
                     unigrams[word] = count = int(parts[1])
                     total += count
-                    if total > _FLOAT_MAX:
+                    if total > FLOAT_MAX:
                         raise ValueError("unigram counts sum too large for a float")
                 elif section == "BIGRAM":
                     if len(parts) != 3:
@@ -404,7 +392,7 @@ def load_language_model(path: str | Path) -> LanguageModel:
                     if pair in bigrams:
                         raise ValueError(f"duplicate bigram {pair!r}")
                     bigrams[pair] = count = int(parts[2])
-                    if count > _FLOAT_MAX:
+                    if count > FLOAT_MAX:
                         raise ValueError("count is too large for a float")
                 else:
                     raise ValueError("line before any UNIGRAM/BIGRAM section header")

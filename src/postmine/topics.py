@@ -110,17 +110,16 @@ _PSI_STEPS = np.arange(9.0, -1.0, -1.0)   # the recurrence's shifts, largest fir
 _LGAMMA_SERIES = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
-class WeightedMatrix:
+
+class WeightedMatrix(NamedTuple):
     """Per-document sparse rows of (term index, nonnegative weight).
 
     ``terms`` mirrors the vocabulary the indices point into so that
     models fitted from the matrix can name their top words.
     """
 
-    def __init__(self, rows: tuple[tuple[np.ndarray, np.ndarray], ...],
-                 terms: tuple[str, ...]):
-        self.rows = rows
-        self.terms = terms
+    rows: tuple[tuple[np.ndarray, np.ndarray], ...]
+    terms: tuple[str, ...]
 
 
 class FitSummary(NamedTuple):

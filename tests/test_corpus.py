@@ -162,6 +162,8 @@ class TestDedup:
         assert len(ids) == len(set(ids))
         keys = [(p.user_id, normalized_text(p.text)) for p in once]
         assert len(keys) == len(set(keys))
+        order = [(p.timestamp, p.post_id) for p in once]
+        assert order == sorted(order)
 
     @given(st.permutations(list(range(8))))
     @settings(max_examples=30, deadline=None)

@@ -104,6 +104,63 @@ def test_short_csv_row_names_its_missing_cells(name, missing, input_file):
     assert str(caught.value) == f"{path}: row 3: missing cell(s): {missing}"
 
 
+# a file that its LOADERS entry's loader rejects -> (the entry, the
+# message after the path); a blank row, a line-based field holding a
+# character at which ``str.splitlines`` would end a line, or a row or
+# line with too many cells or fields comes before the bad line or is it,
+# so the message must number lines and rows as the file does
+NUMBERED = {
+    "lexicon, U+2028 in a lemma": (
+        "lexicon",
+        "harass\t-0.8\t-0.7\t-0.9\t-0.6\t0.5\nha\u2028rm\t0\t0\t0\t0\t0\n"
+        "harm\t2\t0\t0\t0\t0\n".encode(),
+        "line 3: sentiment_verb=2.0 outside [-1, 1]"),
+    "embeddings, U+0085 after a word": (
+        "embeddings", "a 1 0\nb\x85 0 1\nc 1\n".encode(), "line 3: dimension 1 != 2"),
+    "abbreviations, U+2028 in a key": (
+        "abbreviations", "u\tyou\nl\u2028ol\tyou\nu\tyou\n".encode(),
+        "line 3: duplicate key 'u'"),
+    "inventory, third field": (
+        "inventory", b"harass\tharassed\toops\n",
+        "line 1: expected 'lemma<TAB>inflections'"),
+    "institutions, long row": (
+        "institutions",
+        b"institution_id,enrollment,mf_ratio,sector,region,reported_cases\n"
+        b"u1,5000,0.9,private,west,12\nu2,5000,0.9,private,west,3,4\n",
+        "row 3: more cells than columns"),
+    "institutions, blank row": (
+        "institutions",
+        b"institution_id,enrollment,mf_ratio,sector,region,reported_cases\n"
+        b"u1,5000,0.9,private,west,12\n\nu2,5000,0.9,private,nowhere,3\n",
+        "row 4: unknown region 'nowhere'"),
+    "labels, long row": (
+        "labels", b"post_id,harassment_type,participant\np1,physical,peer,faculty\n",
+        "row 2: more cells than columns"),
+    "labels, blank row": (
+        "labels",
+        b"post_id,harassment_type,participant\np1,physical,peer\n\np1,verbal,peer\n",
+        "row 4: duplicate label for post_id 'p1'"),
+    "triples, long row": (
+        "triples",
+        b"post_id\tverb_lemma\tpassive\tagent\taffected\np1\tharass\t0\the\tme\tyou\n",
+        "row 2: more cells than columns"),
+    "triples, blank row": (
+        "triples",
+        b"post_id\tverb_lemma\tpassive\tagent\taffected\np1\tharass\t0\the\tme\n"
+        b"\np2\tharass\tyes\the\tme\n",
+        "row 4: passive must be 0 or 1, got 'yes'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMBERED))
+def test_message_numbers_lines_and_rows_as_the_file_does(name, input_file):
+    entry, bad, message = NUMBERED[name]
+    path = input_file(bad)
+    with pytest.raises(DataError) as caught:
+        LOADERS[entry][2](path, input_file)
+    assert str(caught.value) == f"{path}: {message}"
+
+
 # the inputs that are not read through ``read_utf8``, in the form of LOADERS
 OTHER_INPUTS = {
     "posts": (
@@ -145,6 +202,28 @@ def test_leading_byte_order_mark_is_ignored(name, input_file):
     valid, _, load = {**LOADERS, **OTHER_INPUTS}[name]
     expected = plain(load(input_file(valid), input_file))
     assert plain(load(input_file(codecs.BOM_UTF8 + valid), input_file)) == expected
+
+
+# a file that must load as its LOADERS entry's valid file does -> the
+# entry: every line-based input with a comment and a blank line in
+# front, and triples with the columns reordered, an extra column and a
+# blank row
+EQUIVALENT = {
+    **{f"{name}, commented": (name, b"# comment\n\n" + LOADERS[name][0])
+       for name in ("abbreviations", "censored", "embeddings", "inventory",
+                    "language model", "lexicon", "wordlist")},
+    "triples, columns reordered": (
+        "triples", b"affected\tnote\tpassive\tagent\tpost_id\tverb_lemma\n"
+                   b"\nme\tx\t0\the\tp1\tharass\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENT))
+def test_equivalent_file_loads_the_same(name, input_file):
+    entry, variant = EQUIVALENT[name]
+    valid, _, load = LOADERS[entry]
+    expected = plain(load(input_file(valid), input_file))
+    assert plain(load(input_file(variant), input_file)) == expected
 
 
 # A seeded one-line mutation of one input file of the demo bundle per
