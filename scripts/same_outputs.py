@@ -18,6 +18,10 @@ two output directories file by file:
   embeddings, language model, abbreviations, word list and censored
   list) each start with a ``#`` comment line and a blank line, all six
   stages: every line-based loader skips both;
+- a copy of the demo bundle with the labeled posts of ``WINDOW_TEXTS``
+  added, all six stages: they place a verb at sentence positions 0-6, a
+  "by" 1-6 tokens after a passive verb, and sentence-final punctuation
+  inside a window, so every window edge of ``events`` is crossed;
 - a copy of the demo bundle whose config key ``triples`` names a copy
   of the ``triples.tsv`` that ``events`` writes for it, with the data
   rows shuffled by ``random.Random(0)``; stages ``ingest``,
@@ -65,6 +69,20 @@ CORRUPTED_KEYS = ("posts", "institutions", "labels", "lexicon", "embeddings",
                   "language_model", "abbreviations", "wordlist", "censored")
 LINE_BASED_KEYS = ("lexicon", "embeddings", "language_model", "abbreviations",
                    "wordlist", "censored")
+WINDOW_TEXTS = (
+    # the verb at sentence positions 0-6, a candidate agent at position 0
+    "grabbed the coach at the gym",
+    *(f"coach {'the ' * (pos - 1)}grabbed me" for pos in range(1, 7)),
+    # "by" 1-6 tokens after a passive verb, then its object 5 and 6 tokens on
+    *(f"i was followed {'the ' * (gap - 1)}by my coach" for gap in range(1, 7)),
+    "i was followed by the the the the coach",
+    "i was followed by the the the the the coach",
+    # sentence-final punctuation inside a window
+    "the coach. grabbed me", "he harassed! me", "i was followed? by my coach",
+    "i was followed by\u2026 the coach", "she ... grabbed him", "was. harassed by him",
+    # a passive auxiliary 3 and 4 tokens before the verb
+    "i was the the followed by him", "i was the the the followed by him",
+)
 
 
 def build_bundles(directory: Path) -> list[tuple[str, Path, tuple[str, ...], bool]]:
@@ -93,6 +111,16 @@ def build_bundles(directory: Path) -> list[tuple[str, Path, tuple[str, ...], boo
     files = demo.write_demo_bundle(path, DEMO_SEED)
     for key in LINE_BASED_KEYS:
         files[key].write_bytes(b"# generated by postmine.demo\n\n" + files[key].read_bytes())
+    bundles.append((path.name, path, generate.ALL_STAGES, False))
+    path = directory / f"demo-{DEMO_SEED}-windows"
+    files = demo.write_demo_bundle(path, DEMO_SEED)
+    with open(files["posts"], "a", encoding="utf-8") as posts, \
+            open(files["labels"], "a", encoding="utf-8") as labels:
+        for i, text in enumerate(WINDOW_TEXTS):
+            posts.write(json.dumps({"post_id": f"w{i:02d}", "user_id": f"wuser{i:02d}",
+                                    "institution_id": "u001", "timestamp": 1509000000 + i,
+                                    "text": text}) + "\n")
+            labels.write(f"w{i:02d},physical,peer\n")
     bundles.append((path.name, path, generate.ALL_STAGES, False))
     path = directory / f"demo-{DEMO_SEED}-imported-triples"
     bundles.append((path.name, imported_triples_bundle(path),

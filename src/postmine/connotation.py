@@ -23,8 +23,9 @@ least one scored triple.  Its means are correctly rounded sums
 (``math.fsum``), so the report depends on which triples the file holds,
 not on their order.
 
-Frames are named tuples that check their range when they are made.
-``events`` is imported for type annotations only.
+Frames are plain named tuples: ``load_lexicon`` checks each score read,
+and ``propagate`` clamps, so every frame is in [-1, 1].  ``events`` is
+imported for type annotations only.
 """
 
 from __future__ import annotations
@@ -42,14 +43,6 @@ from .errors import DataError, atomic_open, data_lines, read_utf8
 if TYPE_CHECKING:
     from .events import EventTriple
 
-FRAME_DIMENSIONS = (
-    "sentiment_verb",
-    "sentiment_affected",
-    "persp_affected_to_agent",
-    "persp_reader_to_affected",
-    "persp_affected_to_affected",
-)
-
 AGGREGATE_HEADER = (
     "harassment_type",
     "participant",
@@ -59,29 +52,14 @@ AGGREGATE_HEADER = (
 )
 
 
-class _FrameFields(NamedTuple):
+class ConnotationFrame(NamedTuple):
+    """Five scores, each in [-1, 1]."""
+
     sentiment_verb: float
     sentiment_affected: float
     persp_affected_to_agent: float
     persp_reader_to_affected: float
     persp_affected_to_affected: float
-
-
-class ConnotationFrame(_FrameFields):
-    """Five scores, each in [-1, 1]; ``_make`` and ``_replace`` check too."""
-
-    __slots__ = ()
-
-    def __new__(cls, *scores: float, **named: float) -> "ConnotationFrame":
-        frame = _FrameFields.__new__(cls, *scores, **named)
-        for dim, value in zip(FRAME_DIMENSIONS, frame):
-            if not -1.0 <= value <= 1.0:
-                raise ValueError(f"{dim}={value} outside [-1, 1]")
-        return frame
-
-    @classmethod
-    def _make(cls, iterable) -> "ConnotationFrame":
-        return cls(*iterable)
 
 
 def load_lexicon(path: str | Path) -> dict[str, ConnotationFrame]:
@@ -100,10 +78,10 @@ def load_lexicon(path: str | Path) -> dict[str, ConnotationFrame]:
                 scores = [float(x) for x in parts[1:]]
             except ValueError:
                 raise DataError(f"line {lineno}: non-numeric score") from None
-            try:
-                frames[lemma] = ConnotationFrame(*scores)
-            except ValueError as exc:
-                raise DataError(f"line {lineno}: {exc}") from None
+            for dim, value in zip(ConnotationFrame._fields, scores):
+                if not -1.0 <= value <= 1.0:
+                    raise DataError(f"line {lineno}: {dim}={value} outside [-1, 1]")
+            frames[lemma] = ConnotationFrame(*scores)
         if not frames:
             raise DataError("lexicon is empty")
     return frames
@@ -147,20 +125,22 @@ class EmbeddingStore:
 
 
 def load_embeddings(path: str | Path) -> EmbeddingStore:
-    """Read text lines "word v1 v2 ... vD"; the first line fixes D, and a
-    mismatched line or a nan/inf component is fatal with its line number."""
+    """Read text lines "word v1 v2 ... vD", fields split at runs of ASCII
+    spaces and tabs only (a word may hold any other space); the first line
+    fixes D, and a mismatched line or a nan/inf component is fatal with its
+    line number."""
     vectors: dict[str, list[float]] = {}
     dimension: int | None = None
     with read_utf8(path) as handle:
         for lineno, line in data_lines(handle):
-            parts = line.split()
-            if len(parts) < 2:
+            word, *fields = filter(None, line.replace("\t", " ").split(" "))
+            if not fields:
                 raise DataError(f"line {lineno}: no vector components")
-            word = parts[0].lower()
+            word = word.lower()
             if word in vectors:
                 raise DataError(f"line {lineno}: duplicate word {word!r}")
             try:
-                vec = [float(x) for x in parts[1:]]
+                vec = list(map(float, fields))
             except ValueError:
                 raise DataError(f"line {lineno}: non-numeric component") from None
             if not all(map(math.isfinite, vec)):
@@ -229,7 +209,7 @@ def propagate(
         return None
     n = len(neighbors)
     values = []
-    for dim in FRAME_DIMENSIONS:
+    for dim in ConnotationFrame._fields:
         total = 0.0
         for lemma, sim in neighbors:
             total += max(0.0, sim) * getattr(lexicon[lemma], dim)

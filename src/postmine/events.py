@@ -6,8 +6,8 @@ stream (including the file import path in ``read_triples``) can replace
 it.  A verb is any token that lemmatizes into the verb inventory; its
 arguments are the nearest noun-like tokens inside short windows, with a
 passive-voice rule that swaps the roles and looks for a "by" phrase.
-Sentences are split on sentence-final punctuation and windows never
-cross a boundary.
+Sentences are split on sentence-final punctuation, and each window is
+a slice of one sentence's tokens, so none crosses a boundary.
 
 A triple's agent and affected are token surfaces, or None; an argument
 candidate is a token of one of ``textprep.CONTENT_KINDS``.  Only
@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import DataError, atomic_open, data_lines, read_utf8, table_rows
 
@@ -67,6 +67,7 @@ class VerbInventory:
 
 def load_inventory(path: str | Path) -> tuple[VerbInventory, list[str]]:
     """Read a tab-delimited inventory: lemma TAB comma-joined inflections.
+    A lemma holding a comma (a line whose lemma is missing) is fatal.
 
     Returns the inventory and its warnings, each naming the file: one per
     inflection that a later line maps to a second lemma (the first
@@ -78,9 +79,9 @@ def load_inventory(path: str | Path) -> tuple[VerbInventory, list[str]]:
     with read_utf8(path) as handle:
         for lineno, line in data_lines(handle):
             parts = line.split("\t")
-            if len(parts) > 2:
-                raise DataError(f"line {lineno}: expected 'lemma<TAB>inflections'")
             lemma = parts[0].strip().lower()
+            if len(parts) > 2 or "," in lemma:
+                raise DataError(f"line {lineno}: expected 'lemma<TAB>inflections'")
             lemmas.append(lemma)
             if len(parts) > 1 and parts[1].strip():
                 for surface in parts[1].split(","):
@@ -147,11 +148,11 @@ def _suffix_candidates(surface: str) -> list[str]:
     return out
 
 
-def _sentences(tokens: Sequence[Token], punct: TokenKind) -> list[list[int]]:
-    """Index lists per sentence, split on sentence-final punctuation."""
-    sentences: list[list[int]] = []
-    current: list[int] = []
-    for i, token in enumerate(tokens):
+def _sentences(tokens: Sequence[Token], punct: TokenKind) -> list[list[Token]]:
+    """The tokens of each sentence, split on sentence-final punctuation."""
+    sentences: list[list[Token]] = []
+    current: list[Token] = []
+    for token in tokens:
         # surfaces are never empty, so one of dots only strips to ""
         if token.kind is punct and (
             token.surface in SENTENCE_FINAL or not token.surface.strip(".")
@@ -160,7 +161,7 @@ def _sentences(tokens: Sequence[Token], punct: TokenKind) -> list[list[int]]:
                 sentences.append(current)
                 current = []
         else:
-            current.append(i)
+            current.append(token)
     if current:
         sentences.append(current)
     return sentences
@@ -188,41 +189,37 @@ def extract_triples(
         stopwords = bundled_stopwords()
     word = TokenKind.WORD
 
-    def is_candidate(index: int) -> bool:
-        token = tokens[index]
-        if token.kind not in CONTENT_KINDS:
-            return False
-        surface = token.surface
-        if surface in PRONOUN_CANDIDATES:
-            return True
-        return surface not in stopwords and lemmatize(surface, inventory) is None
+    def nearest(window: Iterable[Token]) -> str | None:
+        """The surface of the first noun-like token of ``window``."""
+        for token in window:
+            surface = token.surface
+            if token.kind in CONTENT_KINDS and (
+                    surface in PRONOUN_CANDIDATES
+                    or surface not in stopwords and lemmatize(surface, inventory) is None):
+                return surface
+        return None
 
     triples: list[EventTriple] = []
     for sentence in _sentences(tokens, TokenKind.PUNCT):
-        for pos, tok_index in enumerate(sentence):
-            token = tokens[tok_index]
+        for pos, token in enumerate(sentence):
             if token.kind is not word:
                 continue
             lemma = lemmatize(token.surface, inventory)
             if lemma is None or token.surface in PASSIVE_AUXILIARIES:
                 continue
-            passive = any(
-                tokens[sentence[p]].surface in PASSIVE_AUXILIARIES
-                for p in range(max(0, pos - AUX_WINDOW), pos)
-            )
-            before = _nearest_candidate(
-                tokens, sentence, is_candidate,
-                range(pos - 1, max(0, pos - AGENT_WINDOW) - 1, -1),
-            )
+            passive = any(t.surface in PASSIVE_AUXILIARIES
+                          for t in sentence[max(0, pos - AUX_WINDOW):pos])
+            before = nearest(reversed(sentence[max(0, pos - AGENT_WINDOW):pos]))
+            after = sentence[pos + 1:pos + AFFECTED_WINDOW + 1]
             if passive:
-                affected = before
-                agent = _by_object(tokens, sentence, is_candidate, pos)
+                affected, agent = before, None
+                for by, t in enumerate(after, pos + 1):
+                    if t.surface == "by":
+                        agent = nearest(sentence[by + 1:by + AFFECTED_WINDOW + 1])
+                        break
             else:
                 agent = before
-                affected = _nearest_candidate(
-                    tokens, sentence, is_candidate,
-                    range(pos + 1, min(len(sentence), pos + AFFECTED_WINDOW + 1)),
-                )
+                affected = nearest(after)
             triples.append(EventTriple(
                 verb_lemma=lemma,
                 agent=agent,
@@ -231,33 +228,6 @@ def extract_triples(
                 source_post=source_post,
             ))
     return triples
-
-
-def _nearest_candidate(
-    tokens: Sequence[Token],
-    sentence: list[int],
-    is_candidate: Callable[[int], bool],
-    positions: range,
-) -> str | None:
-    for p in positions:
-        if 0 <= p < len(sentence) and is_candidate(sentence[p]):
-            return tokens[sentence[p]].surface
-    return None
-
-
-def _by_object(
-    tokens: Sequence[Token],
-    sentence: list[int],
-    is_candidate: Callable[[int], bool],
-    verb_pos: int,
-) -> str | None:
-    for p in range(verb_pos + 1, min(len(sentence), verb_pos + AFFECTED_WINDOW + 1)):
-        if tokens[sentence[p]].surface == "by":
-            return _nearest_candidate(
-                tokens, sentence, is_candidate,
-                range(p + 1, min(len(sentence), p + AFFECTED_WINDOW + 1)),
-            )
-    return None
 
 
 TRIPLE_HEADER = ("post_id", "verb_lemma", "passive", "agent", "affected")

@@ -36,8 +36,8 @@ that holds it.
 
 All operations are pure given an immutable dictionary and language
 model (nothing is stored on either once loaded), so corpus-level
-preprocessing can fan out per document.  A ``Token`` is an immutable
-named tuple that checks its surface and kind when it is made.
+preprocessing can fan out per document.  A ``Token`` is a plain named
+tuple that checks nothing: the code here that makes one keeps its rules.
 
 This module alone decides which tokens carry content: ``CONTENT_KINDS``
 (words and hashtag segments).  ``content_terms`` gives a post's content
@@ -79,27 +79,13 @@ class TokenKind(Enum):
     PUNCT = "punct"
 
 
-class _TokenFields(NamedTuple):
+class Token(NamedTuple):
+    """One token: a surface and its kind.  The surface is never empty (no
+    tokenizer rule, segment or expansion word is), and only a designated
+    tag has kind TAG."""
+
     surface: str
     kind: TokenKind
-
-
-class Token(_TokenFields):
-    """One token: a non-empty surface and its kind; only the designated
-    tags have kind TAG.  ``_make`` and ``_replace`` check too."""
-
-    __slots__ = ()
-
-    def __new__(cls, surface: str, kind: TokenKind) -> "Token":
-        if not surface:
-            raise ValueError("empty token surface")
-        if kind is TokenKind.TAG and surface not in DESIGNATED_TAGS:
-            raise ValueError(f"kind TAG reserved for designated tags, got {surface!r}")
-        return tuple.__new__(cls, (surface, kind))
-
-    @classmethod
-    def _make(cls, iterable) -> "Token":
-        return cls(*iterable)
 
 
 # tags, emoticons, censored words and punctuation carry no content
@@ -335,9 +321,8 @@ class LanguageModel:
         self.total_unigrams = total_unigrams
         # w2 -> every w1 with a known bigram (w1, w2)
         predecessors: dict[str, list[str]] = {}
-        for (w1, w2), count in bigram_counts.items():
-            if count:
-                predecessors.setdefault(w2, []).append(w1)
+        for w1, w2 in bigram_counts:
+            predecessors.setdefault(w2, []).append(w1)
         self.predecessors: Mapping[str, tuple[str, ...]] = {
             w2: tuple(w1s) for w2, w1s in predecessors.items()}
         self.longest_word = max(map(len, unigram_counts), default=0)

@@ -40,18 +40,23 @@ def labeled(*post_ids):
 
 
 class TestConnotationFrame:
+    """A frame's scores lie in [-1, 1]: ``load_lexicon``, where frames
+    come from outside, rejects any other value at its line."""
+
     @pytest.mark.parametrize("dim", range(5))
     @pytest.mark.parametrize("value", [-1.5, 1.0 + 1e-9, float("nan")])
-    def test_out_of_range_score_rejected(self, dim, value):
-        scores = [0.0] * 5
-        scores[dim] = value
-        with pytest.raises(ValueError, match="outside"):
-            ConnotationFrame(*scores)
-        with pytest.raises(ValueError, match="outside"):
-            HARASS_FRAME._replace(**{HARASS_FRAME._fields[dim]: value})
+    def test_out_of_range_score_rejected(self, input_file, dim, value):
+        scores = ["0"] * 5
+        scores[dim] = repr(value)
+        src = input_file("ok\t-1\t1\t0\t0\t0\nbad\t" + "\t".join(scores) + "\n")
+        with pytest.raises(DataError) as caught:
+            load_lexicon(src)
+        assert str(caught.value) == (
+            f"{src}: line 2: {ConnotationFrame._fields[dim]}={value} outside [-1, 1]")
 
-    def test_bounds_are_inclusive(self):
-        assert ConnotationFrame(-1.0, 1.0, 0.0, 0.0, 0.0) == (-1.0, 1.0, 0.0, 0.0, 0.0)
+    def test_bounds_are_inclusive(self, input_file):
+        lex = load_lexicon(input_file("a" + "\t-1.0" * 5 + "\nb" + "\t1" * 5 + "\n"))
+        assert lex == {"a": (-1.0,) * 5, "b": (1.0,) * 5}
 
 
 class TestLoadLexicon:
@@ -83,6 +88,13 @@ class TestLoadEmbeddings:
     def test_mismatched_line_fatal_with_number(self, input_file):
         with pytest.raises(DataError, match="line 2"):
             load_embeddings(input_file("a 1 0 0\nb 0 1\n"))
+
+    def test_fields_split_only_at_ascii_spaces_and_tabs(self, input_file):
+        emb = load_embeddings(input_file("a 1 0\nb\xa0c 0 1\nd\u2028e\t \t1 1\nf\x85 2 0\n"))
+        assert emb.unit_vector("b\xa0c").tolist() == [0.0, 1.0]
+        assert emb.unit_vector("d\u2028e") == pytest.approx([0.5 ** 0.5, 0.5 ** 0.5])
+        assert emb.unit_vector("f\x85").tolist() == [1.0, 0.0]
+        assert "b" not in emb and "d" not in emb
 
     def test_zero_norm_rejected(self, input_file):
         with pytest.raises(DataError, match="zero-norm"):

@@ -194,6 +194,14 @@ class TestInventoryIO:
         assert warnings == [
             f"{path}: 'hit' is a lemma and also an inflection of 'harass'; keeping the lemma"]
 
+    @pytest.mark.parametrize("text", ["harass\tharassed\n\tgrabbed,grabs\n",
+                                      "harass\tharassed\ngrab, grabs\tgrabbed\n"])
+    def test_lemma_with_a_comma_fatal(self, input_file, text):
+        path = input_file(text)
+        with pytest.raises(DataError) as caught:
+            load_inventory(path)
+        assert str(caught.value) == f"{path}: line 2: expected 'lemma<TAB>inflections'"
+
     def test_lemma_listed_as_its_own_inflection_is_quiet(self, input_file):
         _, warnings = load_inventory(input_file("hit\thit,hits\n"))
         assert warnings == []

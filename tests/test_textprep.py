@@ -46,22 +46,41 @@ def surfaces(tokens):
     return [t.surface for t in tokens]
 
 
+# Every character the regex engine's ``\s`` matches.
+WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+              "\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
+              "\u2028\u2029\u202f\u205f\u3000")
+# Pieces that reach every tokenizer rule and every per-token step.
+TEXT_PIECES = [*WHITESPACE, "#", "@", "*", "$", "%", ".", "..", "'", "\u2019", "-", ":",
+               "xd", "8)", ":-)", "<3", "<url>", "<user", "http://", "www.", "a.b.",
+               "\ud800", "\u2026", "\U0001F600", "2020", "u", "s**t", "sooo", "reallyyy",
+               "metoo", "MeToo", "hello", "world", "the", "cat", "ann", "x.co"]
+
+
+# Hashtags whose bodies strip to nothing or pass the segmenting cap,
+# and mask runs on either side of the censored rule's cap of 64.
+HOSTILE_PIECES = ["#_", "#\u00e9", "#'", "#" + "metoo" * 57, "*" * 64 + "a", "$" * 65 + "a",
+                  "a" + "%" * 70, "#" + "@" * 3]
+
+
+HOSTILE_TEXT = st.lists(st.sampled_from(TEXT_PIECES + HOSTILE_PIECES), max_size=24).map("".join)
+
+
 class TestTokenRecord:
-    def test_empty_surface_rejected(self):
-        with pytest.raises(ValueError, match="empty token surface"):
-            Token("", TokenKind.WORD)
+    """``Token`` does not check itself; ``preprocess`` is what keeps
+    surfaces non-empty and kind TAG for the designated tags."""
 
-    def test_tag_kind_reserved_for_designated_tags(self):
-        assert Token(TAG_URL, TokenKind.TAG).surface == TAG_URL
-        with pytest.raises(ValueError, match="kind TAG reserved"):
-            Token("<nope>", TokenKind.TAG)
+    @settings(max_examples=300, deadline=None)
+    @given(HOSTILE_TEXT)
+    def test_empty_surface_rejected(self, toy_lm, text):
+        for token in preprocess(text, TestChunkedPreprocess.DICT, toy_lm):
+            assert token.surface
 
-    def test_replace_and_make_check_too(self):
-        token = Token("word", TokenKind.WORD)
-        with pytest.raises(ValueError, match="empty token surface"):
-            token._replace(surface="")
-        with pytest.raises(ValueError, match="kind TAG reserved"):
-            Token._make(("word", TokenKind.TAG))
+    @settings(max_examples=300, deadline=None)
+    @given(HOSTILE_TEXT)
+    def test_tag_kind_reserved_for_designated_tags(self, toy_lm, text):
+        for token in preprocess(text, TestChunkedPreprocess.DICT, toy_lm):
+            assert token.kind is not TokenKind.TAG or token.surface in DESIGNATED_TAGS
 
     def test_is_an_immutable_named_tuple(self):
         token = Token("word", TokenKind.WORD)
@@ -443,17 +462,6 @@ class TestPreprocess:
             once = preprocess(text, d, toy_lm)
             again = preprocess(" ".join(surfaces(once)), d, toy_lm)
             assert surfaces(again) == surfaces(once)
-
-
-# Every character the regex engine's ``\s`` matches.
-WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
-              "\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
-              "\u2028\u2029\u202f\u205f\u3000")
-# Pieces that reach every tokenizer rule and every per-token step.
-TEXT_PIECES = [*WHITESPACE, "#", "@", "*", "$", "%", ".", "..", "'", "\u2019", "-", ":",
-               "xd", "8)", ":-)", "<3", "<url>", "<user", "http://", "www.", "a.b.",
-               "\ud800", "\u2026", "\U0001F600", "2020", "u", "s**t", "sooo", "reallyyy",
-               "metoo", "MeToo", "hello", "world", "the", "cat", "ann", "x.co"]
 
 
 class TestChunkedPreprocess:
