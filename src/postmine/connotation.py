@@ -69,9 +69,9 @@ def load_lexicon(path: str | Path) -> dict[str, ConnotationFrame]:
     with read_utf8(path) as handle:
         for lineno, line in data_lines(handle):
             parts = line.split("\t")
-            if len(parts) != 6:
-                raise DataError(f"line {lineno}: expected lemma + 5 scores")
             lemma = parts[0].strip().lower()
+            if len(parts) != 6 or not lemma:
+                raise DataError(f"line {lineno}: expected lemma + 5 scores")
             if lemma in frames:
                 raise DataError(f"line {lineno}: duplicate lemma {lemma!r}")
             try:
@@ -178,9 +178,8 @@ def nearest_annotated(
     if keep.size > k:
         # each of the k nearest is at least the k-th largest similarity
         keep = keep[sims[keep] >= np.partition(sims[keep], -k)[-k]]
-    names = np.array([lemmas[i] for i in keep], dtype=str)
-    order = keep[np.lexsort((names, -sims[keep]))][:k]
-    return [(lemmas[i], float(sims[i])) for i in order]
+    ranked = sorted(zip((-sims[keep]).tolist(), map(lemmas.__getitem__, keep.tolist())))
+    return [(lemma, -negated) for negated, lemma in ranked[:k]]
 
 
 def propagate(

@@ -2,9 +2,9 @@
 stage uses: ``read_utf8``, the block in which every loader but the posts
 one (which skips a bad line) reads and checks its file, so that its data
 errors name the file; ``data_lines`` and ``table_rows``, the one line rule
-and the one row rule that split every input file into numbered records;
-and ``atomic_open``, which writes each ``out_dir`` file so that a stage
-dying mid-write leaves none truncated.
+(loaders trim their own fields) and the one row rule that split every input
+file into numbered records; and ``atomic_open``, which writes each
+``out_dir`` file so that a stage dying mid-write leaves none truncated.
 
 The CLI maps ConfigError to exit code 1 and DataError to exit code 2;
 the message says what went wrong, so no stage needs a subclass.
@@ -44,13 +44,13 @@ def read_utf8(path, newline=None):
 
 
 def data_lines(handle):
-    """Each line of a line-based input with its line number, stripped,
-    skipping blank lines and ``#`` comments.  ``handle`` is opened with
-    universal newlines, so a line ends only at ``\\n``, ``\\r\\n`` or
-    ``\\r`` and the numbers are the file's own."""
+    """Each line of a line-based input with its line number, right-stripped
+    (each loader trims its fields), skipping blank lines and ``#`` comments.
+    ``handle`` is opened with universal newlines, so a line ends only at
+    ``\\n``, ``\\r\\n`` or ``\\r`` and the numbers are the file's own."""
     for lineno, line in enumerate(handle, start=1):
-        line = line.strip()
-        if line and line[0] != "#":
+        line = line.rstrip()
+        if line and line.lstrip()[0] != "#":
             yield lineno, line
 
 

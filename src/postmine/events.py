@@ -80,7 +80,7 @@ def load_inventory(path: str | Path) -> tuple[VerbInventory, list[str]]:
         for lineno, line in data_lines(handle):
             parts = line.split("\t")
             lemma = parts[0].strip().lower()
-            if len(parts) > 2 or "," in lemma:
+            if len(parts) > 2 or not lemma or "," in lemma:
                 raise DataError(f"line {lineno}: expected 'lemma<TAB>inflections'")
             lemmas.append(lemma)
             if len(parts) > 1 and parts[1].strip():

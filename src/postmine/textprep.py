@@ -99,7 +99,7 @@ def content_terms(tokens: Sequence[Token]) -> list[str]:
 
 def _bundled_lines(name: str) -> list[str]:
     with resources.files("postmine.data").joinpath(name).open("r", encoding="utf-8") as handle:
-        return [line for _, line in data_lines(handle)]
+        return [line.strip() for _, line in data_lines(handle)]
 
 
 def bundled_emoticons() -> tuple[str, ...]:
@@ -246,7 +246,7 @@ def load_correction_dictionary(
 
 def _word_set(path: str | Path) -> frozenset[str]:
     with read_utf8(path) as handle:
-        return frozenset(word.lower() for _, word in data_lines(handle))
+        return frozenset(word.strip().lower() for _, word in data_lines(handle))
 
 
 _ELONGATION_RE = re.compile(r"([^\W\d_])\1{2,}")
@@ -355,13 +355,13 @@ def load_language_model(path: str | Path) -> LanguageModel:
     total = 0
     with read_utf8(path) as handle:
         for lineno, line in data_lines(handle):
-            if line in ("UNIGRAM", "BIGRAM"):
-                section = line
+            parts = [field.strip() for field in line.split("\t")]
+            if parts in (["UNIGRAM"], ["BIGRAM"]):
+                section = parts[0]
                 continue
-            parts = line.split("\t")
             try:
                 if section == "UNIGRAM":
-                    if len(parts) != 2:
+                    if len(parts) != 2 or not parts[0]:
                         raise ValueError("expected 'word<TAB>count'")
                     word = parts[0].lower()
                     if word in unigrams:
@@ -371,7 +371,7 @@ def load_language_model(path: str | Path) -> LanguageModel:
                     if total > FLOAT_MAX:
                         raise ValueError("unigram counts sum too large for a float")
                 elif section == "BIGRAM":
-                    if len(parts) != 3:
+                    if len(parts) != 3 or not parts[0] or not parts[1]:
                         raise ValueError("expected 'word1<TAB>word2<TAB>count'")
                     pair = (parts[0].lower(), parts[1].lower())
                     if pair in bigrams:

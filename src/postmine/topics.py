@@ -47,10 +47,11 @@ documents, and keeps the full Dirichlet expectation.
 
 The special functions are numpy code in this module, so the stage needs
 numpy alone.  Digamma and log-gamma shift their argument by ten with the
-recurrence and then sum the asymptotic Bernoulli series; each Dirichlet
-expectation (of the topic-word parameters once per M-step, shared by the
-bound and the next sweep's E-step, and of gamma in the bound) is one
-digamma call on a block that holds the parameters and their row sums.
+recurrence and then sum the asymptotic Bernoulli series.  E[log beta] is
+one digamma call per M-step, on lambda and its row sums, read by the bound
+and the next E-step; psi(gamma) is one call per E-step, of its final gamma,
+whose exp the M-step and the next E-step read and which, less psi of the
+column sums, is the bound's E[log theta].
 
 The fit keeps the per-document variational parameters warm across
 sweeps, and a plain update is an exact coordinate maximization, which
@@ -256,7 +257,7 @@ def _gammaln(values: np.ndarray) -> np.ndarray:
 
 
 def _dirichlet_expectation(params: np.ndarray) -> np.ndarray:
-    """E[log x] under Dirichlet(row) for every row of ``params``: one
+    """E[log beta] under Dirichlet(row) for every row of lambda: one
     digamma call on the rows with their sums appended as a last column."""
     k = params.shape[1]
     block = np.empty((len(params), k + 1))
@@ -326,11 +327,14 @@ def fit_lda(matrix: WeightedMatrix, k: int, seed: int, iters: int = 200) -> Topi
     converged = False
     inner_total = capped_total = 0
     elog_beta = _dirichlet_expectation(lam)   # E[log beta], once per lambda
+    theta = np.exp(_digamma(gamma))           # exp psi(gamma), once per gamma
     for _ in range(iters):
         exp_elog_beta = np.take(np.exp(elog_beta), nz.ids, axis=1)  # K x nnz
-        theta, inner, capped = _e_step(gamma, exp_elog_beta, nz, alpha)
+        inner, capped = _e_step(gamma, theta, exp_elog_beta, nz, alpha)
         inner_total += inner
         capped_total += capped
+        psi = _digamma(gamma)
+        theta = np.exp(psi)
         weights = np.take(theta, nz.doc_of, axis=1)
         phinorm = np.einsum("kj,kj->j", weights, exp_elog_beta) + 1e-100
         weights *= nz.cts / phinorm
@@ -339,7 +343,7 @@ def fit_lda(matrix: WeightedMatrix, k: int, seed: int, iters: int = 200) -> Topi
             np.bincount(nz.ids, weights=row, minlength=vocab_size) for row in weights])
         lam = ETA + sstats
         elog_beta = _dirichlet_expectation(lam)
-        bound = _elbo(nz, gamma, lam, elog_beta, alpha)
+        bound = _elbo(nz, gamma, psi, lam, elog_beta, alpha)
         trace.append(bound)
         if len(trace) >= 2:
             prev = trace[-2]
@@ -363,12 +367,11 @@ def fit_lda(matrix: WeightedMatrix, k: int, seed: int, iters: int = 200) -> Topi
     )
 
 
-def _e_step(
-    gamma: np.ndarray, exp_elog_beta: np.ndarray, nz: _Nonzeros, alpha: float
-) -> tuple[np.ndarray, int, int]:
+def _e_step(gamma: np.ndarray, theta: np.ndarray, exp_elog_beta: np.ndarray,
+            nz: _Nonzeros, alpha: float) -> tuple[int, int]:
     """Run the per-document fixed point for gamma (K x active) on every
-    active document at once, accelerated by SQUAREM, updating ``gamma``
-    in place; returns the final exp(psi(gamma)) columns, the number of
+    active document at once, accelerated by SQUAREM, from ``theta`` =
+    exp(psi(gamma)); updates ``gamma`` in place and returns the number of
     plain updates run and the number of documents still running when
     INNER_ITERS ran out.
 
@@ -376,33 +379,32 @@ def _e_step(
     a factor per document, which ``phinorm`` divides out of the update
     and of the expected counts.  Each cycle runs two plain updates,
     g1 = F(g) and g2 = F(g1), and then moves every working column to
-    its SQUAREM point of the three (``_extrapolate``).  A document stops
-    in the cycle whose plain step g1 -> g2 has sum_k |change of gamma| <
-    INNER_RTOL * sum_k gamma, and keeps g2; a document still running
-    once INNER_ITERS plain updates have run keeps its last g2 too.
-    Stopped columns leave the working arrays, with their nonzeros, once
-    at most half of the working columns are still running; until then
-    they are updated and ignored, which leaves every other document's
-    arithmetic as it is."""
-    exp_theta = np.exp(_digamma(gamma))
+    its SQUAREM point of the three (``_extrapolate``); no update starts
+    from g2, so it alone goes without its exp(psi).  A document stops in
+    the cycle whose step g1 -> g2 has sum_k |change of gamma| <
+    INNER_RTOL * sum_k gamma, and keeps g2; a document still running once
+    INNER_ITERS plain updates have run keeps its last g2 too.  Stopped
+    columns leave the working arrays, with their nonzeros, once at most
+    half of the working columns are still running; until then they are
+    updated and ignored, which leaves every other document's arithmetic
+    as it is."""
     if not gamma.shape[1]:
-        return exp_theta, 0, 0
+        return 0, 0
     live = np.arange(gamma.shape[1])      # working column -> active document
     running = np.ones(len(live), dtype=bool)
-    point, theta = gamma, exp_theta
+    point = gamma
     beta, cts, local, lengths = exp_elog_beta, nz.cts, nz.doc_of, nz.lengths
     starts = _starts(lengths)
     inner = 0
     while True:
-        first, theta = _update(theta, beta, cts, local, starts, alpha)
-        second, theta = _update(theta, beta, cts, local, starts, alpha)
+        first = _update(theta, beta, cts, local, starts, alpha)
+        second = _update(np.exp(_digamma(first)), beta, cts, local, starts, alpha)
         inner += 2
         last_change = second - first
         stop = np.abs(last_change).sum(axis=0) < INNER_RTOL * second.sum(axis=0)
         stop &= running
         if stop.any():
             gamma[:, live[stop]] = second[:, stop]
-            exp_theta[:, live[stop]] = theta[:, stop]
             running &= ~stop
         still = np.count_nonzero(running)
         if not still or inner >= INNER_ITERS:
@@ -419,17 +421,15 @@ def _e_step(
         point = _extrapolate(point, first - point, second, last_change)
         theta = np.exp(_digamma(point))
     gamma[:, live[running]] = second[:, running]
-    exp_theta[:, live[running]] = theta[:, running]
-    return exp_theta, inner, int(still)
+    return inner, int(still)
 
 
 def _update(theta: np.ndarray, beta: np.ndarray, cts: np.ndarray, local: np.ndarray,
-            starts: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+            starts: np.ndarray, alpha: float) -> np.ndarray:
     """One plain E-step update of every working column from its
-    exp(psi(gamma)): the new gamma and its exp(psi)."""
+    exp(psi(gamma)): the new gamma."""
     phinorm = np.einsum("kj,kj->j", np.take(theta, local, axis=1), beta) + 1e-100
-    fresh = alpha + theta * np.add.reduceat(beta * (cts / phinorm), starts, axis=1)
-    return fresh, np.exp(_digamma(fresh))
+    return alpha + theta * np.add.reduceat(beta * (cts / phinorm), starts, axis=1)
 
 
 def _extrapolate(point: np.ndarray, change: np.ndarray, second: np.ndarray,
@@ -467,14 +467,14 @@ def _extrapolate(point: np.ndarray, change: np.ndarray, second: np.ndarray,
     return fresh
 
 
-def _elbo(nz: _Nonzeros, gamma: np.ndarray, lam: np.ndarray, elog_beta: np.ndarray,
-          alpha: float) -> float:
+def _elbo(nz: _Nonzeros, gamma: np.ndarray, psi: np.ndarray, lam: np.ndarray,
+          elog_beta: np.ndarray, alpha: float) -> float:
     """Evidence lower bound with the per-token assignments optimized out
     (log-sum-exp over topics for every weighted term); ``gamma`` holds
-    the active documents' columns and ``elog_beta`` is E[log beta] of
-    ``lam``, which the next sweep's E-step reuses."""
+    the active documents' columns, ``psi`` is psi(gamma) and ``elog_beta``
+    E[log beta] of ``lam``, each also read by ``fit_lda``'s next step."""
     k, vocab_size = lam.shape
-    elog_theta = _dirichlet_expectation(gamma.T).T
+    elog_theta = psi - _digamma(gamma.sum(axis=0))
     combined = np.take(elog_theta, nz.doc_of, axis=1) + np.take(elog_beta, nz.ids, axis=1)
     peak = combined.max(axis=0)
     # einsum rather than ``nz.cts @ (...)``: on a large corpus that is a

@@ -96,6 +96,12 @@ class TestLoadEmbeddings:
         assert emb.unit_vector("f\x85").tolist() == [1.0, 0.0]
         assert "b" not in emb and "d" not in emb
 
+    def test_word_keeps_a_leading_non_ascii_space(self, input_file):
+        emb = load_embeddings(input_file("\xa0b 1 0\nc\xa0 0 1\n \td 1 1\n"))
+        assert emb.unit_vector("\xa0b").tolist() == [1.0, 0.0]
+        assert emb.unit_vector("c\xa0").tolist() == [0.0, 1.0]
+        assert "b" not in emb and "d" in emb
+
     def test_zero_norm_rejected(self, input_file):
         with pytest.raises(DataError, match="zero-norm"):
             load_embeddings(input_file("a 0 0 0\n"))
@@ -232,6 +238,16 @@ class TestNearestAnnotated:
         edge = nearest_annotated("axis", emb, rows, k=10, min_similarity=0.6)
         assert ("edge", 0.6) in edge
         assert "below" not in [w for w, _ in edge]
+
+    def test_exact_tie_broken_by_the_whole_lemma(self):
+        # a numpy str array drops trailing NUL characters, which would make
+        # "ab" and "ab\x00" equal and leave their order to the lexicon's
+        vectors = {"q": [1.0, 0.0], "ab\x00": [1.0, 1.0], "ab": [1.0, 1.0], "a": [1.0, 2.0]}
+        lex = {w: frame(0, 0, 0, 0, 0) for w in ("ab\x00", "a", "ab")}
+        emb = EmbeddingStore(vectors)
+        mine = nearest_annotated("q", emb, emb.unit_rows(lex), k=3, min_similarity=0.0)
+        ref = brute_force_neighbors("q", vectors, set(lex), 3, 0.0)
+        assert [w for w, _ in mine] == [w for w, _ in ref] == ["ab", "ab\x00", "a"]
 
 
 class TestPropagate:

@@ -161,6 +161,32 @@ def test_message_numbers_lines_and_rows_as_the_file_does(name, input_file):
     assert str(caught.value) == f"{path}: {message}"
 
 
+# a LOADERS entry (the name before any comma) -> (a file with a line that
+# starts with a tab, the message after the path): that line's first field
+# is empty, which the loader rejects as it rejects any malformed line,
+# though the rest of the line would make a valid line
+EMPTY_FIRST_FIELD = {
+    "lexicon": (b"harass\t-0.8\t-0.7\t-0.9\t-0.6\t0.5\n\tharm\t0\t0\t0\t0\t0\n",
+                "line 2: expected lemma + 5 scores"),
+    "language model, unigram": (b"UNIGRAM\nme\t10\n\ttoo\t5\n",
+                                "line 3: expected 'word<TAB>count'"),
+    "language model, bigram": (b"UNIGRAM\nme\t10\ntoo\t5\nBIGRAM\n\tme\ttoo\t2\n",
+                               "line 5: expected 'word1<TAB>word2<TAB>count'"),
+    "abbreviations": (b"\tu\tyou\n", "line 1: expected 'key<TAB>expansion'"),
+    "inventory": (b"harass\tharassed\n\tgrabbed\n",
+                  "line 2: expected 'lemma<TAB>inflections'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_FIRST_FIELD))
+def test_line_starting_with_a_tab_has_an_empty_first_field(name, input_file):
+    bad, message = EMPTY_FIRST_FIELD[name]
+    path = input_file(bad)
+    with pytest.raises(DataError) as caught:
+        LOADERS[name.split(",")[0]][2](path, input_file)
+    assert str(caught.value) == f"{path}: {message}"
+
+
 # the inputs that are not read through ``read_utf8``, in the form of LOADERS
 OTHER_INPUTS = {
     "posts": (
@@ -206,12 +232,17 @@ def test_leading_byte_order_mark_is_ignored(name, input_file):
 
 # a file that must load as its LOADERS entry's valid file does -> the
 # entry: every line-based input with a comment and a blank line in
-# front, and triples with the columns reordered, an extra column and a
-# blank row
+# front, and with ASCII spaces before and spaces and a tab after each
+# line (each loader trims its own fields), and triples with the columns
+# reordered, an extra column and a blank row
+_LINE_BASED = ("abbreviations", "censored", "embeddings", "inventory", "language model",
+               "lexicon", "wordlist")
 EQUIVALENT = {
     **{f"{name}, commented": (name, b"# comment\n\n" + LOADERS[name][0])
-       for name in ("abbreviations", "censored", "embeddings", "inventory",
-                    "language model", "lexicon", "wordlist")},
+       for name in _LINE_BASED},
+    **{f"{name}, padded": (name, b"".join(b"  " + line + b" \t\n"
+                                          for line in LOADERS[name][0].splitlines()))
+       for name in _LINE_BASED},
     "triples, columns reordered": (
         "triples", b"affected\tnote\tpassive\tagent\tpost_id\tverb_lemma\n"
                    b"\nme\tx\t0\the\tp1\tharass\n"),

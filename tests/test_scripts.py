@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import re
 import subprocess
 import sys
@@ -35,3 +36,16 @@ def test_same_outputs_starts():
         [sys.executable, str(ROOT / "scripts" / "same_outputs.py"), "--help"],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_perfbench_selftest_passes():
+    # perfbench patches the stage modules' public functions and reads
+    # fields of their results, so a rename in the package breaks it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(ROOT / "perfbench" / "selftest.py")],
+        capture_output=True, text=True, timeout=300, cwd=ROOT, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert " passed" in proc.stdout, proc.stdout

@@ -170,6 +170,20 @@ class TestFitLda:
         model = fit_lda(tfidf(docs, vocab), 2, seed=0)
         assert np.allclose(model.doc_topic[1], 0.5)
 
+    def test_fit_with_no_active_document(self):
+        # every document holds every term, so every idf is 0 and every row
+        # is empty: the E-step has no column to update
+        docs = ["alpha beta".split(), "beta alpha alpha".split(), "alpha beta beta".split()]
+        vocab = build_vocab(docs, min_df=1)
+        matrix = tfidf(docs, vocab)
+        assert all(len(ids) == 0 for ids, _ in matrix.rows)
+        model = fit_lda(matrix, 2, seed=0)
+        assert model.doc_topic.tolist() == [[0.5, 0.5]] * 3
+        assert model.objective_trace == (0.0, 0.0)
+        [fit] = model.fits
+        assert (fit.sweeps, fit.inner, fit.capped, fit.bound, fit.converged) \
+            == (2, 0, 0, 0.0, True)
+
 
 def oracle_corpus(name):
     if name == "empty-document":
