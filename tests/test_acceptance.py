@@ -12,10 +12,13 @@ import json
 import random
 import time
 from contextlib import contextmanager
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+import demo_manifest
 from conftest import load_event_gold
 from oracles import (
     brute_force_neighbors,
@@ -23,7 +26,6 @@ from oracles import (
     normal_equations_ols,
     t_tail_quadrature,
 )
-from postmine.cli import main
 from postmine.connotation import (
     load_embeddings,
     load_lexicon,
@@ -162,35 +164,45 @@ def test_criterion_4_propagation(demo_bundle):
                 assert a == pytest.approx(b, abs=1e-9)
 
 
+class Run(NamedTuple):
+    out: Path
+    stdout: dict[str, str]
+
+
 @pytest.fixture(scope="module")
 def double_run(tmp_path_factory, demo_bundle):
     """The full pipeline executed twice into separate directories."""
-    outputs = []
+    runs = []
     for run in ("run_a", "run_b"):
-        out_dir = tmp_path_factory.mktemp(run)
-        raw = json.loads(demo_bundle["config"].read_text())
-        raw["out_dir"] = str(out_dir / "out")
-        config_path = out_dir / "config.json"
-        config_path.write_text(json.dumps(raw))
-        for command in ("ingest", "topics", "events", "sentiment", "regress"):
-            assert main(["--config", str(config_path), "--seed", "42", command]) == 0
-        outputs.append(out_dir / "out")
-    return outputs
+        run_dir = tmp_path_factory.mktemp(run)
+        stdout = demo_manifest.run_pipeline(
+            demo_manifest.write_config(demo_bundle["config"], run_dir))
+        runs.append(Run(run_dir / "out", stdout))
+    return runs
 
 
 def test_criterion_5_end_to_end_determinism(double_run):
     with criterion(5, "end-to-end determinism"):
-        run_a, run_b = double_run
+        (run_a, stdout_a), (run_b, stdout_b) = double_run
         names = sorted(p.name for p in run_a.iterdir())
         assert names == sorted(p.name for p in run_b.iterdir())
         assert names  # at least the five artifacts
         for name in names:
             assert (run_a / name).read_bytes() == (run_b / name).read_bytes(), name
+        assert stdout_a == stdout_b
+
+
+def test_demo_outputs_match_the_manifest(double_run):
+    expected = json.loads(demo_manifest.MANIFEST.read_text("utf-8"))
+    found = demo_manifest.differences(
+        expected, demo_manifest.describe(double_run[0].out, double_run[0].stdout))
+    assert not found, "\n".join(
+        found + [f"if the change is meant, regenerate: {demo_manifest.REGENERATE}"])
 
 
 def test_criterion_6_schema_conformance(double_run):
     with criterion(6, "report schema conformance"):
-        out = double_run[0]
+        out = double_run[0].out
         regression = (out / "regression_report.csv").read_text().splitlines()
         assert regression[0] == "feature,coefficient,std_err,t_stat,p_value"
         assert [line.split(",")[0] for line in regression[1:-1]] == [
