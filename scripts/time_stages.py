@@ -12,7 +12,8 @@ A B, ...).  Prints each tree's median wall time, median CPU time (user
 plus system, so a stage that keeps a second core busy shows) and largest
 peak RSS per stage, the quartiles and IQR of its pipeline wall and CPU
 time (the sum over stages) and of the probe's wall time, and in how
-many rounds each tree's pipeline and probe were the faster.  Start-up
+many rounds tree B's pipeline, its probe and each of its stages were
+the faster, which shows where a saving lands.  Start-up
 and exit cost is part of every number, which an in-process trace does
 not show.  Then it compares the two output directories of the last
 round file by file: "identical", "DIFFERS", or which tree alone wrote
@@ -176,6 +177,10 @@ def main(argv: list[str] | None = None) -> int:
         peaks = [max(stage[2] for stage in column) for column in zip(*runs)]
         print(f"{label} RSS MB  " + "".join(f"{peak:11.1f}" for peak in peaks))
         print(f"{label} setup   " + " " * 11 * len(stages) + _quartiles(probe))
+    stage_wins = [sum(b[j][0] < a[j][0] for a, b in zip(*samples))
+                  for j in range(len(stages))]
+    print("B faster" + "".join(f"{wins:11d}" for wins in stage_wins)
+          + f"   rounds of {args.rounds}")
     wins = sum(b < a for a, b in zip(*totals))
     probe_wins = sum(b < a for a, b in zip(*probes))
     print(f"B faster in {wins} of {args.rounds} rounds, its setup probe in {probe_wins}; "

@@ -36,10 +36,11 @@ while every file a stage writes is written through
 Importing this module caps numpy's bundled OpenBLAS at one thread
 (``OPENBLAS_NUM_THREADS=1``); a value the user has already set stands.
 OpenBLAS starts a worker thread when numpy is imported, and that thread
-spins through the start-up of ``topics`` and ``sentiment``, which costs
-them wall time whenever the machine has no idle core for it.  No stage
-calls BLAS (the products are ``einsum`` calls without ``optimize``, the
-norms ``np.linalg.norm(..., axis=1)`` reductions), so the cap changes
+spins through the start-up of ``topics`` and of a ``sentiment`` run that
+imports numpy for a large neighbor scan, which costs them wall time
+whenever the machine has no idle core for it.  No stage calls BLAS (the
+products are ``einsum`` calls without ``optimize``, and ``connotation``
+takes its norms and sums one dimension at a time), so the cap changes
 no output.  It is set at import, not in ``run``, so that it holds for
 every caller that imports this module before numpy:
 ``python -m postmine.cli``, the ``postmine`` script and an in-process

@@ -15,6 +15,21 @@ full-scan semantics.  A verb that is unannotated and has no embedding
 or no qualifying neighbor is unscorable: ``propagate`` returns None for
 it and ``score_triples`` drops its triples.
 
+``score_triples`` scans every query verb against the annotated rows in
+one ``scan`` call, which has two engines.  Importing numpy costs a stage
+more than a small scan, so below ``NUMPY_SCAN_MIN`` multiply-adds
+(queries x annotated rows x dimension) the scan runs in pure Python and
+the stage never imports numpy; at or above it, the scan imports numpy.
+The engines give the same bits.  Both scale each vector by a power of
+two and divide it by the square root of its squares summed left to
+right, and both start each similarity at +0.0 and add its products left
+to right, one dimension at a time: explicit loops, not ``sum()``, which
+compensates from Python 3.12 on, and in numpy one add per dimension
+over a block of queries, not BLAS or a summing ``einsum``, whose order
+of summation is their own.  So the clipping, the k-th similarity cut
+and ``min_similarity`` see the same values, and ``nearest_annotated``
+ranks the candidates of either engine alike.
+
 Only labeled posts count.  ``score_triples`` drops the triples of a post
 that the post_id -> label mapping of ``corpus.attach_labels`` does not
 hold, and ``aggregate`` groups the scored records by that mapping and
@@ -31,11 +46,11 @@ imported for type annotations only.
 from __future__ import annotations
 
 import csv
+import heapq
 import math
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
-
-import numpy as np
 
 from .corpus import HarassmentLabel, HarassmentType, Participant
 from .errors import DataError, atomic_open, data_lines, read_utf8
@@ -88,40 +103,41 @@ def load_lexicon(path: str | Path) -> dict[str, ConnotationFrame]:
 
 
 class EmbeddingStore:
-    """Fixed-dimension word vectors, kept as one matrix of unit-normalized
-    rows so cosine similarity is a dot product."""
+    """Fixed-dimension word vectors, kept as given.  A scan normalizes
+    only the vectors it reads."""
 
     def __init__(self, vectors: Mapping[str, Sequence[float]]):
         if not vectors:
             raise DataError("embedding store is empty")
-        words = list(vectors)
-        matrix = np.array([vectors[word] for word in words], dtype=np.float64)
-        # scale each row by a power of two, which is exact, so that its
-        # largest |component| is in [0.5, 1): the squares summed by the
-        # norm then neither overflow nor underflow at any finite scale
-        _, exponents = np.frexp(np.abs(matrix).max(axis=1, initial=0.0))
-        matrix = np.ldexp(matrix, -exponents[:, None])
-        norms = np.linalg.norm(matrix, axis=1)
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise DataError(f"zero-norm vector for {words[zero[0]]!r}")
-        self._unit = matrix / norms[:, None]
-        self._row = {word: i for i, word in enumerate(words)}
+        for word, vector in vectors.items():
+            if not any(vector):
+                raise DataError(f"zero-norm vector for {word!r}")
+        self._vectors = dict(vectors)
 
     def __contains__(self, word: str) -> bool:
-        return word in self._row
+        return word in self._vectors
 
-    def unit_vector(self, word: str) -> np.ndarray:
-        """The word's unit vector; KeyError when it has none."""
-        return self._unit[self._row[word]]
+    def __getitem__(self, word: str) -> Sequence[float]:
+        """The word's vector; KeyError when it has none."""
+        return self._vectors[word]
 
-    def unit_rows(self, words: Iterable[str]) -> tuple[list[str], np.ndarray]:
-        """The given words that have a vector, in the given order, and
-        their unit vectors as the rows of one matrix."""
-        row = self._row
-        kept = [word for word in words if word in row]
-        rows = np.fromiter(map(row.__getitem__, kept), dtype=np.intp, count=len(kept))
-        return kept, self._unit[rows]
+    def unit_vector(self, word: str) -> list[float]:
+        """The word's vector scaled to unit length, as a scan reads it;
+        KeyError when it has none."""
+        return _unit(self._vectors[word])
+
+
+def _unit(vector: Sequence[float]) -> list[float]:
+    # scale by a power of two, which is exact, so that the largest
+    # |component| is in [0.5, 1): the squares summed for the norm then
+    # neither overflow nor underflow at any finite scale
+    _, exponent = math.frexp(max(map(abs, vector)))
+    scaled = [math.ldexp(x, -exponent) for x in vector]
+    total = 0.0
+    for x in scaled:
+        total += x * x
+    norm = math.sqrt(total)
+    return [x / norm for x in scaled]
 
 
 def load_embeddings(path: str | Path) -> EmbeddingStore:
@@ -153,47 +169,126 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
         return EmbeddingStore(vectors)
 
 
-def nearest_annotated(
-    word: str,
+# Below this many multiply-adds (queries x annotated rows x dimension) a
+# scan runs in pure Python; at or above it, it imports numpy.  Measured on
+# a 2-vCPU Xeon VM (Python 3.11, numpy 2.4), 950 annotated rows of 25
+# dimensions: importing numpy takes about 100 ms; the pure engine takes
+# about 10 ms to normalize the rows plus 1.25 ms per query (53 ns per
+# multiply-add), the numpy engine about 1 ms plus 0.055 ms per query.  So
+# the engines break even near (100 + 1 - 10) ms / (1.25 - 0.055) ms = 76
+# queries, 1.8e6 multiply-adds.
+NUMPY_SCAN_MIN = 2_000_000
+# queries per numpy block: the block's similarity rows stay in cache
+NUMPY_SCAN_BLOCK = 32
+
+
+def scan(
     embeddings: EmbeddingStore,
-    annotated: tuple[list[str], np.ndarray],
+    queries: Sequence[str],
+    lemmas: Sequence[str],
+    k: int,
+) -> list[list[tuple[float, int]]]:
+    """For each query word, its candidate neighbors among ``lemmas``:
+    (similarity, index into ``lemmas``) in index order for every lemma
+    whose similarity is at least the query's k-th largest.  A similarity
+    is the cosine clipped to [-1, 1].  Every query and lemma must have a
+    vector (KeyError otherwise).
+
+    The cut keeps every lemma that can be among the k nearest, ties
+    included, so ``nearest_annotated`` ranks the candidates as it would
+    rank every lemma.  The engine is pure Python or numpy by the scan's
+    size (``NUMPY_SCAN_MIN``); both give the same bits.
+    """
+    vectors = [embeddings[word] for word in queries]
+    rows = [embeddings[lemma] for lemma in lemmas]
+    if not vectors or not rows:
+        return [[] for _ in vectors]
+    size = len(vectors) * len(rows) * len(rows[0])
+    engine = _scan_numpy if size >= NUMPY_SCAN_MIN else _scan_python
+    return engine(vectors, rows, k)
+
+
+def _scan_python(
+    queries: Sequence[Sequence[float]], rows: Sequence[Sequence[float]], k: int
+) -> list[list[tuple[float, int]]]:
+    columns = list(zip(*map(_unit, rows)))
+    found = []
+    for query in map(_unit, queries):
+        # each similarity starts at +0.0 and adds one product per
+        # dimension, left to right, as in _scan_numpy
+        sims = [0.0] * len(rows)
+        for q, column in zip(query, columns):
+            sims = [s + q * x for s, x in zip(sims, column)]
+        sims = [-1.0 if s < -1.0 else 1.0 if s > 1.0 else s for s in sims]
+        cut = heapq.nlargest(k, sims)[-1]
+        found.append([(s, i) for i, s in enumerate(sims) if s >= cut])
+    return found
+
+
+def _scan_numpy(
+    queries: Sequence[Sequence[float]], rows: Sequence[Sequence[float]], k: int
+) -> list[list[tuple[float, int]]]:
+    import numpy as np
+
+    def unit(vectors: Sequence[Sequence[float]]) -> np.ndarray:
+        # _unit on every row at once, its squares summed in the same order
+        matrix = np.array(vectors, dtype=np.float64)
+        _, exponents = np.frexp(np.abs(matrix).max(axis=1))
+        matrix = np.ldexp(matrix, -exponents[:, None])
+        total = np.zeros(len(matrix))
+        for column in matrix.T:
+            total += column * column
+        return matrix / np.sqrt(total)[:, None]
+
+    columns = unit(rows).T.copy()
+    kth = len(rows) - min(k, len(rows))
+    found = []
+    units = unit(queries)
+    for start in range(0, len(units), NUMPY_SCAN_BLOCK):
+        block = units[start:start + NUMPY_SCAN_BLOCK].T.copy()
+        # the sums of _scan_python for a block of queries at once: the
+        # einsum only forms each product (it sums nothing), with one
+        # rounding, and the adds run one dimension at a time
+        sims = np.zeros((block.shape[1], len(rows)))
+        product = np.empty_like(sims)
+        for q, column in zip(block, columns):
+            np.einsum("b,n->bn", q, column, out=product)
+            sims += product
+        np.clip(sims, -1.0, 1.0, out=sims)
+        keep = sims >= np.partition(sims, kth, axis=1)[:, kth, None]
+        # row-major, so each query's candidates follow the previous one's
+        pairs = zip(sims[keep].tolist(), np.nonzero(keep)[1].tolist())
+        found.extend(list(islice(pairs, count)) for count in keep.sum(axis=1).tolist())
+    return found
+
+
+def nearest_annotated(
+    candidates: Iterable[tuple[float, int]],
+    lemmas: Sequence[str],
     k: int,
     min_similarity: float,
 ) -> list[tuple[str, float]]:
-    """The k annotated lemmas most cosine-similar to ``word``, which
-    must have a vector (KeyError otherwise).
-
-    ``annotated`` is every lemma present in both the lexicon and the
-    store with its unit row, ``embeddings.unit_rows(lexicon)``.
-    Full scan over them, filtered by min_similarity, sorted by
-    similarity descending with lexicographic tie-breaking.
-    """
-    query = embeddings.unit_vector(word)
-    lemmas, rows = annotated
-    # einsum rather than ``rows @ query``: BLAS gemv may round two
-    # identical rows differently depending on where they sit, and that
-    # would break exact ties.  einsum sums every row the same way.
-    sims = np.clip(np.einsum("ij,j->i", rows, query), -1.0, 1.0)
-    keep = np.flatnonzero(sims >= min_similarity)
-    if keep.size > k:
-        # each of the k nearest is at least the k-th largest similarity
-        keep = keep[sims[keep] >= np.partition(sims[keep], -k)[-k]]
-    ranked = sorted(zip((-sims[keep]).tolist(), map(lemmas.__getitem__, keep.tolist())))
+    """The k lemmas most similar to one query, as (lemma, similarity),
+    from the query's ``candidates`` that ``scan`` found among ``lemmas``:
+    those at min_similarity or above, by similarity descending, exact
+    ties by lemma."""
+    ranked = sorted((-sim, lemmas[i]) for sim, i in candidates if sim >= min_similarity)
     return [(lemma, -negated) for negated, lemma in ranked[:k]]
 
 
 def propagate(
     word: str,
     lexicon: Mapping[str, ConnotationFrame],
-    embeddings: EmbeddingStore,
-    annotated: tuple[list[str], np.ndarray],
+    candidates: Iterable[tuple[float, int]] | None,
+    lemmas: Sequence[str],
     k: int,
     min_similarity: float,
 ) -> ConnotationFrame | None:
     """Frame for ``word``: the lexicon entry when annotated, otherwise
-    the neighbor-weighted average described in the module docstring.
-    ``annotated`` is ``embeddings.unit_rows(lexicon)``, as
-    ``nearest_annotated`` takes it.
+    the neighbor-weighted average described in the module docstring,
+    over ``nearest_annotated(candidates, lemmas, k, min_similarity)``.
+    ``candidates`` is the word's ``scan`` over ``lemmas``, None when the
+    word has no vector.
 
     None when the verb is unscorable: unannotated and with no embedding
     or no qualifying annotated neighbor.
@@ -201,9 +296,9 @@ def propagate(
     frame = lexicon.get(word)
     if frame is not None:
         return frame
-    if word not in embeddings:
+    if candidates is None:
         return None
-    neighbors = nearest_annotated(word, embeddings, annotated, k, min_similarity)
+    neighbors = nearest_annotated(candidates, lemmas, k, min_similarity)
     if not neighbors:
         return None
     n = len(neighbors)
@@ -228,25 +323,22 @@ def score_triples(
     frame) records in input order; ``labels`` is the post_id -> label
     mapping ``corpus.attach_labels`` returns.
 
-    Each distinct lemma is propagated once, and the annotated lemmas'
-    unit rows are gathered once for all of them.  Triples whose post has
-    no label or whose verb is unscorable are dropped.  Passive triples
-    use the same frame: the extractor already swapped the roles.
+    Each distinct lemma is propagated once, and one ``scan`` finds the
+    candidate neighbors of every unannotated lemma with a vector.
+    Triples whose post has no label or whose verb is unscorable are
+    dropped.  Passive triples use the same frame: the extractor already
+    swapped the roles.
     """
-    annotated = embeddings.unit_rows(lexicon)
-    frames: dict[str, ConnotationFrame | None] = {}
-    scored: list[tuple[str, ConnotationFrame]] = []
-    for triple in triples:
-        if triple.source_post not in labels:
-            continue
-        lemma = triple.verb_lemma
-        if lemma not in frames:
-            frames[lemma] = propagate(lemma, lexicon, embeddings, annotated,
-                                      k, min_similarity)
-        frame = frames[lemma]
-        if frame is not None:
-            scored.append((triple.source_post, frame))
-    return scored
+    triples = [triple for triple in triples if triple.source_post in labels]
+    verbs = list(dict.fromkeys(triple.verb_lemma for triple in triples))
+    queries = [verb for verb in verbs if verb not in lexicon and verb in embeddings]
+    annotated = [lemma for lemma in lexicon if lemma in embeddings]
+    candidates = dict(zip(queries, scan(embeddings, queries, annotated, k)))
+    frames = {verb: propagate(verb, lexicon, candidates.get(verb), annotated,
+                              k, min_similarity)
+              for verb in verbs}
+    return [(triple.source_post, frames[triple.verb_lemma]) for triple in triples
+            if frames[triple.verb_lemma] is not None]
 
 
 class AggregateRow(NamedTuple):

@@ -208,7 +208,7 @@ _NOT_LOADED = {
     "ingest": _HEAVY_MODULES,
     "topics": _NOWHERE,
     "events": _NOWHERE | {"numpy"},
-    "sentiment": _NOWHERE | {"postmine.textprep"},
+    "sentiment": _NOWHERE | {"numpy", "postmine.textprep"},
     "regress": _HEAVY_MODULES,
     "report": _HEAVY_MODULES | {"postmine.corpus"},
 }
@@ -229,11 +229,41 @@ def test_each_stage_loads_only_what_it_runs(tmp_path, demo_bundle):
 
 def test_user_blas_thread_count_stands(tmp_path, demo_bundle):
     config = write_config(tmp_path, demo_bundle)
-    for stage in ("ingest", "events"):
-        assert main(["--config", str(config), stage]) == 0
-    result = _run_stage_script(config, "sentiment", OPENBLAS_NUM_THREADS="2")
+    assert main(["--config", str(config), "ingest"]) == 0
+    result = _run_stage_script(config, "topics", OPENBLAS_NUM_THREADS="2")
     assert "numpy" in result["modules"]
     assert result["blas_threads"] == "2"
+
+
+def _config_with_queries(tmp_path, demo_bundle, queries: int) -> Path:
+    """A config for the demo bundle whose triples are ``queries``
+    unannotated verbs in one labeled post, each with a vector."""
+    base = tmp_path / f"queries-{queries}"
+    base.mkdir()
+    rng = random.Random(queries)
+    verbs = [f"zverb{i:04d}" for i in range(queries)]
+    lines = demo_bundle["embeddings"].read_text("utf-8").splitlines()
+    dimension = len(lines[0].split()) - 1
+    lines += [" ".join([verb, *(f"{rng.gauss(0.0, 1.0):.6f}" for _ in range(dimension))])
+              for verb in verbs]
+    (base / "embeddings.txt").write_text("\n".join(lines) + "\n", "utf-8")
+    (base / "triples.tsv").write_text("".join(
+        ["post_id\tverb_lemma\tpassive\tagent\taffected\n"]
+        + [f"p0001\t{verb}\t0\t\t\n" for verb in verbs]), "utf-8")
+    return write_config(base, demo_bundle, embeddings=str(base / "embeddings.txt"),
+                        triples=str(base / "triples.tsv"))
+
+
+def test_sentiment_loads_numpy_only_for_a_large_scan(tmp_path, demo_bundle):
+    rows = len(connotation.load_lexicon(demo_bundle["lexicon"]))
+    dimension = len(demo_bundle["embeddings"].read_text("utf-8").split("\n", 1)[0].split()) - 1
+    # the fewest queries whose scan reaches the threshold, and one fewer
+    above = -(-connotation.NUMPY_SCAN_MIN // (rows * dimension))
+    for queries, loads_numpy in ((above - 1, False), (above, True)):
+        config = _config_with_queries(tmp_path, demo_bundle, queries)
+        assert main(["--config", str(config), "ingest"]) == 0
+        result = _run_stage_script(config, "sentiment")
+        assert ("numpy" in result["modules"]) is loads_numpy, queries
 
 
 def _imports_of_package() -> list[tuple[str, str]]:

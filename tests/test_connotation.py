@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from oracles import brute_force_neighbors
+from postmine import connotation
 from postmine.connotation import (
     ConnotationFrame,
     EmbeddingStore,
@@ -14,6 +16,7 @@ from postmine.connotation import (
     load_lexicon,
     nearest_annotated,
     propagate,
+    scan,
     score_triples,
     write_aggregate_report,
 )
@@ -31,6 +34,21 @@ HARASS_FRAME = frame(-0.8, -0.7, -0.9, -0.6, 0.5)
 
 def by_post(labels):
     return {label.post_id: label for label in labels}
+
+
+def neighbors(word, emb, lex, k, min_similarity):
+    """``nearest_annotated`` over one word's ``scan``, as ``score_triples``
+    runs them."""
+    annotated = [lemma for lemma in lex if lemma in emb]
+    [candidates] = scan(emb, [word], annotated, k)
+    return nearest_annotated(candidates, annotated, k, min_similarity)
+
+
+def propagated(word, lex, emb, k, min_similarity):
+    """``propagate`` for one word, as ``score_triples`` runs it."""
+    annotated = [lemma for lemma in lex if lemma in emb]
+    candidates = scan(emb, [word], annotated, k)[0] if word in emb else None
+    return propagate(word, lex, candidates, annotated, k, min_similarity)
 
 
 def labeled(*post_ids):
@@ -82,8 +100,8 @@ class TestLoadLexicon:
 class TestLoadEmbeddings:
     def test_dimension_from_first_line(self, input_file):
         emb = load_embeddings(input_file("a 1 0 0\nb 0 1 0\n"))
-        assert emb.unit_vector("a").tolist() == [1.0, 0.0, 0.0]
-        assert emb.unit_vector("b").tolist() == [0.0, 1.0, 0.0]
+        assert emb.unit_vector("a") == [1.0, 0.0, 0.0]
+        assert emb.unit_vector("b") == [0.0, 1.0, 0.0]
 
     def test_mismatched_line_fatal_with_number(self, input_file):
         with pytest.raises(DataError, match="line 2"):
@@ -91,15 +109,15 @@ class TestLoadEmbeddings:
 
     def test_fields_split_only_at_ascii_spaces_and_tabs(self, input_file):
         emb = load_embeddings(input_file("a 1 0\nb\xa0c 0 1\nd\u2028e\t \t1 1\nf\x85 2 0\n"))
-        assert emb.unit_vector("b\xa0c").tolist() == [0.0, 1.0]
+        assert emb.unit_vector("b\xa0c") == [0.0, 1.0]
         assert emb.unit_vector("d\u2028e") == pytest.approx([0.5 ** 0.5, 0.5 ** 0.5])
-        assert emb.unit_vector("f\x85").tolist() == [1.0, 0.0]
+        assert emb.unit_vector("f\x85") == [1.0, 0.0]
         assert "b" not in emb and "d" not in emb
 
     def test_word_keeps_a_leading_non_ascii_space(self, input_file):
         emb = load_embeddings(input_file("\xa0b 1 0\nc\xa0 0 1\n \td 1 1\n"))
-        assert emb.unit_vector("\xa0b").tolist() == [1.0, 0.0]
-        assert emb.unit_vector("c\xa0").tolist() == [0.0, 1.0]
+        assert emb.unit_vector("\xa0b") == [1.0, 0.0]
+        assert emb.unit_vector("c\xa0") == [0.0, 1.0]
         assert "b" not in emb and "d" in emb
 
     def test_zero_norm_rejected(self, input_file):
@@ -117,14 +135,13 @@ class TestLoadEmbeddings:
             warnings.simplefilter("error")
             emb = load_embeddings(input_file("\n".join(lines) + "\n"))
             lex = {"tiny": frame(0, 0, 0, 0, 0), "unit": frame(0, 0, 0, 0, 0)}
-            neighbors = nearest_annotated("big", emb, emb.unit_rows(lex), k=2,
-                                          min_similarity=0.0)
+            found = neighbors("big", emb, lex, k=2, min_similarity=0.0)
         for word in ("big", "tiny"):
             assert emb.unit_vector(word) == pytest.approx([0.6, 0.8], abs=1e-15)
-        assert emb.unit_vector("sub").tolist() == [1.0, 0.0]
+        assert emb.unit_vector("sub") == [1.0, 0.0]
         assert emb.unit_vector("huge") == pytest.approx([0.5 ** 0.5, -0.5 ** 0.5])
-        assert [w for w, _ in neighbors] == ["tiny", "unit"]
-        assert [s for _, s in neighbors] == pytest.approx([1.0, 1.0], abs=1e-15)
+        assert [w for w, _ in found] == ["tiny", "unit"]
+        assert [s for _, s in found] == pytest.approx([1.0, 1.0], abs=1e-15)
         assert capfd.readouterr().err == ""
 
     def test_ordinary_rows_normalize_as_the_plain_formula(self):
@@ -135,7 +152,7 @@ class TestLoadEmbeddings:
         words = [f"w{i}" for i in range(len(matrix))]
         emb = EmbeddingStore(dict(zip(words, matrix.tolist())))
         plain = matrix / np.linalg.norm(matrix, axis=1)[:, None]
-        assert np.array_equal(emb.unit_rows(words)[1], plain)
+        assert np.array_equal([emb.unit_vector(word) for word in words], plain)
 
     def test_duplicate_word_rejected(self, input_file):
         with pytest.raises(DataError, match="duplicate"):
@@ -163,29 +180,55 @@ def small_world():
     return lex, emb
 
 
+def planted_ties():
+    """(vectors, annotated lemmas in lexicon order) with planted exact ties.
+
+    Five lemmas share one random vector.  The lexicon lists them out of
+    alphabetical order and spread out, last rows included, so only the
+    lemma tie-break orders them and a product that rounds a row by its
+    position would split them.  "edge" sits exactly at min_similarity
+    for the query "axis" (cosine 3/5), "below" just under it.
+    """
+    rng = np.random.default_rng(7)
+    shared = [float(x) for x in rng.normal(size=25)]
+    annotated = ["tie_e", "other0", "other1", "tie_b", "other2", "other3", "tie_d",
+                 "other4", "edge", "other5", "below", "other6", "other7", "tie_a",
+                 "tie_c"]
+    vectors = {w: (list(shared) if w.startswith("tie") else
+                   [float(x) for x in rng.normal(size=25)]) for w in annotated}
+    vectors["edge"] = [3.0, 4.0] + [0.0] * 23
+    vectors["below"] = [3.0, 4.0000001] + [0.0] * 23
+    vectors["axis"] = [2.0] + [0.0] * 24
+    vectors["query"] = [x + 0.5 * float(y) for x, y in zip(shared, rng.normal(size=25))]
+    return vectors, annotated
+
+
+# (query, k, min_similarity) for the planted store
+PLANTED_CASES = [("query", 3, 0.0), ("query", 5, 0.0), ("query", 7, 0.0),
+                 ("query", 20, -1.0), ("tie_c", 4, 0.0), ("axis", 10, 0.6)]
+
+
 class TestNearestAnnotated:
     def test_self_neighbor_ranks_first_with_similarity_one(self):
         lex, emb = small_world()
         cfg = dict(k=3, min_similarity=0.0)
-        neighbors = nearest_annotated("harass", emb, emb.unit_rows(lex), **cfg)
-        assert neighbors[0][0] == "harass"
-        assert neighbors[0][1] == pytest.approx(1.0, abs=1e-12)
+        found = neighbors("harass", emb, lex, **cfg)
+        assert found[0][0] == "harass"
+        assert found[0][1] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_word_filtered_to_empty(self):
         lex, emb = small_world()
         cfg = dict(k=5, min_similarity=0.2)
-        assert nearest_annotated("orthogonal", emb, emb.unit_rows(lex), **cfg) == []
+        assert neighbors("orthogonal", emb, lex, **cfg) == []
 
     def test_absent_word_raises(self):
         lex, emb = small_world()
         with pytest.raises(KeyError):
-            nearest_annotated("ghost", emb, emb.unit_rows(lex), k=10,
-                              min_similarity=0.0)
+            neighbors("ghost", emb, lex, k=10, min_similarity=0.0)
 
     def test_k_caps_result(self):
         lex, emb = small_world()
-        assert len(nearest_annotated("pester", emb, emb.unit_rows(lex),
-                                     k=2, min_similarity=0.0)) == 2
+        assert len(neighbors("pester", emb, lex, k=2, min_similarity=0.0)) == 2
 
     def test_matches_brute_force_on_random_store(self):
         rng = np.random.default_rng(99)
@@ -195,47 +238,27 @@ class TestNearestAnnotated:
         lex = {w: frame(0, 0, 0, 0, 0) for w in annotated}
         emb = EmbeddingStore(vectors)
         cfg = dict(k=7, min_similarity=0.0)
-        rows = emb.unit_rows(lex)
         for i in range(0, 120, 11):
             word = f"w{i:03d}"
-            mine = nearest_annotated(word, emb, rows, **cfg)
+            mine = neighbors(word, emb, lex, **cfg)
             ref = brute_force_neighbors(word, vectors, annotated, 7, 0.0)
             assert [w for w, _ in mine] == [w for w, _ in ref]
             for (_, a), (_, b) in zip(mine, ref):
                 assert a == pytest.approx(b, abs=1e-9)
 
     def test_planted_exact_ties_match_brute_force(self):
-        # Five lemmas share one random vector.  The lexicon lists them out
-        # of alphabetical order and spread out, last rows included, so
-        # only the lemma tie-break orders them and a product that rounds
-        # a row by its position would split them.  "edge" sits exactly at
-        # min_similarity for the query "axis" (cosine 3/5), "below" just
-        # under it.
-        rng = np.random.default_rng(7)
-        shared = [float(x) for x in rng.normal(size=25)]
-        annotated = ["tie_e", "other0", "other1", "tie_b", "other2", "other3", "tie_d",
-                     "other4", "edge", "other5", "below", "other6", "other7", "tie_a",
-                     "tie_c"]
-        vectors = {w: (list(shared) if w.startswith("tie") else
-                       [float(x) for x in rng.normal(size=25)]) for w in annotated}
-        vectors["edge"] = [3.0, 4.0] + [0.0] * 23
-        vectors["below"] = [3.0, 4.0000001] + [0.0] * 23
-        vectors["axis"] = [2.0] + [0.0] * 24
-        vectors["query"] = [x + 0.5 * float(y) for x, y in zip(shared, rng.normal(size=25))]
+        vectors, annotated = planted_ties()
         lex = {w: frame(0, 0, 0, 0, 0) for w in annotated}
         emb = EmbeddingStore(vectors)
-        cases = [("query", 3, 0.0), ("query", 5, 0.0), ("query", 7, 0.0),
-                 ("query", 20, -1.0), ("tie_c", 4, 0.0), ("axis", 10, 0.6)]
-        rows = emb.unit_rows(lex)
-        for word, k, min_sim in cases:
-            mine = nearest_annotated(word, emb, rows, k=k, min_similarity=min_sim)
+        for word, k, min_sim in PLANTED_CASES:
+            mine = neighbors(word, emb, lex, k=k, min_similarity=min_sim)
             ref = brute_force_neighbors(word, vectors, set(annotated), k, min_sim)
             assert [w for w, _ in mine] == [w for w, _ in ref], (word, k)
             for (_, a), (_, b) in zip(mine, ref):
                 assert a == pytest.approx(b, abs=1e-9)
-        assert [w for w, _ in nearest_annotated("query", emb, rows, k=3, min_similarity=0.0)] \
+        assert [w for w, _ in neighbors("query", emb, lex, k=3, min_similarity=0.0)] \
             == ["tie_a", "tie_b", "tie_c"]
-        edge = nearest_annotated("axis", emb, rows, k=10, min_similarity=0.6)
+        edge = neighbors("axis", emb, lex, k=10, min_similarity=0.6)
         assert ("edge", 0.6) in edge
         assert "below" not in [w for w, _ in edge]
 
@@ -245,15 +268,79 @@ class TestNearestAnnotated:
         vectors = {"q": [1.0, 0.0], "ab\x00": [1.0, 1.0], "ab": [1.0, 1.0], "a": [1.0, 2.0]}
         lex = {w: frame(0, 0, 0, 0, 0) for w in ("ab\x00", "a", "ab")}
         emb = EmbeddingStore(vectors)
-        mine = nearest_annotated("q", emb, emb.unit_rows(lex), k=3, min_similarity=0.0)
+        mine = neighbors("q", emb, lex, k=3, min_similarity=0.0)
         ref = brute_force_neighbors("q", vectors, set(lex), 3, 0.0)
         assert [w for w, _ in mine] == [w for w, _ in ref] == ["ab", "ab\x00", "a"]
+
+
+def engines(monkeypatch, emb, queries, annotated, k):
+    """``scan`` run by the pure-Python engine, then by the numpy engine."""
+    found = []
+    for threshold in (math.inf, 0):
+        monkeypatch.setattr(connotation, "NUMPY_SCAN_MIN", threshold)
+        found.append(scan(emb, queries, annotated, k))
+    return found
+
+
+def bits(found):
+    """Candidates with each similarity's exact bits, the sign of a zero
+    included."""
+    return [[(sim.hex(), i) for sim, i in candidates] for candidates in found]
+
+
+class TestScanEngines:
+    """Both engines give every candidate's similarity to the bit, so the
+    neighbors do not depend on which one a scan's size picks."""
+
+    def test_random_store(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        scales = np.exp(rng.uniform(-20, 20, size=(300, 1)))
+        vectors = {f"w{i:03d}": row for i, row in
+                   enumerate((rng.normal(size=(300, 25)) * scales).tolist())}
+        annotated = [f"w{i:03d}" for i in range(0, 300, 2)]
+        queries = [f"w{i:03d}" for i in range(1, 300, 7)]
+        emb = EmbeddingStore(vectors)
+        for k in (1, 7, 150, 400):
+            pure, fast = engines(monkeypatch, emb, queries, annotated, k)
+            assert bits(pure) == bits(fast), k
+            for word, candidates in zip(queries, pure):
+                mine = nearest_annotated(candidates, annotated, k, 0.0)
+                ref = brute_force_neighbors(word, vectors, set(annotated), k, 0.0)
+                assert [w for w, _ in mine] == [w for w, _ in ref], (word, k)
+                assert [s for _, s in mine] == pytest.approx([s for _, s in ref], abs=1e-9)
+
+    def test_planted_ties_and_edges(self, monkeypatch):
+        vectors, annotated = planted_ties()
+        emb = EmbeddingStore(vectors)
+        for word, k, min_sim in PLANTED_CASES:
+            pure, fast = engines(monkeypatch, emb, [word], annotated, k)
+            assert bits(pure) == bits(fast), (word, k)
+            mine = nearest_annotated(pure[0], annotated, k, min_sim)
+            assert mine == nearest_annotated(fast[0], annotated, k, min_sim)
+            ref = brute_force_neighbors(word, vectors, set(annotated), k, min_sim)
+            assert [w for w, _ in mine] == [w for w, _ in ref], (word, k)
+
+    def test_any_finite_scale(self, monkeypatch):
+        vectors = {"big": [3e200, 4e200], "tiny": [3e-200, 4e-200], "sub": [5e-324, 0.0],
+                   "huge": [1.7e308, -1.7e308], "unit": [3.0, 4.0], "mixed": [1.0, 1e-300]}
+        emb = EmbeddingStore(vectors)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pure, fast = engines(monkeypatch, emb, list(vectors), list(vectors), 6)
+        assert bits(pure) == bits(fast)
+
+    def test_no_annotated_row_or_no_query(self, monkeypatch):
+        lex, emb = small_world()
+        for found in engines(monkeypatch, emb, ["pester"], [], 3):
+            assert found == [[]]
+        for found in engines(monkeypatch, emb, [], list(lex), 3):
+            assert found == []
 
 
 class TestPropagate:
     def test_annotated_identity(self):
         lex, emb = small_world()
-        out = propagate("harass", lex, emb, emb.unit_rows(lex), k=10, min_similarity=0.0)
+        out = propagated("harass", lex, emb, k=10, min_similarity=0.0)
         assert out == HARASS_FRAME
 
     def test_hand_computed_two_neighbor_average(self):
@@ -268,22 +355,21 @@ class TestPropagate:
             "far": [0.4, 0.0, np.sqrt(1 - 0.16)],
             "query": [1.0, 0.0, 0.0],
         })
-        out = propagate("query", lex, emb, emb.unit_rows(lex), k=2, min_similarity=0.0)
+        out = propagated("query", lex, emb, k=2, min_similarity=0.0)
         assert out.sentiment_verb == pytest.approx(-0.29, abs=1e-12)
 
     def test_unscorable_when_no_neighbors(self):
         lex, emb = small_world()
         cfg = dict(k=5, min_similarity=0.9)
-        assert propagate("orthogonal", lex, emb, emb.unit_rows(lex), **cfg) is None
+        assert propagated("orthogonal", lex, emb, **cfg) is None
 
     def test_unscorable_when_unembedded(self):
         lex, emb = small_world()
-        assert propagate("ghostverb", lex, emb, emb.unit_rows(lex),
-                         k=10, min_similarity=0.0) is None
+        assert propagated("ghostverb", lex, emb, k=10, min_similarity=0.0) is None
 
     def test_magnitude_bounded_by_annotated_max(self):
         lex, emb = small_world()
-        out = propagate("pester", lex, emb, emb.unit_rows(lex), k=3, min_similarity=0.0)
+        out = propagated("pester", lex, emb, k=3, min_similarity=0.0)
         bound = max(max(abs(v) for v in f) for f in lex.values())
         assert all(abs(v) <= bound + 1e-12 for v in out)
         assert all(-1.0 <= v <= 1.0 for v in out)
@@ -296,7 +382,7 @@ class TestPropagate:
             }
             emb = EmbeddingStore({
                 "a": [0.9, 0.1], "b": [0.7, 0.3], "q": [1.0, 0.0]})
-            out = propagate("q", lex, emb, emb.unit_rows(lex), k=2, min_similarity=0.0)
+            out = propagated("q", lex, emb, k=2, min_similarity=0.0)
             return out.sentiment_verb
 
         assert world(0.3) >= world(0.0) >= world(-0.3)
@@ -346,7 +432,7 @@ class TestScoreEvent:
         cfg = dict(k=3, min_similarity=0.0)
         scored = score_triples(triples, labeled("p1", "p2", "p3", "p4"), lex, emb, **cfg)
         assert calls == ["pester", "ghostverb", "harass"]
-        pester = propagate("pester", lex, emb, emb.unit_rows(lex), **cfg)
+        pester = propagated("pester", lex, emb, **cfg)
         assert scored == [("p1", pester), ("p2", HARASS_FRAME),
                           ("p3", pester), ("p1", HARASS_FRAME)]
 
