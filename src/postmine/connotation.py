@@ -145,7 +145,7 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
     spaces and tabs only (a word may hold any other space); the first line
     fixes D, and a mismatched line or a nan/inf component is fatal with its
     line number."""
-    vectors: dict[str, list[float]] = {}
+    vectors: dict[str, tuple[float, ...]] = {}
     dimension: int | None = None
     with read_utf8(path) as handle:
         for lineno, line in data_lines(handle):
@@ -156,7 +156,7 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
             if word in vectors:
                 raise DataError(f"line {lineno}: duplicate word {word!r}")
             try:
-                vec = list(map(float, fields))
+                vec = tuple(map(float, fields))
             except ValueError:
                 raise DataError(f"line {lineno}: non-numeric component") from None
             if not all(map(math.isfinite, vec)):
@@ -171,13 +171,14 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
 
 # Below this many multiply-adds (queries x annotated rows x dimension) a
 # scan runs in pure Python; at or above it, it imports numpy.  Measured on
-# a 2-vCPU Xeon VM (Python 3.11, numpy 2.4), 950 annotated rows of 25
-# dimensions: importing numpy takes about 100 ms; the pure engine takes
-# about 10 ms to normalize the rows plus 1.25 ms per query (53 ns per
-# multiply-add), the numpy engine about 1 ms plus 0.055 ms per query.  So
-# the engines break even near (100 + 1 - 10) ms / (1.25 - 0.055) ms = 76
-# queries, 1.8e6 multiply-adds.
-NUMPY_SCAN_MIN = 2_000_000
+# a 2-vCPU Xeon VM (Python 3.11, numpy 2.4) with 950 annotated rows of 25
+# dimensions: importing numpy takes 50 ms on an idle host and up to 100 ms
+# on a busy one; the pure engine takes about 8 ms to normalize the rows
+# and 1.1 ms per query (46 ns per multiply-add), the numpy engine about
+# 1 ms and 0.03 ms per query.  So the engines break even at (50 to 100 +
+# 1 - 8) ms / 1.07 ms = 40 to 87 queries, 0.95e6 to 2.1e6 multiply-adds,
+# and the constant sits between.
+NUMPY_SCAN_MIN = 1_500_000
 # queries per numpy block: the block's similarity rows stay in cache
 NUMPY_SCAN_BLOCK = 32
 
@@ -301,13 +302,13 @@ def propagate(
     neighbors = nearest_annotated(candidates, lemmas, k, min_similarity)
     if not neighbors:
         return None
-    n = len(neighbors)
+    weights = [max(0.0, sim) for _, sim in neighbors]
     values = []
-    for dim in ConnotationFrame._fields:
+    for scores in zip(*(lexicon[lemma] for lemma, _ in neighbors)):
         total = 0.0
-        for lemma, sim in neighbors:
-            total += max(0.0, sim) * getattr(lexicon[lemma], dim)
-        values.append(max(-1.0, min(1.0, total / n)))
+        for weight, score in zip(weights, scores):
+            total += weight * score
+        values.append(max(-1.0, min(1.0, total / len(weights))))
     return ConnotationFrame(*values)
 
 

@@ -22,6 +22,8 @@ def test_time_stages_reads_rss_and_compares_outputs():
     for label in "AB":
         row = next(line for line in lines if line.startswith(f"{label} RSS MB"))
         assert len(row.split()[3:]) == 6          # one peak per stage
+    wins = next(line for line in lines if line.startswith("B faster ")).split()[2:8]
+    assert all(count in ("0", "1") for count in wins)   # one count per stage
     floor = re.search(r"peak RSS of this script (\d+\.\d) MB", proc.stdout)
     assert floor and float(floor.group(1)) < 30.0
     for name in (cli.CORPUS_ARTIFACT, cli.INGEST_SUMMARY, cli.TOPIC_MODEL, cli.TOPIC_REPORT,
