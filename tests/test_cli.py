@@ -235,7 +235,7 @@ def test_user_blas_thread_count_stands(tmp_path, demo_bundle):
     assert result["blas_threads"] == "2"
 
 
-def _config_with_queries(tmp_path, demo_bundle, queries: int) -> Path:
+def _config_with_queries(tmp_path, demo_bundle, queries: int, dimension: int) -> Path:
     """A config for the demo bundle whose triples are ``queries``
     unannotated verbs in one labeled post, each with a vector."""
     base = tmp_path / f"queries-{queries}"
@@ -243,7 +243,6 @@ def _config_with_queries(tmp_path, demo_bundle, queries: int) -> Path:
     rng = random.Random(queries)
     verbs = [f"zverb{i:04d}" for i in range(queries)]
     lines = demo_bundle["embeddings"].read_text("utf-8").splitlines()
-    dimension = len(lines[0].split()) - 1
     lines += [" ".join([verb, *(f"{rng.gauss(0.0, 1.0):.6f}" for _ in range(dimension))])
               for verb in verbs]
     (base / "embeddings.txt").write_text("\n".join(lines) + "\n", "utf-8")
@@ -260,7 +259,7 @@ def test_sentiment_loads_numpy_only_for_a_large_scan(tmp_path, demo_bundle):
     # the fewest queries whose scan reaches the threshold, and one fewer
     above = -(-connotation.NUMPY_SCAN_MIN // (rows * dimension))
     for queries, loads_numpy in ((above - 1, False), (above, True)):
-        config = _config_with_queries(tmp_path, demo_bundle, queries)
+        config = _config_with_queries(tmp_path, demo_bundle, queries, dimension)
         assert main(["--config", str(config), "ingest"]) == 0
         result = _run_stage_script(config, "sentiment")
         assert ("numpy" in result["modules"]) is loads_numpy, queries
