@@ -22,6 +22,10 @@ two output directories file by file:
   added, all six stages: they place a verb at sentence positions 0-6, a
   "by" 1-6 tokens after a passive verb, and sentence-final punctuation
   inside a window, so every window edge of ``events`` is crossed;
+- a copy of the demo bundle with the unlabeled posts of
+  ``LONG_WORD_TEXTS`` added, all six stages: a word longer than the
+  ``csv`` module's default field limit becomes an agent in
+  ``triples.tsv`` and a keyword in ``topic_report.csv``;
 - a copy of the demo bundle whose config key ``triples`` names a copy
   of the ``triples.tsv`` that ``events`` writes for it, with the data
   rows shuffled by ``random.Random(0)``; stages ``ingest``,
@@ -83,6 +87,8 @@ WINDOW_TEXTS = (
     # a passive auxiliary 3 and 4 tokens before the verb
     "i was the the followed by him", "i was the the the followed by him",
 )
+# a 140,000-character word: an agent, and in six posts a topic keyword
+LONG_WORD_TEXTS = ("ab" * 70000 + " harassed me", *[" ".join(["ab" * 70000] * 4)] * 6)
 
 
 def build_bundles(directory: Path) -> list[tuple[str, Path, tuple[str, ...], bool]]:
@@ -112,16 +118,20 @@ def build_bundles(directory: Path) -> list[tuple[str, Path, tuple[str, ...], boo
     for key in LINE_BASED_KEYS:
         files[key].write_bytes(b"# generated by postmine.demo\n\n" + files[key].read_bytes())
     bundles.append((path.name, path, generate.ALL_STAGES, False))
-    path = directory / f"demo-{DEMO_SEED}-windows"
-    files = demo.write_demo_bundle(path, DEMO_SEED)
-    with open(files["posts"], "a", encoding="utf-8") as posts, \
-            open(files["labels"], "a", encoding="utf-8") as labels:
-        for i, text in enumerate(WINDOW_TEXTS):
-            posts.write(json.dumps({"post_id": f"w{i:02d}", "user_id": f"wuser{i:02d}",
-                                    "institution_id": "u001", "timestamp": 1509000000 + i,
-                                    "text": text}) + "\n")
-            labels.write(f"w{i:02d},physical,peer\n")
-    bundles.append((path.name, path, generate.ALL_STAGES, False))
+    for name, prefix, texts, labeled in (("windows", "w", WINDOW_TEXTS, True),
+                                         ("long-word", "l", LONG_WORD_TEXTS, False)):
+        path = directory / f"demo-{DEMO_SEED}-{name}"
+        files = demo.write_demo_bundle(path, DEMO_SEED)
+        with open(files["posts"], "a", encoding="utf-8") as posts, \
+                open(files["labels"], "a", encoding="utf-8") as labels:
+            for i, text in enumerate(texts):
+                post_id = f"{prefix}{i:02d}"
+                posts.write(json.dumps({"post_id": post_id, "user_id": f"{prefix}user{i:02d}",
+                                        "institution_id": "u001",
+                                        "timestamp": 1509000000 + i, "text": text}) + "\n")
+                if labeled:
+                    labels.write(f"{post_id},physical,peer\n")
+        bundles.append((path.name, path, generate.ALL_STAGES, False))
     path = directory / f"demo-{DEMO_SEED}-imported-triples"
     bundles.append((path.name, imported_triples_bundle(path),
                     ("ingest", "sentiment", "report"), False))

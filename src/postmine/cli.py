@@ -184,6 +184,8 @@ def load_config(
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"config {path} is not valid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     known = {*_PATH_KEYS, *_OPTIONAL_PATH_KEYS, *_SETTINGS, "seed", "out_dir"}
@@ -265,8 +267,7 @@ def cmd_topics(config: RunConfig) -> list[str]:
 
     posts = corpus.read_corpus(config.out_dir / CORPUS_ARTIFACT)
     docs = [textprep.content_terms(doc) for doc in _preprocessed(config, posts)]
-    vocab = topics.build_vocab(
-        docs, min_df=config.topics.min_df, stopwords=textprep.bundled_stopwords())
+    vocab = topics.build_vocab(docs, min_df=config.topics.min_df)
     matrix = topics.tfidf(docs, vocab)
     skipped = sum(1 for ids, _ in matrix.rows if not len(ids))
     if skipped:
@@ -289,7 +290,7 @@ def _candidate_line(fit: topics.FitSummary) -> str:
 
 
 def cmd_events(config: RunConfig) -> None:
-    from . import corpus, events, textprep
+    from . import corpus, events
 
     posts = corpus.read_corpus(config.out_dir / CORPUS_ARTIFACT)
     docs = _preprocessed(config, posts)
@@ -298,11 +299,9 @@ def cmd_events(config: RunConfig) -> None:
                            else (events.bundled_inventory(), []))
     for message in warnings:
         _warn("events", message)
-    stopwords = textprep.bundled_stopwords()
     triples: list[events.EventTriple] = []
     for post, doc in zip(posts, docs):
-        triples.extend(events.extract_triples(
-            doc, inventory, stopwords=stopwords, source_post=post.post_id))
+        triples.extend(events.extract_triples(doc, inventory, source_post=post.post_id))
     events.write_triples(triples, _out_path(config, TRIPLES_ARTIFACT))
     print(f"extracted {len(triples)} triples from {len(posts)} posts")
 

@@ -39,8 +39,11 @@ least one scored triple.  Its means are correctly rounded sums
 not on their order.
 
 Frames are plain named tuples: ``load_lexicon`` checks each score read,
-and ``propagate`` clamps, so every frame is in [-1, 1].  ``events`` is
-imported for type annotations only.
+and ``propagate`` clamps, so every frame is in [-1, 1].  The embeddings
+are a plain word -> vector mapping, each vector the tuple of floats
+read: ``load_embeddings`` alone checks them (one dimension, finite
+components, no zero vector), and a scan normalizes only the vectors it
+reads.  ``events`` is imported for type annotations only.
 """
 
 from __future__ import annotations
@@ -102,31 +105,6 @@ def load_lexicon(path: str | Path) -> dict[str, ConnotationFrame]:
     return frames
 
 
-class EmbeddingStore:
-    """Fixed-dimension word vectors, kept as given.  A scan normalizes
-    only the vectors it reads."""
-
-    def __init__(self, vectors: Mapping[str, Sequence[float]]):
-        if not vectors:
-            raise DataError("embedding store is empty")
-        for word, vector in vectors.items():
-            if not any(vector):
-                raise DataError(f"zero-norm vector for {word!r}")
-        self._vectors = dict(vectors)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self._vectors
-
-    def __getitem__(self, word: str) -> Sequence[float]:
-        """The word's vector; KeyError when it has none."""
-        return self._vectors[word]
-
-    def unit_vector(self, word: str) -> list[float]:
-        """The word's vector scaled to unit length, as a scan reads it;
-        KeyError when it has none."""
-        return _unit(self._vectors[word])
-
-
 def _unit(vector: Sequence[float]) -> list[float]:
     # scale by a power of two, which is exact, so that the largest
     # |component| is in [0.5, 1): the squares summed for the norm then
@@ -140,11 +118,13 @@ def _unit(vector: Sequence[float]) -> list[float]:
     return [x / norm for x in scaled]
 
 
-def load_embeddings(path: str | Path) -> EmbeddingStore:
+def load_embeddings(path: str | Path) -> dict[str, tuple[float, ...]]:
     """Read text lines "word v1 v2 ... vD", fields split at runs of ASCII
-    spaces and tabs only (a word may hold any other space); the first line
-    fixes D, and a mismatched line or a nan/inf component is fatal with its
-    line number."""
+    spaces and tabs only (a word may hold any other space); returns the
+    word -> vector mapping, each vector as given.  The first line fixes D,
+    and a mismatched line or a nan/inf component is fatal with its line
+    number; once every line is read, an empty file and then the first
+    all-zero vector are fatal."""
     vectors: dict[str, tuple[float, ...]] = {}
     dimension: int | None = None
     with read_utf8(path) as handle:
@@ -166,7 +146,12 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
             elif len(vec) != dimension:
                 raise DataError(f"line {lineno}: dimension {len(vec)} != {dimension}")
             vectors[word] = vec
-        return EmbeddingStore(vectors)
+        if not vectors:
+            raise DataError("embedding store is empty")
+        for word, vec in vectors.items():
+            if not any(vec):
+                raise DataError(f"zero-norm vector for {word!r}")
+    return vectors
 
 
 # Below this many multiply-adds (queries x annotated rows x dimension) a
@@ -184,7 +169,7 @@ NUMPY_SCAN_BLOCK = 32
 
 
 def scan(
-    embeddings: EmbeddingStore,
+    embeddings: Mapping[str, Sequence[float]],
     queries: Sequence[str],
     lemmas: Sequence[str],
     k: int,
@@ -316,7 +301,7 @@ def score_triples(
     triples: Iterable[EventTriple],
     labels: Mapping[str, HarassmentLabel],
     lexicon: Mapping[str, ConnotationFrame],
-    embeddings: EmbeddingStore,
+    embeddings: Mapping[str, Sequence[float]],
     k: int,
     min_similarity: float,
 ) -> list[tuple[str, ConnotationFrame]]:

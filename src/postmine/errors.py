@@ -5,6 +5,8 @@ errors name the file; ``data_lines`` and ``table_rows``, the one line rule
 (loaders trim their own fields) and the one row rule that split every input
 file into numbered records; and ``atomic_open``, which writes each
 ``out_dir`` file so that a stage dying mid-write leaves none truncated.
+Importing this module lifts the ``csv`` module's limit on the length of
+a field, for every table a stage reads.
 
 The CLI maps ConfigError to exit code 1 and DataError to exit code 2;
 the message says what went wrong, so no stage needs a subclass.
@@ -19,6 +21,11 @@ from pathlib import Path
 
 # an integer read from a file that becomes a float must be at most this
 FLOAT_MAX = math.nextafter(math.inf, 0.0)
+
+# A table cell can hold a word of any post, whole: an agent of the
+# triples file or a keyword of the topic report.  csv rejects a field
+# over 131,072 characters by default; 2**31 - 1 fits a C long everywhere.
+csv.field_size_limit(2**31 - 1)
 
 
 class ConfigError(Exception):

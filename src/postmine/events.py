@@ -10,11 +10,13 @@ Sentences are split on sentence-final punctuation, and each window is
 a slice of one sentence's tokens, so none crosses a boundary.
 
 A triple's agent and affected are token surfaces, or None; an argument
-candidate is a token of one of ``textprep.CONTENT_KINDS``.  Only
-``extract_triples`` imports ``textprep``, once per call, so importing
-this module to read triple files does not load it.  The loaders take a
-path; ``load_inventory`` returns its warnings with the inventory, and
-the CLI reports them.
+candidate is a token of one of ``textprep.CONTENT_KINDS`` that is a
+pronoun, or that is neither in ``textprep``'s stopword list nor a verb.
+Only ``extract_triples`` imports ``textprep``, once per call, so
+importing this module to read triple files does not load it.  The
+loaders take a path; ``load_inventory`` alone checks the inventory file
+and builds its lemma table, and returns its warnings with the
+inventory, which the CLI reports.
 """
 
 from __future__ import annotations
@@ -48,32 +50,27 @@ class EventTriple(NamedTuple):
     source_post: str = ""
 
 
-class VerbInventory:
-    """Verb lemmas plus a surface-form -> lemma inflection map."""
+class VerbInventory(NamedTuple):
+    """Verb lemmas, the surface-form -> lemma table (every lemma maps to
+    itself) and the memo of ``lemmatize``, as ``load_inventory`` builds
+    them."""
 
-    def __init__(self, lemmas: Iterable[str], inflections: dict[str, str] | None = None):
-        self.lemmas = frozenset(lemmas)
-        if not self.lemmas:
-            raise DataError("verb inventory is empty")
-        table = {lemma: lemma for lemma in self.lemmas}
-        for surface, lemma in (inflections or {}).items():
-            if lemma not in self.lemmas:
-                raise DataError(f"inflection {surface!r} maps to unknown lemma {lemma!r}")
-            table.setdefault(surface, lemma)
-        self.inflections = table
-        # surface -> lemma or None; filled by ``lemmatize``
-        self.lemmatized: dict[str, str | None] = {}
+    lemmas: frozenset[str]
+    inflections: dict[str, str]
+    lemmatized: dict[str, str | None]   # surface -> lemma or None
 
 
 def load_inventory(path: str | Path) -> tuple[VerbInventory, list[str]]:
     """Read a tab-delimited inventory: lemma TAB comma-joined inflections.
-    A lemma holding a comma (a line whose lemma is missing) is fatal.
+    A lemma holding a comma (a line whose lemma is missing) and a file
+    with no lemma are fatal.  In the returned table every lemma maps to
+    itself, also where a line lists it as another lemma's inflection.
 
     Returns the inventory and its warnings, each naming the file: one per
     inflection that a later line maps to a second lemma (the first
     mapping is kept), then one per inflection that is also declared as a
     lemma, in either line order (the lemma is kept)."""
-    lemmas: list[str] = []
+    lemmas: set[str] = set()
     inflections: dict[str, str] = {}
     warnings: list[str] = []
     with read_utf8(path) as handle:
@@ -82,7 +79,7 @@ def load_inventory(path: str | Path) -> tuple[VerbInventory, list[str]]:
             lemma = parts[0].strip().lower()
             if len(parts) > 2 or not lemma or "," in lemma:
                 raise DataError(f"line {lineno}: expected 'lemma<TAB>inflections'")
-            lemmas.append(lemma)
+            lemmas.add(lemma)
             if len(parts) > 1 and parts[1].strip():
                 for surface in parts[1].split(","):
                     surface = surface.strip().lower()
@@ -93,12 +90,16 @@ def load_inventory(path: str | Path) -> tuple[VerbInventory, list[str]]:
                                         f"to {inflections[surface]!r}; keeping the first")
                         continue
                     inflections[surface] = lemma
-        declared = set(lemmas)
+        if not lemmas:
+            raise DataError("verb inventory is empty")
         warnings.extend(f"{path}: {surface!r} is a lemma and also an inflection of "
                         f"{lemma!r}; keeping the lemma"
                         for surface, lemma in inflections.items()
-                        if surface in declared and surface != lemma)
-        return VerbInventory(lemmas, inflections), warnings
+                        if surface in lemmas and surface != lemma)
+    table = {lemma: lemma for lemma in lemmas}
+    for surface, lemma in inflections.items():
+        table.setdefault(surface, lemma)
+    return VerbInventory(frozenset(lemmas), table, {}), warnings
 
 
 def bundled_inventory() -> VerbInventory:
@@ -170,7 +171,6 @@ def _sentences(tokens: Sequence[Token], punct: TokenKind) -> list[list[Token]]:
 def extract_triples(
     tokens: Sequence[Token],
     inventory: VerbInventory,
-    stopwords: frozenset[str] | None = None,
     source_post: str = "",
 ) -> list[EventTriple]:
     """Emit one triple per inventory verb in the token sequence.
@@ -185,8 +185,7 @@ def extract_triples(
     """
     from .textprep import CONTENT_KINDS, TokenKind, bundled_stopwords
 
-    if stopwords is None:
-        stopwords = bundled_stopwords()
+    stopwords = bundled_stopwords()
     word = TokenKind.WORD
 
     def nearest(window: Iterable[Token]) -> str | None:

@@ -40,13 +40,16 @@ preprocessing can fan out per document.  A ``Token`` is a plain named
 tuple that checks nothing: the code here that makes one keeps its rules.
 
 This module alone decides which tokens carry content: ``CONTENT_KINDS``
-(words and hashtag segments).  ``content_terms`` gives a post's content
-surfaces, the terms of the topic vocabulary, and ``events`` draws its
-argument candidates from the same kinds.
+(words and hashtag segments) and the stopword list
+(``bundled_stopwords``).  ``content_terms`` gives a post's content
+surfaces that are no stopword, the terms of the topic vocabulary, and
+``events`` draws its argument candidates from the same kinds and the
+same list.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -93,8 +96,10 @@ CONTENT_KINDS = (TokenKind.WORD, TokenKind.HASHTAG_SEGMENTED)
 
 
 def content_terms(tokens: Sequence[Token]) -> list[str]:
-    """The surfaces of the content tokens, in order."""
-    return [t.surface for t in tokens if t.kind in CONTENT_KINDS]
+    """The surfaces of the content tokens that are no stopword, in order."""
+    stopwords = bundled_stopwords()
+    return [t.surface for t in tokens
+            if t.kind in CONTENT_KINDS and t.surface not in stopwords]
 
 
 def _bundled_lines(name: str) -> list[str]:
@@ -106,7 +111,9 @@ def bundled_emoticons() -> tuple[str, ...]:
     return tuple(_bundled_lines("emoticons.txt"))
 
 
+@functools.cache
 def bundled_stopwords() -> frozenset[str]:
+    """The stopword list, read once per process."""
     return frozenset(_bundled_lines("stopwords.txt")) | frozenset(DESIGNATED_TAGS)
 
 

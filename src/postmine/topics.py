@@ -1,7 +1,8 @@
 """TF-IDF weighting, LDA topic models and coherence-based model selection.
 
 A document is a plain list of its content terms (``textprep.content_terms``
-of a preprocessed post), so this module does not import ``textprep``.
+of a preprocessed post, stopwords already dropped), so this module does
+not import ``textprep``.
 ``build_vocab`` reads the documents once and maps each kept term, in
 sorted order, to the frozenset of the documents holding it; ``tfidf``
 takes the document frequencies from it, and coherence counts doc and
@@ -69,12 +70,13 @@ orders by name each chain of sorted neighbours whose gap is at most
 profile, which converge to the same weight only up to rounding, rank by
 name and the report does not depend on the fit's last bits.
 ``select_k`` fits one model per candidate K and returns the coherence
-argmax over each model's top 10 words, ties broken toward smaller K,
-with every candidate's ``FitSummary`` for the CLI to report.
+argmax over each model's top COHERENCE_TOP_N = 10 words, ties broken
+toward smaller K, with every candidate's ``FitSummary`` for the CLI to
+report.
 
 The fit's fixed settings are module constants: ETA, the relative bound
-stop BOUND_RTOL, and the E-step's INNER_ITERS, INNER_RTOL and
-SQUAREM_HALVINGS.
+stop BOUND_RTOL, the E-step's INNER_ITERS, INNER_RTOL and
+SQUAREM_HALVINGS, and coherence's COHERENCE_EPS and COHERENCE_TOP_N.
 ``save_model``, ``write_vocab`` and ``write_topic_report`` write the
 stage's three files through ``errors.atomic_open``; no stage reads the
 model back.
@@ -92,6 +94,7 @@ import numpy as np
 from .errors import DataError, atomic_open
 
 COHERENCE_EPS = 1e-12
+COHERENCE_TOP_N = 10   # top words per topic that coherence scores
 ETA = 0.01             # symmetric Dirichlet prior on each topic's words
 BOUND_RTOL = 1e-6      # fit_lda stops once the bound moves by at most this, relative
 INNER_ITERS = 100      # plain E-step updates per sweep, at most (two per SQUAREM cycle)
@@ -146,19 +149,14 @@ class TopicModel(NamedTuple):
     fits: tuple[FitSummary, ...]  # this fit's; from ``select_k``, every candidate's by K
 
 
-def build_vocab(
-    docs: Sequence[Sequence[str]],
-    min_df: int = 1,
-    stopwords: frozenset[str] | set[str] = frozenset(),
-) -> dict[str, frozenset[int]]:
-    """Map each term that is no stopword and occurs in at least min_df
-    documents to the indices of the documents holding it, in sorted
-    term order."""
+def build_vocab(docs: Sequence[Sequence[str]], min_df: int) -> dict[str, frozenset[int]]:
+    """Map each term that occurs in at least min_df documents to the
+    indices of the documents holding it, in sorted term order."""
     if min_df < 1:
         raise ValueError(f"min_df must be >= 1, got {min_df}")
     postings: dict[str, list[int]] = {}
     for d, doc in enumerate(docs):
-        for term in set(doc).difference(stopwords):
+        for term in set(doc):
             postings.setdefault(term, []).append(d)
     vocab = {term: frozenset(postings[term]) for term in sorted(postings)
              if len(postings[term]) >= min_df}
@@ -513,17 +511,13 @@ def top_words(model: TopicModel, topic: int, n: int) -> list[tuple[str, float]]:
     return [(name, weight) for _, name, weight in ranked[: min(n, len(row))]]
 
 
-def coherence(
-    model: TopicModel, vocab: dict[str, frozenset[int]], top_n: int = 10
-) -> float:
-    """Mean intrinsic co-document coherence over the model's topics; the
-    documents of each top word are its entry in ``vocab``, the
-    vocabulary the model was fitted on."""
-    if top_n < 2:
-        raise ValueError(f"top_n must be >= 2, got {top_n}")
+def coherence(model: TopicModel, vocab: dict[str, frozenset[int]]) -> float:
+    """Mean intrinsic co-document coherence over the model's topics, each
+    over its COHERENCE_TOP_N top words; the documents of each top word
+    are its entry in ``vocab``, the vocabulary the model was fitted on."""
     total = 0.0
     for t in range(model.k):
-        holding = [vocab[term] for term, _ in top_words(model, t, top_n)]
+        holding = [vocab[term] for term, _ in top_words(model, t, COHERENCE_TOP_N)]
         topic_sum = 0.0
         for i in range(1, len(holding)):
             for j in range(i):

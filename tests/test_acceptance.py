@@ -36,7 +36,7 @@ from postmine.connotation import (
 from postmine.corpus import Post, dedup, normalized_text
 from postmine.events import bundled_inventory, extract_triples
 from postmine.stats import DesignMatrix, ols_fit, t_pvalue
-from postmine.textprep import segment, tokenize, bundled_stopwords
+from postmine.textprep import segment, tokenize
 from postmine.topics import build_vocab, fit_lda, select_k, tfidf
 from test_connotation import propagated
 from test_topics import planted_corpus, theme_overlap
@@ -135,16 +135,16 @@ def test_criterion_4_propagation(demo_bundle):
             assert propagate(lemma, lexicon, [], annotated, **config) == frame
 
         # hand-computed two-neighbor case: (1/2)(0.6*-0.5 + 0.4*-0.7) = -0.29
-        from postmine.connotation import ConnotationFrame, EmbeddingStore
+        from postmine.connotation import ConnotationFrame
         tiny_lex = {
             "near": ConnotationFrame(-0.5, 0, 0, 0, 0),
             "far": ConnotationFrame(-0.7, 0, 0, 0, 0),
         }
-        tiny_emb = EmbeddingStore({
+        tiny_emb = {
             "near": [0.6, 0.8, 0.0],
             "far": [0.4, 0.0, float(np.sqrt(1 - 0.16))],
             "query": [1.0, 0.0, 0.0],
-        })
+        }
         out = propagated("query", tiny_lex, tiny_emb, k=2, min_similarity=0.0)
         assert out.sentiment_verb == pytest.approx(-0.29, abs=1e-12)
 
@@ -251,14 +251,12 @@ def test_criterion_7_dedup_idempotence_and_conservation():
 def test_criterion_8_event_extraction_fixture():
     with criterion(8, "event extraction fixture"):
         inventory = bundled_inventory()
-        stopwords = bundled_stopwords()
         gold_entries = load_event_gold()
         assert len(gold_entries) == 50
 
         extracted_by_id = {}
         for entry in gold_entries:
-            triples = extract_triples(
-                tokenize(entry["text"]), inventory, stopwords=stopwords)
+            triples = extract_triples(tokenize(entry["text"]), inventory)
             extracted_by_id[entry["id"]] = [
                 (t.verb_lemma, t.agent, t.affected, t.passive)
                 for t in triples

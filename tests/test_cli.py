@@ -50,6 +50,16 @@ def write_config(tmp_path, demo_bundle, name="config.json", **overrides):
 
 
 class TestConfig:
+    def test_deeply_nested_config_is_one_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[" * 200000)
+        message = f"config {path} is not valid JSON: nested too deeply"
+        with pytest.raises(ConfigError) as caught:
+            load_config(path)
+        assert str(caught.value) == message
+        assert main(["--config", str(path), "ingest"]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_missing_posts_file_names_path(self, tmp_path, demo_bundle):
         missing = tmp_path / "nope.jsonl"
         config = write_config(tmp_path, demo_bundle, posts=str(missing))
@@ -320,6 +330,45 @@ def test_no_module_reaches_blas():
     assert found == []
 
 
+def _defined_in_package() -> dict[str, str]:
+    """Name -> "file:line" of every function, class and method defined in
+    src/postmine, dunder methods left out."""
+    found = {}
+    for path in sorted((SRC / "postmine").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef)
+                    and not (node.name.startswith("__") and node.name.endswith("__"))):
+                found.setdefault(node.name, f"{path.name}:{node.lineno}")
+    return found
+
+
+def _named_outside_tests() -> set[str]:
+    """Every name that src/, scripts/ or perfbench/ uses: variables,
+    attributes, imports and whole string constants (perfbench patches
+    functions by name).  A definition itself is no use of its name."""
+    root = SRC.parent
+    named = set()
+    for path in [*SRC.rglob("*.py"), *(root / "scripts").glob("*.py"),
+                 *(root / "perfbench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    return named
+
+
+def test_every_definition_is_used_outside_the_tests():
+    # code that only the tests name is kept for the tests alone
+    named = _named_outside_tests()
+    assert sorted(f"{where} {name}" for name, where in _defined_in_package().items()
+                  if name not in named) == []
+
+
 def test_topics_imports_no_textprep():
     # topics takes term lists; textprep alone decides what a content token is
     assert [top for name, top in _imports_of_package()
@@ -554,6 +603,23 @@ def pipeline_out(tmp_path_factory, demo_bundle):
     for command in ("ingest", "topics", "events", "sentiment", "regress", "report"):
         assert main(["--config", str(config), command]) == 0
     return tmp_path / "out"
+
+
+def test_post_word_longer_than_a_csv_field_limit_runs_every_stage(tmp_path, demo_bundle):
+    # csv's default limit is 131,072 characters a field: the word is an
+    # agent in triples.tsv, which sentiment reads, and a topic keyword in
+    # topic_report.csv, which report reads
+    word = "ab" * 70000
+    texts = [f"{word} harassed me", *[" ".join([word] * 4)] * 6]
+    posts = tmp_path / "posts.jsonl"
+    posts.write_text(demo_bundle["posts"].read_text() + "".join(
+        post_line(f"long{i}", user_id=f"ulong{i}", text=text) + "\n"
+        for i, text in enumerate(texts)))
+    config = write_config(tmp_path, demo_bundle, posts=str(posts))
+    for command in ("ingest", "topics", "events", "sentiment", "regress", "report"):
+        assert main(["--config", str(config), command]) == 0, command
+    for name in (TRIPLES_ARTIFACT, TOPIC_REPORT):
+        assert word in (tmp_path / "out" / name).read_text(), name
 
 
 _CANDIDATE_LINE = re.compile(

@@ -10,7 +10,6 @@ from oracles import brute_force_neighbors
 from postmine import connotation
 from postmine.connotation import (
     ConnotationFrame,
-    EmbeddingStore,
     aggregate,
     load_embeddings,
     load_lexicon,
@@ -100,8 +99,8 @@ class TestLoadLexicon:
 class TestLoadEmbeddings:
     def test_dimension_from_first_line(self, input_file):
         emb = load_embeddings(input_file("a 1 0 0\nb 0 1 0\n"))
-        assert emb.unit_vector("a") == [1.0, 0.0, 0.0]
-        assert emb.unit_vector("b") == [0.0, 1.0, 0.0]
+        assert connotation._unit(emb["a"]) == [1.0, 0.0, 0.0]
+        assert connotation._unit(emb["b"]) == [0.0, 1.0, 0.0]
 
     def test_mismatched_line_fatal_with_number(self, input_file):
         with pytest.raises(DataError, match="line 2"):
@@ -109,15 +108,15 @@ class TestLoadEmbeddings:
 
     def test_fields_split_only_at_ascii_spaces_and_tabs(self, input_file):
         emb = load_embeddings(input_file("a 1 0\nb\xa0c 0 1\nd\u2028e\t \t1 1\nf\x85 2 0\n"))
-        assert emb.unit_vector("b\xa0c") == [0.0, 1.0]
-        assert emb.unit_vector("d\u2028e") == pytest.approx([0.5 ** 0.5, 0.5 ** 0.5])
-        assert emb.unit_vector("f\x85") == [1.0, 0.0]
+        assert connotation._unit(emb["b\xa0c"]) == [0.0, 1.0]
+        assert connotation._unit(emb["d\u2028e"]) == pytest.approx([0.5 ** 0.5, 0.5 ** 0.5])
+        assert connotation._unit(emb["f\x85"]) == [1.0, 0.0]
         assert "b" not in emb and "d" not in emb
 
     def test_word_keeps_a_leading_non_ascii_space(self, input_file):
         emb = load_embeddings(input_file("\xa0b 1 0\nc\xa0 0 1\n \td 1 1\n"))
-        assert emb.unit_vector("\xa0b") == [1.0, 0.0]
-        assert emb.unit_vector("c\xa0") == [0.0, 1.0]
+        assert connotation._unit(emb["\xa0b"]) == [1.0, 0.0]
+        assert connotation._unit(emb["c\xa0"]) == [0.0, 1.0]
         assert "b" not in emb and "d" in emb
 
     def test_zero_norm_rejected(self, input_file):
@@ -137,9 +136,9 @@ class TestLoadEmbeddings:
             lex = {"tiny": frame(0, 0, 0, 0, 0), "unit": frame(0, 0, 0, 0, 0)}
             found = neighbors("big", emb, lex, k=2, min_similarity=0.0)
         for word in ("big", "tiny"):
-            assert emb.unit_vector(word) == pytest.approx([0.6, 0.8], abs=1e-15)
-        assert emb.unit_vector("sub") == [1.0, 0.0]
-        assert emb.unit_vector("huge") == pytest.approx([0.5 ** 0.5, -0.5 ** 0.5])
+            assert connotation._unit(emb[word]) == pytest.approx([0.6, 0.8], abs=1e-15)
+        assert connotation._unit(emb["sub"]) == [1.0, 0.0]
+        assert connotation._unit(emb["huge"]) == pytest.approx([0.5 ** 0.5, -0.5 ** 0.5])
         assert [w for w, _ in found] == ["tiny", "unit"]
         assert [s for _, s in found] == pytest.approx([1.0, 1.0], abs=1e-15)
         assert capfd.readouterr().err == ""
@@ -149,10 +148,8 @@ class TestLoadEmbeddings:
         # neither overflow nor underflow get the very bits of x / |x|
         rng = np.random.default_rng(5)
         matrix = rng.normal(size=(4000, 7)) * np.exp(rng.uniform(-30, 30, size=(4000, 1)))
-        words = [f"w{i}" for i in range(len(matrix))]
-        emb = EmbeddingStore(dict(zip(words, matrix.tolist())))
         plain = matrix / np.linalg.norm(matrix, axis=1)[:, None]
-        assert np.array_equal([emb.unit_vector(word) for word in words], plain)
+        assert np.array_equal([connotation._unit(row) for row in matrix.tolist()], plain)
 
     def test_duplicate_word_rejected(self, input_file):
         with pytest.raises(DataError, match="duplicate"):
@@ -170,13 +167,13 @@ def small_world():
         "help": frame(0.5, 0.6, 0.4, 0.3, 0.2),
         "mock": frame(-0.5, -0.4, -0.6, -0.3, 0.4),
     }
-    emb = EmbeddingStore({
+    emb = {
         "harass": [1.0, 0.0, 0.0],
         "help": [0.0, 1.0, 0.0],
         "mock": [0.8, 0.2, 0.0],
         "pester": [0.9, 0.1, 0.0],
         "orthogonal": [0.0, 0.0, 1.0],
-    })
+    }
     return lex, emb
 
 
@@ -236,11 +233,10 @@ class TestNearestAnnotated:
                    for i in range(120)}
         annotated = {f"w{i:03d}" for i in range(0, 120, 3)}
         lex = {w: frame(0, 0, 0, 0, 0) for w in annotated}
-        emb = EmbeddingStore(vectors)
         cfg = dict(k=7, min_similarity=0.0)
         for i in range(0, 120, 11):
             word = f"w{i:03d}"
-            mine = neighbors(word, emb, lex, **cfg)
+            mine = neighbors(word, vectors, lex, **cfg)
             ref = brute_force_neighbors(word, vectors, annotated, 7, 0.0)
             assert [w for w, _ in mine] == [w for w, _ in ref]
             for (_, a), (_, b) in zip(mine, ref):
@@ -249,16 +245,15 @@ class TestNearestAnnotated:
     def test_planted_exact_ties_match_brute_force(self):
         vectors, annotated = planted_ties()
         lex = {w: frame(0, 0, 0, 0, 0) for w in annotated}
-        emb = EmbeddingStore(vectors)
         for word, k, min_sim in PLANTED_CASES:
-            mine = neighbors(word, emb, lex, k=k, min_similarity=min_sim)
+            mine = neighbors(word, vectors, lex, k=k, min_similarity=min_sim)
             ref = brute_force_neighbors(word, vectors, set(annotated), k, min_sim)
             assert [w for w, _ in mine] == [w for w, _ in ref], (word, k)
             for (_, a), (_, b) in zip(mine, ref):
                 assert a == pytest.approx(b, abs=1e-9)
-        assert [w for w, _ in neighbors("query", emb, lex, k=3, min_similarity=0.0)] \
+        assert [w for w, _ in neighbors("query", vectors, lex, k=3, min_similarity=0.0)] \
             == ["tie_a", "tie_b", "tie_c"]
-        edge = neighbors("axis", emb, lex, k=10, min_similarity=0.6)
+        edge = neighbors("axis", vectors, lex, k=10, min_similarity=0.6)
         assert ("edge", 0.6) in edge
         assert "below" not in [w for w, _ in edge]
 
@@ -267,8 +262,7 @@ class TestNearestAnnotated:
         # "ab" and "ab\x00" equal and leave their order to the lexicon's
         vectors = {"q": [1.0, 0.0], "ab\x00": [1.0, 1.0], "ab": [1.0, 1.0], "a": [1.0, 2.0]}
         lex = {w: frame(0, 0, 0, 0, 0) for w in ("ab\x00", "a", "ab")}
-        emb = EmbeddingStore(vectors)
-        mine = neighbors("q", emb, lex, k=3, min_similarity=0.0)
+        mine = neighbors("q", vectors, lex, k=3, min_similarity=0.0)
         ref = brute_force_neighbors("q", vectors, set(lex), 3, 0.0)
         assert [w for w, _ in mine] == [w for w, _ in ref] == ["ab", "ab\x00", "a"]
 
@@ -299,9 +293,8 @@ class TestScanEngines:
                    enumerate((rng.normal(size=(300, 25)) * scales).tolist())}
         annotated = [f"w{i:03d}" for i in range(0, 300, 2)]
         queries = [f"w{i:03d}" for i in range(1, 300, 7)]
-        emb = EmbeddingStore(vectors)
         for k in (1, 7, 150, 400):
-            pure, fast = engines(monkeypatch, emb, queries, annotated, k)
+            pure, fast = engines(monkeypatch, vectors, queries, annotated, k)
             assert bits(pure) == bits(fast), k
             for word, candidates in zip(queries, pure):
                 mine = nearest_annotated(candidates, annotated, k, 0.0)
@@ -311,9 +304,8 @@ class TestScanEngines:
 
     def test_planted_ties_and_edges(self, monkeypatch):
         vectors, annotated = planted_ties()
-        emb = EmbeddingStore(vectors)
         for word, k, min_sim in PLANTED_CASES:
-            pure, fast = engines(monkeypatch, emb, [word], annotated, k)
+            pure, fast = engines(monkeypatch, vectors, [word], annotated, k)
             assert bits(pure) == bits(fast), (word, k)
             mine = nearest_annotated(pure[0], annotated, k, min_sim)
             assert mine == nearest_annotated(fast[0], annotated, k, min_sim)
@@ -323,10 +315,9 @@ class TestScanEngines:
     def test_any_finite_scale(self, monkeypatch):
         vectors = {"big": [3e200, 4e200], "tiny": [3e-200, 4e-200], "sub": [5e-324, 0.0],
                    "huge": [1.7e308, -1.7e308], "unit": [3.0, 4.0], "mixed": [1.0, 1e-300]}
-        emb = EmbeddingStore(vectors)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pure, fast = engines(monkeypatch, emb, list(vectors), list(vectors), 6)
+            pure, fast = engines(monkeypatch, vectors, list(vectors), list(vectors), 6)
         assert bits(pure) == bits(fast)
 
     def test_no_annotated_row_or_no_query(self, monkeypatch):
@@ -350,11 +341,11 @@ class TestPropagate:
             "near": frame(-0.5, 0.0, 0.0, 0.0, 0.0),
             "far": frame(-0.7, 0.0, 0.0, 0.0, 0.0),
         }
-        emb = EmbeddingStore({
+        emb = {
             "near": [0.6, 0.8, 0.0],
             "far": [0.4, 0.0, np.sqrt(1 - 0.16)],
             "query": [1.0, 0.0, 0.0],
-        })
+        }
         out = propagated("query", lex, emb, k=2, min_similarity=0.0)
         assert out.sentiment_verb == pytest.approx(-0.29, abs=1e-12)
 
@@ -380,8 +371,7 @@ class TestPropagate:
                 "a": frame(-0.5 + delta, 0, 0, 0, 0),
                 "b": frame(-0.2 + delta, 0, 0, 0, 0),
             }
-            emb = EmbeddingStore({
-                "a": [0.9, 0.1], "b": [0.7, 0.3], "q": [1.0, 0.0]})
+            emb = {"a": [0.9, 0.1], "b": [0.7, 0.3], "q": [1.0, 0.0]}
             out = propagated("q", lex, emb, k=2, min_similarity=0.0)
             return out.sentiment_verb
 

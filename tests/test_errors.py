@@ -205,8 +205,7 @@ OTHER_INPUTS = {
         lambda path, write: cli.load_config(path)),
 }
 
-_LOADED_OBJECTS = (connotation.EmbeddingStore, events.VerbInventory,
-                   textprep.CorrectionDictionary, textprep.LanguageModel)
+_LOADED_OBJECTS = (textprep.CorrectionDictionary, textprep.LanguageModel)
 
 
 def plain(value):

@@ -6,7 +6,6 @@ from conftest import load_event_gold
 from postmine.errors import DataError
 from postmine.events import (
     EventTriple,
-    VerbInventory,
     _sentences,
     _suffix_candidates,
     bundled_inventory,
@@ -16,17 +15,12 @@ from postmine.events import (
     read_triples,
     write_triples,
 )
-from postmine.textprep import TokenKind, bundled_stopwords, tokenize
+from postmine.textprep import TokenKind, tokenize
 
 
 @pytest.fixture(scope="module")
 def inventory():
     return bundled_inventory()
-
-
-@pytest.fixture(scope="module")
-def stopwords():
-    return bundled_stopwords()
 
 
 class TestLemmatize:
@@ -81,79 +75,77 @@ class TestLemmatize:
 
 
 class TestExtractTriples:
-    def extract(self, text, inventory, stopwords):
-        return extract_triples(tokenize(text), inventory, stopwords=stopwords)
+    def extract(self, text, inventory):
+        return extract_triples(tokenize(text), inventory)
 
-    def test_simple_active(self, inventory, stopwords):
-        (triple,) = self.extract("he harassed me", inventory, stopwords)
+    def test_simple_active(self, inventory):
+        (triple,) = self.extract("he harassed me", inventory)
         assert triple.verb_lemma == "harass"
         assert triple.agent == "he"
         assert triple.affected == "me"
         assert triple.passive is False
 
-    def test_passive_with_by_agent(self, inventory, stopwords):
-        (triple,) = self.extract("i was harassed by my boss", inventory, stopwords)
+    def test_passive_with_by_agent(self, inventory):
+        (triple,) = self.extract("i was harassed by my boss", inventory)
         assert triple.verb_lemma == "harass"
         assert triple.agent == "boss"
         assert triple.affected == "i"
         assert triple.passive is True
 
-    def test_no_inventory_verb(self, inventory, stopwords):
-        assert self.extract("the sky is blue", inventory, stopwords) == []
+    def test_no_inventory_verb(self, inventory):
+        assert self.extract("the sky is blue", inventory) == []
 
-    def test_passive_without_agent(self, inventory, stopwords):
-        (triple,) = self.extract("i was followed", inventory, stopwords)
+    def test_passive_without_agent(self, inventory):
+        (triple,) = self.extract("i was followed", inventory)
         assert triple.passive is True
         assert triple.agent is None
         assert triple.affected == "i"
 
-    def test_passive_never_uses_pre_verb_agent(self, inventory, stopwords):
-        triples = self.extract("she was mocked because reasons", inventory, stopwords)
+    def test_passive_never_uses_pre_verb_agent(self, inventory):
+        triples = self.extract("she was mocked because reasons", inventory)
         (triple,) = triples
         assert triple.passive is True
         assert triple.agent is None
         assert triple.affected == "she"
 
-    def test_sentence_boundary_blocks_arguments(self, inventory, stopwords):
-        triples = self.extract("the boss left. harassed me", inventory, stopwords)
+    def test_sentence_boundary_blocks_arguments(self, inventory):
+        triples = self.extract("the boss left. harassed me", inventory)
         (triple,) = triples
         assert triple.agent is None  # "boss" is in the previous sentence
 
-    def test_multi_verb_one_triple_each(self, inventory, stopwords):
-        triples = self.extract("he grabbed her and she slapped him",
-                               inventory, stopwords)
+    def test_multi_verb_one_triple_each(self, inventory):
+        triples = self.extract("he grabbed her and she slapped him", inventory)
         assert [t.verb_lemma for t in triples] == ["grab", "slap"]
         assert triples[0].agent == "he"
         assert triples[1].agent == "she"
 
-    def test_window_limit(self, inventory, stopwords):
+    def test_window_limit(self, inventory):
         # agent sits six tokens before the verb, outside the window
         text = "boss one two three four five harassed me"
-        (triple,) = self.extract(text, inventory, stopwords)
+        (triple,) = self.extract(text, inventory)
         assert triple.agent is None
 
-    def test_spans_never_point_at_verbs(self, inventory, stopwords):
+    def test_spans_never_point_at_verbs(self, inventory):
         # Argument candidates exclude inventory verbs entirely, which
         # implies an argument can never be the verb token.
         for entry in load_event_gold():
             tokens = tokenize(entry["text"])
-            for triple in extract_triples(tokens, inventory, stopwords=stopwords):
+            for triple in extract_triples(tokens, inventory):
                 for surface in (triple.agent, triple.affected):
                     if surface is not None:
                         assert (surface in {"i", "me", "he", "she", "they", "him",
                                             "her", "them", "we", "us", "you"}
                                 or lemmatize(surface, inventory) is None)
 
-    def test_deterministic(self, inventory, stopwords):
+    def test_deterministic(self, inventory):
         tokens = tokenize("he grabbed her and she slapped him. i was followed.")
-        first = extract_triples(tokens, inventory, stopwords=stopwords)
-        second = extract_triples(tokens, inventory, stopwords=stopwords)
+        first = extract_triples(tokens, inventory)
+        second = extract_triples(tokens, inventory)
         assert first == second
 
-    def test_emitted_lemmas_always_in_inventory(self, inventory, stopwords):
+    def test_emitted_lemmas_always_in_inventory(self, inventory):
         for entry in load_event_gold():
-            for triple in extract_triples(
-                    tokenize(entry["text"]), inventory, stopwords=stopwords):
+            for triple in extract_triples(tokenize(entry["text"]), inventory):
                 assert triple.verb_lemma in inventory.lemmas
 
 
@@ -206,13 +198,11 @@ class TestInventoryIO:
         _, warnings = load_inventory(input_file("hit\thit,hits\n"))
         assert warnings == []
 
-    def test_empty_inventory_fatal(self):
-        with pytest.raises(DataError):
-            VerbInventory([])
-
-    def test_inflection_to_unknown_lemma_fatal(self):
-        with pytest.raises(DataError):
-            VerbInventory(["harass"], {"ran": "run"})
+    def test_empty_inventory_fatal(self, input_file):
+        path = input_file("# no lemma\n\n")
+        with pytest.raises(DataError) as caught:
+            load_inventory(path)
+        assert str(caught.value) == f"{path}: verb inventory is empty"
 
 
 class TestTripleFileInterface:

@@ -31,6 +31,7 @@ from postmine.textprep import (
     TokenKind,
     _squeeze_elongation,
     bundled_emoticons,
+    bundled_stopwords,
     content_terms,
     correct_spelling,
     load_correction_dictionary,
@@ -99,9 +100,18 @@ class TestContentTerms:
         assert content_terms(tokens) == ["story"]
 
     def test_hashtag_segments_included(self):
+        tokens = [Token("campus", TokenKind.HASHTAG_SEGMENTED),
+                  Token("story", TokenKind.HASHTAG_SEGMENTED), Token("campus", TokenKind.WORD)]
+        assert content_terms(tokens) == ["campus", "story", "campus"]
+
+    def test_stopwords_excluded(self):
         tokens = [Token("me", TokenKind.HASHTAG_SEGMENTED),
-                  Token("too", TokenKind.HASHTAG_SEGMENTED), Token("me", TokenKind.WORD)]
-        assert content_terms(tokens) == ["me", "too", "me"]
+                  Token("too", TokenKind.HASHTAG_SEGMENTED),
+                  Token("the", TokenKind.WORD), Token("story", TokenKind.WORD)]
+        assert {"me", "too", "the"} <= bundled_stopwords()
+        assert content_terms(tokens) == ["story"]
+        # the list is read once per process
+        assert bundled_stopwords() is bundled_stopwords()
 
 
 class TestTokenize:

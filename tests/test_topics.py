@@ -10,6 +10,7 @@ from scipy.special import digamma, gammaln
 from oracles import per_document_lda
 from postmine import cli, topics
 from postmine.errors import DataError
+from postmine.textprep import content_terms, tokenize
 from postmine.topics import (
     COHERENCE_EPS,
     TIE_RTOL,
@@ -65,19 +66,18 @@ class TestBuildVocab:
         assert "one" not in vocab
 
     def test_all_stopworded_is_fatal(self):
-        docs = ["the and".split(), "the of".split()]
+        docs = [content_terms(tokenize(text)) for text in ("the and", "the of")]
         with pytest.raises(DataError, match="no term satisfies min_df=1"):
-            build_vocab(docs, min_df=1, stopwords=frozenset(["the", "and", "of"]))
+            build_vocab(docs, min_df=1)
 
     def test_postings_match_brute_force_scan(self):
         docs, _ = planted_corpus(seed=37, n_docs=80, doc_len=6)
-        docs[5] += ["and", "rare", "rare"]
-        docs[9] += ["and"]
-        vocab = build_vocab(docs, min_df=2, stopwords=frozenset(["and"]))
+        docs[5] += ["rare", "rare"]
+        vocab = build_vocab(docs, min_df=2)
         holding = {term: {d for d, doc in enumerate(docs) if term in doc}
                    for term in {term for doc in docs for term in doc}}
         expected = {term: holding[term] for term in sorted(holding)
-                    if term != "and" and len(holding[term]) >= 2}
+                    if len(holding[term]) >= 2}
         assert "rare" not in expected and len(expected) == 30
         assert list(vocab) == list(expected)
         assert vocab == expected
@@ -233,26 +233,27 @@ class TestCoherence:
         docs = ["a b c d".split()] * 3
         vocab = build_vocab(docs, min_df=1)
         model = fit_lda(tfidf(docs, vocab), 2, seed=0)
-        # codoc == doc for every pair, so each pair term is ln(1 + eps/doc)
-        value = coherence(model, vocab, top_n=2)
-        assert value == pytest.approx(math.log((3 + COHERENCE_EPS) / 3), abs=1e-12)
+        # the top COHERENCE_TOP_N words are all four, and codoc == doc for
+        # each of their six pairs, so each pair term is ln(1 + eps/doc)
+        value = coherence(model, vocab)
+        assert value == pytest.approx(6 * math.log((3 + COHERENCE_EPS) / 3), abs=1e-12)
 
     def test_disjoint_top_words_strongly_negative(self):
-        # Rig a model whose two top words never co-occur.
-        docs = ["a x".split(), "b y".split(), "a z".split(), "b w".split()]
+        # Rig a model of two words that never co-occur; the top
+        # COHERENCE_TOP_N words of each topic are both.
+        docs = ["a x".split(), "z y".split(), "a w".split()]
         model = TopicModel(
             k=2,
-            topic_word=np.array([[0.4, 0.3, 0.1, 0.1, 0.05, 0.05],
-                                 [0.05, 0.05, 0.1, 0.1, 0.3, 0.4]]),
-            doc_topic=np.full((4, 2), 0.5),
+            topic_word=np.array([[0.7, 0.3], [0.3, 0.7]]),
+            doc_topic=np.full((3, 2), 0.5),
             coherence=float("nan"),
             seed=0,
-            terms=("a", "b", "w", "x", "y", "z"),
+            terms=("a", "z"),
             **UNFITTED,
         )
-        value = coherence(model, build_vocab(docs), top_n=2)
-        # topic 0 pair (b after a): ln(eps / doc(a)) with doc(a) = 2;
-        # topic 1 pair (y after z): ln(eps / doc(z)) with doc(z) = 1
+        value = coherence(model, build_vocab(docs, min_df=1))
+        # topic 0 pair (z after a): ln(eps / doc(a)) with doc(a) = 2;
+        # topic 1 pair (a after z): ln(eps / doc(z)) with doc(z) = 1
         expected = (math.log(COHERENCE_EPS / 2) + math.log(COHERENCE_EPS / 1)) / 2
         assert value == pytest.approx(expected, rel=1e-9)
 
