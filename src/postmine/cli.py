@@ -17,7 +17,8 @@ The commands hold the config, the paths, the exit codes and the
 printing; the stage modules compute, write the artifacts and return
 plain values.  Only this module writes to stderr: the stage functions
 return their warnings and diagnostics, and the commands print them
-(``-v`` adds the per-K lines of ``topics``).
+(``-v`` adds the per-K lines of ``topics``).  ``report`` parses each
+table with one ``csv`` reader over its lines that are not ``#`` footers.
 
 A stage pays little to start and to stop.  It imports only the modules
 it runs: every stage module, ``corpus`` included, is imported inside
@@ -345,13 +346,9 @@ def cmd_regress(config: RunConfig) -> None:
 
 
 def _render_csv_section(handle) -> str:
-    rows = []
-    footers = []
-    for line in handle.read().splitlines():
-        if line.startswith("#"):
-            footers.append(line)
-        elif line:
-            rows.append(next(csv.reader([line])))
+    raw = handle.read().splitlines()
+    footers = [line for line in raw if line.startswith("#")]
+    rows = [row for row in csv.reader(line for line in raw if not line.startswith("#")) if row]
     if not rows:
         return "\n".join(footers)
     widths = [max(len(row[i]) for row in rows if i < len(row))

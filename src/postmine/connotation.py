@@ -44,11 +44,11 @@ are a plain word -> vector mapping, each vector the tuple of floats
 read: ``load_embeddings`` alone checks them (one dimension, finite
 components, no zero vector), and a scan normalizes only the vectors it
 reads.  ``events`` is imported for type annotations only.
+``write_aggregate_report`` writes through ``errors.write_table``.
 """
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 from itertools import islice
@@ -56,7 +56,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import HarassmentLabel, HarassmentType, Participant
-from .errors import DataError, atomic_open, data_lines, read_utf8
+from .errors import DataError, data_lines, read_utf8, write_table
 
 if TYPE_CHECKING:
     from .events import EventTriple
@@ -377,15 +377,7 @@ def write_aggregate_report(
 ) -> None:
     """Comma-delimited aggregate table with a coverage footer (fraction
     of labeled posts that produced a scorable triple)."""
-    with atomic_open(path, newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(AGGREGATE_HEADER)
-        for row in rows:
-            writer.writerow((
-                row.harassment_type.value,
-                row.participant.value,
-                f"{row.event_sentiment:.4f}",
-                f"{row.affected_sentiment:.4f}",
-                f"{row.percentage:.2f}",
-            ))
-        handle.write(f"# coverage={coverage:.4f}\n")
+    write_table(path, AGGREGATE_HEADER, (
+        (row.harassment_type.value, row.participant.value, f"{row.event_sentiment:.4f}",
+         f"{row.affected_sentiment:.4f}", f"{row.percentage:.2f}")
+        for row in rows), footer=f"# coverage={coverage:.4f}")

@@ -3,10 +3,11 @@ stage uses: ``read_utf8``, the block in which every loader but the posts
 one (which skips a bad line) reads and checks its file, so that its data
 errors name the file; ``data_lines`` and ``table_rows``, the one line rule
 (loaders trim their own fields) and the one row rule that split every input
-file into numbered records; and ``atomic_open``, which writes each
-``out_dir`` file so that a stage dying mid-write leaves none truncated.
-Importing this module lifts the ``csv`` module's limit on the length of
-a field, for every table a stage reads.
+file into numbered records; ``atomic_open``, which writes each
+``out_dir`` file whole or not at all, its lines ended by ``\\n``; and
+``write_table``, the one writer of the delimited ones.  Importing this
+module lifts the ``csv`` module's limit on the length of a field, for
+every table a stage reads.
 
 The CLI maps ConfigError to exit code 1 and DataError to exit code 2;
 the message says what went wrong, so no stage needs a subclass.
@@ -87,8 +88,8 @@ def table_rows(handle, header, table, delimiter=","):
 
 
 @contextmanager
-def atomic_open(path, newline=None):
-    """Open a UTF-8 text file to write in place of ``path``.
+def atomic_open(path):
+    """Open a UTF-8 text file to write in place of ``path``; ``\\n`` stays ``\\n``.
 
     The text goes to ``<path>.part`` beside it, which replaces ``path``
     only when the block ends without an exception; otherwise it is
@@ -97,9 +98,22 @@ def atomic_open(path, newline=None):
     path = Path(path)
     part = path.with_name(path.name + ".part")
     try:
-        with open(part, "w", encoding="utf-8", newline=newline) as handle:
+        with open(part, "w", encoding="utf-8", newline="") as handle:
             yield handle
         os.replace(part, path)
     except BaseException:
         part.unlink(missing_ok=True)
         raise
+
+
+def write_table(path, header, rows, footer=None, delimiter=","):
+    """Write ``header`` (unless None), ``rows`` and the ``footer`` line (if
+    given) through ``atomic_open``, each row ended by ``\\n``; ``csv``
+    quotes a cell holding the delimiter, a quote or a line break."""
+    with atomic_open(path) as handle:
+        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
+        if footer is not None:
+            handle.write(footer + "\n")

@@ -16,17 +16,17 @@ Only ``extract_triples`` imports ``textprep``, once per call, so
 importing this module to read triple files does not load it.  The
 loaders take a path; ``load_inventory`` alone checks the inventory file
 and builds its lemma table, and returns its warnings with the
-inventory, which the CLI reports.
+inventory, which the CLI reports.  ``write_triples`` writes through
+``errors.write_table``, whose quoting keeps a post id holding a tab whole.
 """
 
 from __future__ import annotations
 
-import csv
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .errors import DataError, atomic_open, data_lines, read_utf8, table_rows
+from .errors import DataError, data_lines, read_utf8, table_rows, write_table
 
 if TYPE_CHECKING:
     from .textprep import Token, TokenKind
@@ -235,17 +235,9 @@ TRIPLE_HEADER = ("post_id", "verb_lemma", "passive", "agent", "affected")
 def write_triples(triples: Iterable[EventTriple], path: str | Path) -> None:
     """Tab-delimited triple export; empty cell means a missing argument.
     ``path`` is replaced atomically."""
-    with atomic_open(path, newline="") as handle:
-        writer = csv.writer(handle, delimiter="\t", lineterminator="\n")
-        writer.writerow(TRIPLE_HEADER)
-        for t in triples:
-            writer.writerow((
-                t.source_post,
-                t.verb_lemma,
-                "1" if t.passive else "0",
-                t.agent or "",
-                t.affected or "",
-            ))
+    write_table(path, TRIPLE_HEADER, (
+        (t.source_post, t.verb_lemma, "1" if t.passive else "0", t.agent or "", t.affected or "")
+        for t in triples), delimiter="\t")
 
 
 def read_triples(path: str | Path) -> list[EventTriple]:

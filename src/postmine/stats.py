@@ -8,21 +8,25 @@ normal-equations solve exists only as an independent oracle in the test
 suite.  Rank deficiency is detected from the singular values (ratio
 below 1e-10 of the largest) and reported with the name of a dependent
 column rather than silently regularized.  Pure Python suits the
-design, tens to thousands of institutions by eight features.
+design, tens to thousands of institutions by eight features.  Every
+float sum adds left to right (``_ordered_sum``), not by ``sum()``,
+which compensates from Python 3.12 on, so a fit gives the same bits on
+every supported Python.  ``write_regression_report`` writes through
+``errors.write_table``.
 """
 
 from __future__ import annotations
 
-import csv
+import functools
 import itertools
 import math
 import numbers
-from operator import mul
+from operator import add, mul
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import InstitutionRecord, Post, Region
-from .errors import DataError, atomic_open
+from .errors import DataError, write_table
 
 RANK_TOLERANCE = 1e-10
 _EPS = 2.0 ** -52          # float64 machine epsilon
@@ -118,6 +122,13 @@ def _binary_exponent(values: Iterable[float]) -> int:
     return math.frexp(max(map(abs, values), default=0.0))[1]
 
 
+def _ordered_sum(values: Iterable[float]) -> float:
+    """The float sum of ``values``, added left to right from +0.0: from
+    Python 3.12 on, builtin ``sum()`` compensates float additions, so its
+    bits would depend on the interpreter."""
+    return functools.reduce(add, values, 0.0)
+
+
 def _householder_qr(columns: list[list[float]], y: list[float]):
     """R (as p rows) and Q'y for the n x p matrix with the given columns,
     which are overwritten (Golub & Van Loan, Matrix Computations, 5.2).
@@ -137,7 +148,7 @@ def _householder_qr(columns: list[list[float]], y: list[float]):
         v[0] -= alpha
         for target in columns[k + 1:] + [qty]:
             tail = target[k:]
-            scale = sum(map(mul, v, tail)) / half_vv
+            scale = _ordered_sum(map(mul, v, tail)) / half_vv
             target[k:] = [a - scale * b for a, b in zip(tail, v)]
         columns[k][k] = alpha
     # later reflections leave row k alone, so it is final
@@ -151,7 +162,7 @@ def _back_substitute(r: list[list[float]], b: Sequence[float]) -> list[float]:
     x = [0.0] * p
     for i in reversed(range(p)):
         row = r[i]
-        x[i] = (b[i] - sum(row[j] * x[j] for j in range(i + 1, p))) / row[i]
+        x[i] = (b[i] - _ordered_sum(row[j] * x[j] for j in range(i + 1, p))) / row[i]
     return x
 
 
@@ -174,11 +185,11 @@ def _singular_values(a: Sequence[Sequence[float]]) -> list[float]:
         for i in range(m - 1):
             for j in range(i + 1, m):
                 ci, cj = cols[i], cols[j]
-                alpha = sum(map(mul, ci, ci))
-                beta = sum(map(mul, cj, cj))
+                alpha = _ordered_sum(map(mul, ci, ci))
+                beta = _ordered_sum(map(mul, cj, cj))
                 if min(alpha, beta) <= negligible:
                     continue
-                gamma = sum(map(mul, ci, cj))
+                gamma = _ordered_sum(map(mul, ci, cj))
                 if abs(gamma) <= tol * math.sqrt(alpha) * math.sqrt(beta):
                     continue
                 rotated = True
@@ -245,18 +256,18 @@ def ols_fit(design: DesignMatrix) -> RegressionResult:
         raise DataError(f"design matrix is rank deficient at column {name!r}")
 
     beta = _back_substitute(r, qty[:p])
-    residuals = [v - sum(map(mul, row, beta)) for v, row in zip(y, rows)]
-    rss = sum(e * e for e in residuals)
+    residuals = [v - _ordered_sum(map(mul, row, beta)) for v, row in zip(y, rows)]
+    rss = _ordered_sum(e * e for e in residuals)
     dof = n - p
     sigma2 = rss / dof
     # column j of R^-1 solves R c = e_j; (X'X)^-1_ii sums row i of R^-1 squared
     r_inv = [_back_substitute(r, [float(i == j) for i in range(p)]) for j in range(p)]
-    std_errors = [math.sqrt(sigma2 * sum(col[i] * col[i] for col in r_inv))
+    std_errors = [math.sqrt(sigma2 * _ordered_sum(col[i] * col[i] for col in r_inv))
                   for i in range(p)]
     t_stats = [b / s if s > 0 else math.copysign(math.inf, b) if b != 0 else math.nan
                for b, s in zip(beta, std_errors)]
-    mean = sum(y) / n
-    tss = sum((v - mean) * (v - mean) for v in y)
+    mean = _ordered_sum(y) / n
+    tss = _ordered_sum((v - mean) * (v - mean) for v in y)
     r_squared = 1.0 - rss / tss if tss > 0 else float("nan")
     return RegressionResult(
         feature_names=design.feature_names,
@@ -358,17 +369,8 @@ def write_regression_report(result: RegressionResult, path: str | Path) -> None:
     """Comma-delimited report, one row per feature in design order, plus
     a footer with n, p and R^2."""
     n = result.residual_dof + len(result.feature_names)
-    with atomic_open(path, newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(REPORT_HEADER)
-        for i, name in enumerate(result.feature_names):
-            writer.writerow((
-                name,
-                f"{result.coefficients[i]:.6e}",
-                f"{result.std_errors[i]:.6e}",
-                f"{result.t_stats[i]:.4f}",
-                f"{result.p_values[i]:.4g}",
-            ))
-        handle.write(
-            f"# n={n} p={len(result.feature_names)} r_squared={result.r_squared:.6f}\n"
-        )
+    write_table(path, REPORT_HEADER, (
+        (name, f"{result.coefficients[i]:.6e}", f"{result.std_errors[i]:.6e}",
+         f"{result.t_stats[i]:.4f}", f"{result.p_values[i]:.4g}")
+        for i, name in enumerate(result.feature_names)),
+        footer=f"# n={n} p={len(result.feature_names)} r_squared={result.r_squared:.6f}")

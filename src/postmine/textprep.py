@@ -314,6 +314,16 @@ def correct_spelling(token: Token, dictionary: CorrectionDictionary) -> list[Tok
     return [token]
 
 
+def _check_count(kind: str, key: str | tuple[str, str], count: int) -> None:
+    if count <= 0:
+        raise ValueError(f"nonpositive {kind} count for {key!r}")
+
+
+def _check_bigram_words(pair: tuple[str, str], unigrams: Mapping[str, int]) -> None:
+    if pair[0] not in unigrams or pair[1] not in unigrams:
+        raise ValueError(f"bigram {pair!r} has a word missing from unigrams")
+
+
 class LanguageModel:
     """Unigram/bigram counts backing the hashtag segmenter."""
 
@@ -340,24 +350,27 @@ class LanguageModel:
         unigrams: Mapping[str, int],
         bigrams: Mapping[tuple[str, str], int] | None = None,
     ) -> "LanguageModel":
+        """A model built in code, checked by the rules of the file loader."""
         bigrams = dict(bigrams or {})
-        for word, count in unigrams.items():
-            if count <= 0:
-                raise DataError(f"nonpositive unigram count for {word!r}")
-        for (w1, w2), count in bigrams.items():
-            if count <= 0:
-                raise DataError(f"nonpositive bigram count for {(w1, w2)!r}")
-            if w1 not in unigrams or w2 not in unigrams:
-                raise DataError(f"bigram ({w1!r}, {w2!r}) has a word missing from unigrams")
+        try:
+            for word, count in unigrams.items():
+                _check_count("unigram", word, count)
+            for pair, count in bigrams.items():
+                _check_count("bigram", pair, count)
+                _check_bigram_words(pair, unigrams)
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
         return cls(dict(unigrams), bigrams, sum(unigrams.values()))
 
 
 def load_language_model(path: str | Path) -> LanguageModel:
     """Read the tab-delimited model file with UNIGRAM and BIGRAM sections;
-    words are lowercased; a word or pair listed twice, or a bigram count or
-    the unigram total too large for a float, is fatal."""
+    words are lowercased; a word or pair listed twice, a count that is not
+    positive, a bigram count or the unigram total too large for a float,
+    or a bigram word that no unigram line lists, is fatal at its line."""
     unigrams: dict[str, int] = {}
     bigrams: dict[tuple[str, str], int] = {}
+    bigram_lines: dict[tuple[str, str], int] = {}
     section: str | None = None
     total = 0
     with read_utf8(path) as handle:
@@ -374,6 +387,7 @@ def load_language_model(path: str | Path) -> LanguageModel:
                     if word in unigrams:
                         raise ValueError(f"duplicate unigram {word!r}")
                     unigrams[word] = count = int(parts[1])
+                    _check_count("unigram", word, count)
                     total += count
                     if total > FLOAT_MAX:
                         raise ValueError("unigram counts sum too large for a float")
@@ -384,15 +398,23 @@ def load_language_model(path: str | Path) -> LanguageModel:
                     if pair in bigrams:
                         raise ValueError(f"duplicate bigram {pair!r}")
                     bigrams[pair] = count = int(parts[2])
+                    _check_count("bigram", pair, count)
                     if count > FLOAT_MAX:
                         raise ValueError("count is too large for a float")
+                    bigram_lines[pair] = lineno
                 else:
                     raise ValueError("line before any UNIGRAM/BIGRAM section header")
             except ValueError as exc:
                 raise DataError(f"line {lineno}: {exc}") from None
         if not unigrams:
             raise DataError("language model has no unigrams")
-        return LanguageModel.from_counts(unigrams, bigrams)
+        # after the last section: the sections may come in either order
+        for pair, lineno in bigram_lines.items():
+            try:
+                _check_bigram_words(pair, unigrams)
+            except ValueError as exc:
+                raise DataError(f"line {lineno}: {exc}") from None
+        return LanguageModel(unigrams, bigrams, total)
 
 
 def transition_score(lm: LanguageModel, prev: str | None, word: str) -> float:

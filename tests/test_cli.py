@@ -22,6 +22,7 @@ from postmine.cli import (
     SENTIMENT_REPORT,
     TOPIC_REPORT,
     TRIPLES_ARTIFACT,
+    VOCAB_ARTIFACT,
     load_config,
     main,
 )
@@ -330,6 +331,23 @@ def test_no_module_reaches_blas():
     assert found == []
 
 
+def test_only_errors_constructs_a_csv_writer():
+    # errors.write_table alone decides how an out_dir table is written
+    found = []
+    for path in sorted((SRC / "postmine").glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "csv":
+                found += [(path.name, node.lineno, alias.name) for alias in node.names
+                          if alias.name in ("writer", "DictWriter")]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "csv"
+                    and node.func.attr in ("writer", "DictWriter")):
+                found.append((path.name, node.lineno, node.func.attr))
+    assert found == []
+
+
 def _defined_in_package() -> dict[str, str]:
     """Name -> "file:line" of every function, class and method defined in
     src/postmine, dunder methods left out."""
@@ -472,6 +490,22 @@ class TestAtomicArtifacts:
         assert (out / TRIPLES_ARTIFACT).read_bytes() == earlier
         assert sorted(os.listdir(out)) == before
         assert main(["--config", str(config), "sentiment"]) == 0
+
+    def test_failed_vocab_write_keeps_earlier(self, tmp_path, demo_bundle):
+        class DyingVocab(dict):
+            def items(self):
+                return _DiesAfter(dict.items(self))
+
+        config = write_config(tmp_path, demo_bundle)
+        out = tmp_path / "out"
+        for command in ("ingest", "topics"):
+            assert main(["--config", str(config), command]) == 0
+        earlier = (out / VOCAB_ARTIFACT).read_bytes()
+        before = sorted(os.listdir(out))
+        with pytest.raises(RuntimeError, match="writer died"):
+            topics.write_vocab(DyingVocab(harass=frozenset({0, 1})), out / VOCAB_ARTIFACT)
+        assert (out / VOCAB_ARTIFACT).read_bytes() == earlier
+        assert sorted(os.listdir(out)) == before
 
     def test_failed_corpus_write_keeps_earlier(self, tmp_path, demo_bundle):
         config = write_config(tmp_path, demo_bundle)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import codecs
+import csv
 import json
+import os
 import random
 import re
 
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from postmine import cli, connotation, corpus, events, textprep
-from postmine.errors import DataError
+from postmine.errors import DataError, write_table
 
 # input name -> (valid start of its file, a file that the loader rejects
 # or None, call of the loader on a path, given a function that writes a
@@ -338,3 +340,33 @@ def test_bad_input_ends_in_one_line_that_names_its_file(seed, demo_bundle, tmp_p
         if code:
             assert (any(path in last for path in named)
                     or any(error in last for error in _CROSS_FILE_ERRORS)), (stage, last)
+
+
+def test_table_cells_are_quoted_and_each_line_ends_in_a_newline(tmp_path):
+    # a post id of the triples file comes from the input
+    path = tmp_path / "table.tsv"
+    rows = [("p\t1", 'say "no"'), ("p,2", "a\r\nb")]
+    write_table(path, ("post_id", "word"), rows, footer="# rows=2", delimiter="\t")
+    assert path.read_bytes() == (
+        b'post_id\tword\n"p\t1"\t"say ""no"""\np,2\t"a\r\nb"\n# rows=2\n')
+    with path.open(encoding="utf-8", newline="") as handle:
+        assert [tuple(row) for row in csv.reader(handle, delimiter="\t")][1:3] == rows
+
+
+def _dying(rows):
+    yield from rows
+    raise RuntimeError("writer died")
+
+
+@pytest.mark.parametrize("header, footer", [(("a", "b"), "# n=1"), (None, None)])
+def test_failed_table_write_keeps_the_earlier_file(tmp_path, header, footer):
+    path = tmp_path / "table.csv"
+    with pytest.raises(RuntimeError, match="writer died"):
+        write_table(path, header, _dying([("x", 1)]), footer=footer)
+    assert os.listdir(tmp_path) == []
+    write_table(path, header, [("x", 1)], footer=footer)
+    earlier = path.read_bytes()
+    with pytest.raises(RuntimeError, match="writer died"):
+        write_table(path, header, _dying([("y", 2), ("z", 3)]), footer=footer)
+    assert path.read_bytes() == earlier
+    assert os.listdir(tmp_path) == ["table.csv"]

@@ -19,6 +19,7 @@ from postmine.errors import DataError
 from postmine.stats import (
     DESIGN_COLUMNS,
     DesignMatrix,
+    _ordered_sum,
     build_design,
     normalize_rate,
     ols_fit,
@@ -324,6 +325,14 @@ class TestOlsFit:
         start = time.perf_counter()
         ols_fit(design)
         assert time.perf_counter() - start < 0.5
+
+
+def test_float_sums_add_left_to_right():
+    # builtin sum() compensates from Python 3.12 on and gives 1.0 here;
+    # left to right, 1e16 + 1.0 rounds back to 1e16, on every Python
+    assert _ordered_sum([1e16, 1.0, -1e16]) == 0.0
+    assert _ordered_sum(x for x in (0.1, 0.2, 0.3)) == (0.1 + 0.2) + 0.3
+    assert _ordered_sum([]) == 0.0
 
 
 class TestTPValue:

@@ -305,12 +305,42 @@ class TestLanguageModelLoader:
         assert lm.total_unigrams == 18
 
     def test_bigram_constituent_must_exist(self, input_file):
-        with pytest.raises(DataError):
-            load_language_model(input_file("UNIGRAM\nme\t10\nBIGRAM\nme\tzzz\t3\n"))
+        # checked after the last section, which may be either one
+        for counts, message in [
+            ("UNIGRAM\nspeak\t3\nup\t1\nBIGRAM\nspeak\tup\t1\nspeak\tdown\t2\n",
+             "line 6: bigram ('speak', 'down') has a word missing from unigrams"),
+            ("BIGRAM\nspeak\tup\t1\nspeak\tdown\t2\nUNIGRAM\nspeak\t3\nup\t1\n",
+             "line 3: bigram ('speak', 'down') has a word missing from unigrams"),
+        ]:
+            path = input_file(counts)
+            with pytest.raises(DataError) as caught:
+                load_language_model(path)
+            assert str(caught.value) == f"{path}: {message}"
 
     def test_nonpositive_count_rejected(self, input_file):
-        with pytest.raises(DataError):
-            load_language_model(input_file("UNIGRAM\nme\t0\n"))
+        for counts, message in [
+            ("UNIGRAM\nspeak\t3\nup\t0\n", "line 3: nonpositive unigram count for 'up'"),
+            ("UNIGRAM\nspeak\t3\nup\t1\nBIGRAM\nspeak\tup\t-2\n",
+             "line 5: nonpositive bigram count for ('speak', 'up')"),
+            ("BIGRAM\nspeak\tup\t0\nUNIGRAM\nspeak\t3\nup\t1\n",
+             "line 2: nonpositive bigram count for ('speak', 'up')"),
+        ]:
+            path = input_file(counts)
+            with pytest.raises(DataError) as caught:
+                load_language_model(path)
+            assert str(caught.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("unigrams, bigrams, message", [
+        ({"speak": 3, "up": 0}, {}, "nonpositive unigram count for 'up'"),
+        ({"speak": 3, "up": 1}, {("speak", "up"): 0},
+         "nonpositive bigram count for ('speak', 'up')"),
+        ({"speak": 3}, {("speak", "down"): 2},
+         "bigram ('speak', 'down') has a word missing from unigrams"),
+    ], ids=["unigram", "bigram", "bigram-word"])
+    def test_model_built_in_code_is_checked_alike(self, unigrams, bigrams, message):
+        with pytest.raises(DataError) as caught:
+            LanguageModel.from_counts(unigrams, bigrams)
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize("counts, message", [
         ("UNIGRAM\nme\t10\ntoo\t" + "9" * 401,
